@@ -18,24 +18,20 @@ sizes J and Q) the quantities of interest are:
 
 Additive and multiplicative kernels have full closed forms.  The phase
 kernel (sin(y+s), S uniform on (−δ, δ)) and the exponential kernel
-(y**s, Y uniform on [a, b], S uniform on [1−α, 1+α]) use Gauss–Legendre
-quadrature over exact conditional moments; the alternative-construction
-factor for those two kernels falls back to seeded Monte Carlo over the
-same exact conditionals and is flagged as approximate in reports.
+(y**s, Y uniform on [a, b], S uniform on [1−α, 1+α]) use one-dimensional
+Gauss–Legendre quadrature over exact conditional moments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .exceptions import DomainError
 from .models import (
     DistSpec,
-    Normal,
     ScalarKernel,
     TwoPoint,
     Uniform,
@@ -46,7 +42,6 @@ from .rng import RngStream
 
 __all__ = [
     "QUAD_NODES",
-    "NESTED_NODES",
     "ScalarScenario",
     "BiasReport",
     "gauss_legendre",
@@ -56,7 +51,6 @@ __all__ = [
     "bias_factor_current",
     "bias_factor_alternative",
     "bias_factor_alternative_mc",
-    "alternative_factor_is_closed_form",
     "target_variance",
     "relbias_current",
     "relbias_alternative",
@@ -69,17 +63,6 @@ __all__ = [
 
 #: Gauss-Legendre node count for one-dimensional integrals.
 QUAD_NODES = 256
-
-#: Node count per axis for the nested (error x data) integrals of the
-#: exponential kernel's covariance terms.
-NESTED_NODES = 128
-
-#: Seed of the stream used when the alternative-construction factor needs
-#: its Monte Carlo fallback and the caller supplied no stream.
-DEFAULT_MC_FALLBACK_SEED = 201707
-
-#: Draw count for that fallback.
-DEFAULT_MC_FALLBACK_DRAWS = 400_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +86,8 @@ class ScalarScenario:
 
 @dataclass(frozen=True)
 class BiasReport:
-    """All analytic bias quantities for one scenario.
-
-    ``alternative_method`` records whether the alternative-construction
-    factor came from a closed form or from the Monte Carlo fallback
-    (phase and exponential kernels); downstream consumers should treat
-    "monte-carlo" values as approximate.
-    """
+    """All analytic bias quantities for one scenario, each a closed form or a
+    one-dimensional quadrature over exact conditional moments."""
 
     bias_factor_current: float
     bias_factor_alternative: float
@@ -117,7 +95,6 @@ class BiasReport:
     relbias_current: float
     relbias_alternative: float
     mean_var_gap: float
-    alternative_method: str
 
 
 _BASE_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -286,16 +263,22 @@ def conditional_variance_given_s(s: ScalarScenario, shift):
 # Bias factors
 
 
-def bias_factor_current(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
-    """Covariance-bias factor of the current construction.
+def _error_interval(s: ScalarScenario) -> tuple[float, float]:
+    """Support (lo, hi) of the uniform error law of a phase or exponential scenario."""
+    if s.kernel.kind == "phase":
+        delta = _phase_delta(s)
+        return -delta, delta
+    _, _, alpha = _exponential_params(s)
+    return 1.0 - alpha, 1.0 + alpha
 
-    V[f(Y, ν)] − V[E[f(Y, S) | Y]]: zero for additive and multiplicative
-    kernels, (1 − sin²δ/δ²)·V[sin Y] for phase, and V[Y] − V[k(Y)] for
-    exponential with k the conditional mean (V[k(Y)] by quadrature).
+
+def _conditional_mean_spread(s: ScalarScenario, nodes: int) -> tuple[float, float]:
+    """(v, g) with V[E[f(Y, S) | Y]] = g·v, for the phase and exponential kernels.
+
+    Phase: v = V[sin Y] and g = (sin δ/δ)².  Exponential: v = V[k(Y)] by
+    quadrature, with k the conditional mean, and g = 1.
     """
     kind = s.kernel.kind
-    if kind in ("additive", "multiplicative"):
-        return 0.0
     if kind == "phase":
         delta = _phase_delta(s)
         if isinstance(s.y_dist, TwoPoint):
@@ -316,23 +299,34 @@ def bias_factor_current(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
         else:
             raise DomainError("phase kernel supports two_point or uniform data distributions only")
         shrink = math.sin(delta) / delta
-        return (1.0 - shrink**2) * var_sin
+        return var_sin, shrink**2
     if kind == "exponential":
         a, b, alpha = _exponential_params(s)
         if a == b:
-            return 0.0
-        var_y = (b - a) ** 2 / 12.0
+            return 0.0, 1.0
         x, w = gauss_legendre(a, b, nodes)
         k = exponential_conditional_mean(x, alpha)
         ek = float(w @ k) / (b - a)
         ek2 = float(w @ k**2) / (b - a)
-        return var_y - (ek2 - ek**2)
+        return ek2 - ek**2, 1.0
     raise DomainError(f"no analytic bias factor for kernel {kind!r}")
 
 
-def alternative_factor_is_closed_form(kernel: ScalarKernel) -> bool:
-    """Whether the alternative-construction factor has a closed form."""
-    return kernel.kind in ("additive", "multiplicative")
+def bias_factor_current(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
+    """Covariance-bias factor of the current construction.
+
+    V[f(Y, ν)] − V[E[f(Y, S) | Y]]: zero for additive and multiplicative
+    kernels, (1 − sin²δ/δ²)·V[sin Y] for phase, and V[Y] − V[k(Y)] for
+    exponential with k the conditional mean (V[k(Y)] by quadrature).
+    """
+    kind = s.kernel.kind
+    if kind in ("additive", "multiplicative"):
+        return 0.0
+    spread, gain = _conditional_mean_spread(s, nodes)
+    if kind == "phase":
+        return (1.0 - gain) * spread
+    a, b, _ = _exponential_params(s)
+    return (b - a) ** 2 / 12.0 - spread
 
 
 def bias_factor_alternative_mc(
@@ -340,12 +334,13 @@ def bias_factor_alternative_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate (value, standard error) of the alternative factor.
 
-    E[V[f|S]] is averaged over error draws and V[E[f|Y]] is the sample
-    variance over data draws, both through the exact conditionals, so the
-    only error is the outer sampling error.
+    A test oracle for :func:`bias_factor_alternative`: E[V[f|S]] is averaged
+    over error draws and V[E[f|Y]] is the sample variance over data draws,
+    both through the exact conditionals, so the only error is the outer
+    sampling error.
     """
     if draws < 2:
-        raise DomainError("MC fallback needs at least two draws")
+        raise DomainError("Monte Carlo oracle needs at least two draws")
     s_draws = sample(s.s_dist, draws, stream.substream(0))[:, 0]
     y_draws = sample(
         s.y_dist, draws, stream.substream(1), reject_zero=s.kernel.kind == "exponential"
@@ -362,18 +357,14 @@ def bias_factor_alternative_mc(
     return mean_v - var_m, math.hypot(se_v, se_var_m)
 
 
-def bias_factor_alternative(
-    s: ScalarScenario,
-    *,
-    stream: RngStream | None = None,
-    draws: int = DEFAULT_MC_FALLBACK_DRAWS,
-) -> float:
+def bias_factor_alternative(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
     """Bias factor of the alternative construction.
 
     E[V[f(Y,S) | S]] − V[E[f(Y,S) | Y]]: zero for additive, V[S]·V[Y] for
-    multiplicative; phase and exponential kernels use the seeded Monte
-    Carlo fallback over exact conditionals (approximate — flagged in
-    :func:`bias_report`).
+    multiplicative.  For phase and exponential kernels the first term is a
+    Gauss–Legendre integral of :func:`conditional_variance_given_s` over
+    the error support and the second is the conditional-mean spread that
+    :func:`bias_factor_current` uses too.
     """
     kind = s.kernel.kind
     if kind == "additive":
@@ -381,11 +372,15 @@ def bias_factor_alternative(
     if kind == "multiplicative":
         return _scalar_variance(s.s_dist) * _scalar_variance(s.y_dist)
     if kind in ("phase", "exponential"):
-        if stream is None:
-            stream = RngStream(DEFAULT_MC_FALLBACK_SEED)
-        value, _ = bias_factor_alternative_mc(s, stream, draws)
-        # the factor is >= 0 for scalar outputs; clip MC noise at the floor
-        return max(value, 0.0)
+        lo, hi = _error_interval(s)
+        x, w = gauss_legendre(lo, hi, nodes)
+        mean_var = float(w @ conditional_variance_given_s(s, x)) / (hi - lo)
+        spread, gain = _conditional_mean_spread(s, nodes)
+        # The factor is >= 0 for scalar outputs, but on near-point-mass data
+        # supports the closed-form conditional moments cancel to slightly
+        # below zero (about -7e-9 for phase and -3e-6 for exponential at
+        # support width 1e-8), so the floor stays.
+        return max(mean_var - gain * spread, 0.0)
     raise DomainError(f"no bias factor for kernel {kind!r}")
 
 
@@ -393,9 +388,7 @@ def bias_factor_alternative(
 # Target variance and relative biases
 
 
-def target_variance(
-    s: ScalarScenario, *, nodes: int = QUAD_NODES, nested: int = NESTED_NODES
-) -> float:
+def target_variance(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
     """Variance of the shared-error batch mean, V[mean_j f(Y_j, S)].
 
     Equal to (1/J)·V[f(Y,S)] + ((J−1)/J)·Cov[f(Y,S), f(Y',S)] where the
@@ -413,78 +406,50 @@ def target_variance(
         mu = _scalar_mean(s.y_dist)
         nu = _scalar_mean(s.s_dist)
         return (var_y / jj) * (var_s + nu**2) + var_s * mu**2
-    if kind == "phase":
-        delta = _phase_delta(s)
-        x, w = gauss_legendre(-delta, delta, nodes)
-        m1, m2 = _phase_sin_moments(s.y_dist, x)
-        width = 2.0 * delta
-        mean = float(w @ m1) / width
-        e_m2 = float(w @ m2) / width
-        e_m1sq = float(w @ m1**2) / width
-        var_f = e_m2 - mean**2
-        cov = e_m1sq - mean**2
-        return var_f / jj + (jj - 1.0) / jj * cov
-    if kind == "exponential":
-        a, b, alpha = _exponential_params(s)
-        xs, ws = gauss_legendre(1.0 - alpha, 1.0 + alpha, nested)
-        width = 2.0 * alpha
-        if a == b:
-            g1 = np.power(a, xs)
-            g2 = np.power(a, 2.0 * xs)
+    if kind in ("phase", "exponential"):
+        lo, hi = _error_interval(s)
+        x, w = gauss_legendre(lo, hi, nodes)
+        if kind == "phase":
+            m1, m2 = _phase_sin_moments(s.y_dist, x)
         else:
-            xy, wy = gauss_legendre(a, b, nested)
-            powers = np.power(xy[:, None], xs[None, :])  # (y-node, s-node)
-            g1 = (wy @ powers) / (b - a)
-            g2 = (wy @ powers**2) / (b - a)
-        mean = float(ws @ g1) / width
-        var_f = float(ws @ g2) / width - mean**2
-        cov = float(ws @ g1**2) / width - mean**2
+            a, b, _ = _exponential_params(s)
+            m1, m2 = _uniform_power_mean(a, b, x), _uniform_power_mean(a, b, 2.0 * x)
+        width = hi - lo
+        mean = float(w @ m1) / width
+        var_f = float(w @ m2) / width - mean**2
+        cov = float(w @ m1**2) / width - mean**2
         return var_f / jj + (jj - 1.0) / jj * cov
     raise DomainError(f"no target variance for kernel {kind!r}")
 
 
-def _checked_target(s: ScalarScenario, nodes: int, nested: int) -> float:
-    t = target_variance(s, nodes=nodes, nested=nested)
+def _checked_target(s: ScalarScenario, nodes: int) -> float:
+    t = target_variance(s, nodes=nodes)
     if not (t > 0.0):
         raise DomainError(f"target variance is not positive ({t}); relative bias undefined")
     return t
 
 
-def relbias_current(
-    s: ScalarScenario, *, nodes: int = QUAD_NODES, nested: int = NESTED_NODES
-) -> float:
+def relbias_current(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
     """Relative covariance bias of the current construction: (factor/J)/target."""
-    t = _checked_target(s, nodes, nested)
+    t = _checked_target(s, nodes)
     return bias_factor_current(s, nodes=nodes) / s.j / t
 
 
-def relbias_alternative(
-    s: ScalarScenario,
-    *,
-    nodes: int = QUAD_NODES,
-    nested: int = NESTED_NODES,
-    stream: RngStream | None = None,
-    draws: int = DEFAULT_MC_FALLBACK_DRAWS,
-) -> float:
+def relbias_alternative(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
     """Relative bias of the alternative construction: (factor/(J·Q))/target.
 
     Lies in [0, 1/Q]; for the multiplicative kernel it reaches the upper
     bound exactly when both inputs have zero mean.
     """
-    t = _checked_target(s, nodes, nested)
-    phi = bias_factor_alternative(s, stream=stream, draws=draws)
+    t = _checked_target(s, nodes)
+    phi = bias_factor_alternative(s, nodes=nodes)
     return phi / (s.j * s.q) / t
 
 
-def mean_variance_gap(
-    s: ScalarScenario,
-    *,
-    stream: RngStream | None = None,
-    draws: int = DEFAULT_MC_FALLBACK_DRAWS,
-) -> float:
+def mean_variance_gap(s: ScalarScenario) -> float:
     """V[grand mean, current] − V[grand mean, alternative] = Ψ/(JQ) − Φ/(JQ²)."""
     psi = bias_factor_current(s)
-    phi = bias_factor_alternative(s, stream=stream, draws=draws)
+    phi = bias_factor_alternative(s)
     jq = s.j * s.q
     return psi / jq - phi / (jq * s.q)
 
@@ -538,16 +503,11 @@ def vardiff_sample_variances(s: ScalarScenario) -> float:
     return synthesis_input_variance_gap(s) / float(s.j) ** 2
 
 
-def bias_report(
-    s: ScalarScenario,
-    *,
-    stream: RngStream | None = None,
-    draws: int = DEFAULT_MC_FALLBACK_DRAWS,
-) -> BiasReport:
+def bias_report(s: ScalarScenario) -> BiasReport:
     """Evaluate every analytic quantity for one scenario."""
     psi = bias_factor_current(s)
-    phi = bias_factor_alternative(s, stream=stream, draws=draws)
-    t = _checked_target(s, QUAD_NODES, NESTED_NODES)
+    phi = bias_factor_alternative(s)
+    t = _checked_target(s, QUAD_NODES)
     jq = s.j * s.q
     return BiasReport(
         bias_factor_current=psi,
@@ -556,7 +516,4 @@ def bias_report(
         relbias_current=psi / s.j / t,
         relbias_alternative=phi / jq / t,
         mean_var_gap=psi / jq - phi / (jq * s.q),
-        alternative_method=(
-            "closed-form" if alternative_factor_is_closed_form(s.kernel) else "monte-carlo"
-        ),
     )

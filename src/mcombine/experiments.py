@@ -40,7 +40,15 @@ from . import analytics
 from .analytics import ScalarScenario
 from .exceptions import DomainError
 from .linalg import cross_covariance, sample_covariance
-from .models import DistSpec, Normal, ScalarKernel, TwoPoint, Uniform, kernel_eval
+from .models import (
+    DistSpec,
+    Normal,
+    ScalarKernel,
+    TwoPoint,
+    Uniform,
+    _require_not_zero_mass,
+    kernel_eval,
+)
 from .rng import RngStream
 
 __all__ = [
@@ -219,6 +227,7 @@ def _scalar_block(dist: DistSpec, shape: tuple[int, ...], gen: np.random.Generat
     else:
         raise DomainError(f"unknown distribution spec {type(dist).__name__}")
     if reject_zero:
+        _require_not_zero_mass(dist)
         bad = out == 0.0
         while np.any(bad):
             n_bad = int(bad.sum())

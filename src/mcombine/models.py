@@ -252,6 +252,16 @@ class TwoPoint:
 DistSpec = Union[Normal, Uniform, TwoPoint]
 
 
+def _require_not_zero_mass(dist: DistSpec) -> None:
+    """Raise when a component of ``dist`` is a point mass at 0.
+
+    Zero-rejection redraws of such a component could never end.
+    """
+    stuck = (np.diag(dist.covariance()) == 0.0) & (dist.mean_vector() == 0.0)
+    if np.any(stuck):
+        raise DomainError("cannot reject zero draws: a component of the law is a point mass at 0")
+
+
 def sample(dist: DistSpec, n: int, stream: RngStream, *, reject_zero: bool = False) -> NDArray[np.float64]:
     """Draw ``n`` i.i.d. rows from ``dist`` using ``stream``.
 
@@ -280,6 +290,7 @@ def sample(dist: DistSpec, n: int, stream: RngStream, *, reject_zero: bool = Fal
     else:
         raise DomainError(f"unknown distribution spec {type(dist).__name__}")
     if reject_zero:
+        _require_not_zero_mass(dist)
         bad = np.any(out == 0.0, axis=1)
         while np.any(bad):
             replacement = sample(dist, int(bad.sum()), stream)

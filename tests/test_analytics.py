@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mcombine.analytics import (
     ScalarScenario,
-    alternative_factor_is_closed_form,
     bias_factor_alternative,
     bias_factor_alternative_mc,
     bias_factor_current,
@@ -136,24 +135,55 @@ def test_phi_multiplicative_product_of_variances():
 
 def test_phi_phase_extremal_is_half():
     # E_S[V[sin(Y+s)|s]] = E_S[cos^2 s] = 1/2 and the conditional-mean term dies
-    value, se = bias_factor_alternative_mc(phase_extremal(), RngStream(17), draws=400_000)
-    assert abs(value - 0.5) < 3.0 * se
+    assert abs(bias_factor_alternative(phase_extremal()) - 0.5) <= 1e-12
 
 
-def test_phi_mc_fallback_is_deterministic_and_nonnegative():
+def test_phi_is_deterministic_and_nonnegative():
     s = exponential_scenario(0.5, 3.0)
     a = bias_factor_alternative(s)
-    b = bias_factor_alternative(s)
-    assert a == b
+    assert a == bias_factor_alternative(s)
+    assert a > 0.0  # scalar alternative bias factor is nonnegative
     value, se = bias_factor_alternative_mc(s, RngStream(23), draws=200_000)
-    assert value >= -3.0 * se  # scalar alternative bias factor is nonnegative
+    assert value >= -3.0 * se
 
 
-def test_phi_closed_form_flag():
-    assert alternative_factor_is_closed_form(ADDITIVE)
-    assert alternative_factor_is_closed_form(MULTIPLICATIVE)
-    assert not alternative_factor_is_closed_form(PHASE)
-    assert not alternative_factor_is_closed_form(EXPONENTIAL)
+def test_phi_quadrature_matches_mc_oracle():
+    for s in (
+        scenario(PHASE, Uniform(lo=[-0.5], hi=[1.5]), Uniform(lo=[-1.2], hi=[1.2])),
+        exponential_scenario(0.5, 6.0, 0.95),
+    ):
+        value, se = bias_factor_alternative_mc(s, RngStream(41), draws=400_000)
+        assert abs(bias_factor_alternative(s) - value) <= 3.0 * se
+
+
+def _phi_by_grid(f, ys, ss):
+    # E_s[V_y f] - V_y[E_s f] over a dense (y, s) trapezoid grid, uniform laws
+    wy, ws = ys[-1] - ys[0], ss[-1] - ss[0]
+    m1 = np.trapezoid(f, ys, axis=0) / wy  # E_Y[f | s]
+    m2 = np.trapezoid(f**2, ys, axis=0) / wy
+    e_var_given_s = np.trapezoid(m2 - m1**2, ss) / ws
+    k = np.trapezoid(f, ss, axis=1) / ws  # E_S[f | y]
+    k_mean = np.trapezoid(k, ys) / wy
+    var_mean_given_y = np.trapezoid((k - k_mean) ** 2, ys) / wy
+    return e_var_given_s - var_mean_given_y
+
+
+def test_phi_phase_matches_brute_force_grid():
+    c, d, delta = -0.5, 1.5, 1.2
+    s = scenario(PHASE, Uniform(lo=[c], hi=[d]), Uniform(lo=[-delta], hi=[delta]))
+    ys = np.linspace(c, d, 4_001)
+    ss = np.linspace(-delta, delta, 4_001)
+    expected = _phi_by_grid(np.sin(ys[:, None] + ss[None, :]), ys, ss)
+    assert math.isclose(bias_factor_alternative(s), expected, rel_tol=1e-6)
+
+
+def test_phi_exponential_matches_brute_force_grid():
+    a, b, alpha = 0.5, 3.0, 0.95
+    s = exponential_scenario(a, b, alpha)
+    ys = np.linspace(a, b, 3_001)
+    ss = np.linspace(1.0 - alpha, 1.0 + alpha, 3_001)
+    expected = _phi_by_grid(np.power(ys[:, None], ss[None, :]), ys, ss)
+    assert math.isclose(bias_factor_alternative(s), expected, rel_tol=1e-6)
 
 
 # --------------------------------------------------------------------------
@@ -442,6 +472,10 @@ def test_node_doubling_stability_exponential_integrals():
     v512 = bias_factor_current(s, nodes=512)
     assert abs(v256 - v512) <= 1e-8 * max(1.0, abs(v512))
     assert abs(v128 - v512) <= 1e-8 * max(1.0, abs(v512))
+    for fn in (bias_factor_alternative, target_variance):
+        v128, v256, v512 = (fn(s, nodes=n) for n in (128, 256, 512))
+        assert abs(v256 - v512) <= 1e-8 * max(1.0, abs(v512))
+        assert abs(v128 - v512) <= 1e-8 * max(1.0, abs(v512))
 
 
 # --------------------------------------------------------------------------
@@ -450,17 +484,17 @@ def test_node_doubling_stability_exponential_integrals():
 
 def test_bias_report_consistency():
     rep = bias_report(mult_standard(j=4, q=10))
-    assert rep.alternative_method == "closed-form"
     assert math.isclose(rep.relbias_alternative, 0.1, rel_tol=1e-12)
     assert rep.bias_factor_current == 0.0
     assert math.isclose(rep.target_var, 0.25, rel_tol=1e-14)
     assert math.isclose(rep.mean_var_gap, -1.0 / 400.0, rel_tol=1e-12)
 
 
-def test_bias_report_mc_method_flag():
-    rep = bias_report(phase_extremal(), stream=RngStream(31), draws=50_000)
-    assert rep.alternative_method == "monte-carlo"
-    assert rep.bias_factor_alternative >= 0.0
+def test_bias_report_phase_extremal_is_exact():
+    for q in (3, 50):
+        rep = bias_report(phase_extremal(j=4, q=q))
+        assert abs(rep.bias_factor_alternative - 0.5) <= 1e-12
+        assert abs(rep.relbias_alternative - 1.0 / q) <= 1e-12
 
 
 def test_scenario_validation():

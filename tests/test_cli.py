@@ -413,20 +413,44 @@ def _assert_help(proc):
         assert cmd in proc.stdout
 
 
+def _fresh_env():
+    """Environment for a fresh interpreter that imports the mcombine this suite imports."""
+    env = dict(os.environ)
+    src_dir = str(Path(mcombine.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_help():
     # The same import-and-call that a pip-generated console script runs, in a
     # fresh interpreter that imports the mcombine package this suite imports.
     module, attr = _declared_entry_point()
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    env = dict(os.environ)
-    src_dir = str(Path(mcombine.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
     _assert_help(
         subprocess.run(
-            [sys.executable, "-c", wrapper, "--help"], capture_output=True, text=True, env=env
+            [sys.executable, "-c", wrapper, "--help"],
+            capture_output=True,
+            text=True,
+            env=_fresh_env(),
         )
     )
     # Where the package is installed, its generated wrapper must work too.
     exe = shutil.which("mcombine")
     if exe is not None:
         _assert_help(subprocess.run([exe, "--help"], capture_output=True, text=True))
+
+
+def test_bias_sweep_zero_point_mass_exits_one(tmp_path):
+    # Run in a child with a timeout so that a hang fails the test instead of the suite.
+    zero = '{"kind":"uniform","lo":[0],"hi":[0]}'
+    argv = ["bias-sweep", "--model", "exponential", "--y-dist", zero, "--q", "3"]
+    argv += ["--trials", "100", "--out", str(tmp_path / "o.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcombine.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_fresh_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")

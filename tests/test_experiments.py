@@ -195,6 +195,24 @@ def test_combine_bias_exponential_has_mc_reference():
     assert abs(res.z_score) <= 3.0
 
 
+@pytest.mark.parametrize(
+    "y_dist",
+    [
+        Uniform(lo=[0.0], hi=[0.0]),
+        TwoPoint(a=[0.0], b=[0.0]),
+        Normal(mean=[0.0], cov=[[0.0]]),
+    ],
+    ids=["uniform", "two_point", "normal"],
+)
+def test_combine_bias_exponential_zero_point_mass_fails_fast(y_dist):
+    # the exponential kernel redraws zero data; a law stuck at 0 must not hang
+    sc = ScalarScenario(
+        kernel=EXPONENTIAL, y_dist=y_dist, s_dist=Uniform(lo=[0.05], hi=[1.95]), j=4, q=10
+    )
+    with pytest.raises(DomainError):
+        estimate_combine_bias(cfg_bias(sc, "current", trials=1_000))
+
+
 def test_combine_bias_custom_kernel_uses_oracle_target():
     # additive twin expressed as an opaque callable: no closed forms anywhere
     twin = ScalarKernel("custom", fn=lambda y, s: y + s)

@@ -184,6 +184,21 @@ def test_reject_zero_redraws_exact_zeros():
     assert np.all(rows != 0.0)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        Uniform(lo=[1.0, 0.0], hi=[2.0, 0.0]),
+        TwoPoint(a=[0.0], b=[0.0]),
+        Normal(mean=[0.0], cov=[[0.0]]),
+    ],
+    ids=["uniform", "two_point", "normal"],
+)
+def test_reject_zero_point_mass_at_zero_fails_fast(d):
+    # redrawing a component that is always 0 could never end
+    with pytest.raises(DomainError):
+        sample(d, 10, RngStream(4), reject_zero=True)
+
+
 def test_degenerate_uniform_sampling():
     rows = sample(Uniform(lo=[2.5], hi=[2.5]), 10, RngStream(6))
     assert np.array_equal(rows, np.full((10, 1), 2.5))
