@@ -20,6 +20,12 @@ a fixed function of the trial index: results are bitwise identical for
 any worker count and any trial execution order.  Per-trial statistics
 are reduced in ascending trial order.
 
+Each trial of a combine estimand is one run of the pipeline users run on
+data: the block's trials form the leading axis of a single
+:func:`~mcombine.pipeline.transform_stage` and
+:func:`~mcombine.pipeline.combine_with_noise` call (K = 1), and draws
+come from :func:`~mcombine.models.sample`.
+
 Standard errors come from the across-trial spread of the per-trial
 statistic (delta method for ratios, with an analytic denominator treated
 as fixed); the variability estimand uses consecutive trial chunks
@@ -36,19 +42,15 @@ from typing import Any, Iterator
 import numpy as np
 from numpy.typing import NDArray
 
-from . import analytics
+# The sampler and the pipeline stages are called through their modules, so
+# that a tracer wrapping module attributes (perfbench/spans.py) sees the
+# harness's calls as well as the pipeline's.
+from . import analytics, models, pipeline
 from .analytics import ScalarScenario
 from .exceptions import DomainError
 from .linalg import cross_covariance, sample_covariance
-from .models import (
-    DistSpec,
-    Normal,
-    ScalarKernel,
-    TwoPoint,
-    Uniform,
-    _require_not_zero_mass,
-    kernel_eval,
-)
+from .models import DistSpec, Normal, ScalarKernel, TransformSpec, Uniform, kernel_eval
+from .pipeline import DataBatch, ErrorBatch
 from .rng import RngStream
 
 __all__ = [
@@ -212,30 +214,6 @@ def _zscore(point, se, reference):
 # Block generation
 
 
-def _scalar_block(dist: DistSpec, shape: tuple[int, ...], gen: np.random.Generator,
-                  reject_zero: bool = False) -> NDArray[np.float64]:
-    """Componentwise draws from a scalar law, filling an array of ``shape``."""
-    if isinstance(dist, Normal):
-        sd = math.sqrt(float(dist.cov[0, 0]))
-        out = float(dist.mean[0]) + sd * gen.standard_normal(shape)
-    elif isinstance(dist, Uniform):
-        lo, hi = float(dist.lo[0]), float(dist.hi[0])
-        out = lo + (hi - lo) * gen.random(shape)
-    elif isinstance(dist, TwoPoint):
-        a, b = float(dist.a[0]), float(dist.b[0])
-        out = np.where(gen.random(shape) < dist.p, a, b)
-    else:
-        raise DomainError(f"unknown distribution spec {type(dist).__name__}")
-    if reject_zero:
-        _require_not_zero_mass(dist)
-        bad = out == 0.0
-        while np.any(bad):
-            n_bad = int(bad.sum())
-            out[bad] = _scalar_block(dist, (n_bad,), gen, reject_zero=False)
-            bad = out == 0.0
-    return out
-
-
 def _block_rows(cfg: ExperimentConfig, block: int) -> int:
     start = block * cfg.block_size
     return min(cfg.block_size, cfg.trials - start)
@@ -256,78 +234,68 @@ def _draw_y_s_z(cfg: ExperimentConfig, stage: int, block: int, *, with_z: bool,
     rows = _block_rows(cfg, block)
     bs = cfg.block_size
     reject = sc.kernel.kind == "exponential"
-    y = _scalar_block(sc.y_dist, (bs, sc.j), _stream(cfg, stage, block, _ROLE_Y).gen, reject)[:rows]
+    y = models.sample(sc.y_dist, bs * sc.j, _stream(cfg, stage, block, _ROLE_Y),
+                      reject_zero=reject)
     q = sc.q if s_cols is None else s_cols
-    s = _scalar_block(sc.s_dist, (bs, q), _stream(cfg, stage, block, _ROLE_S).gen)[:rows]
+    s = models.sample(sc.s_dist, bs * q, _stream(cfg, stage, block, _ROLE_S))
+    y = y.reshape(bs, sc.j)[:rows]
+    s = s.reshape(bs, q)[:rows]
     if not with_z:
         return y, s, None
     z = _stream(cfg, stage, block, _ROLE_Z).gen.standard_normal((bs, q))[:rows]
     return y, s, z
 
 
-def _block_combine_stats(kernel: ScalarKernel, y: NDArray, s: NDArray, nu: float):
-    """Per-trial combine inputs: averaged replicates (rows, Q), nominal
-    spread, and per-vector-mean spread (both sample variances over J)."""
-    kind = kernel.kind
-    if kind == "additive":
-        mbar = y.mean(axis=1)[:, None] + s
-        means_j = y + s.mean(axis=1, keepdims=True)
-        nom = y + nu
-    elif kind == "multiplicative":
-        mbar = y.mean(axis=1)[:, None] * s
-        means_j = y * s.mean(axis=1, keepdims=True)
-        nom = y * nu
-    else:
-        rows, jj = y.shape
-        q = s.shape[1]
-        if rows * jj * q <= _TENSOR_ELEMS:
-            t = kernel_eval(kernel, y[:, :, None], s[:, None, :])
-            mbar = t.mean(axis=1)
-            means_j = t.mean(axis=2)
-        else:
-            step = max(1, _TENSOR_ELEMS // (jj * q))
-            mbar = np.empty((rows, q))
-            means_j = np.empty((rows, jj))
-            for lo in range(0, rows, step):
-                hi = min(lo + step, rows)
-                t = kernel_eval(kernel, y[lo:hi, :, None], s[lo:hi, None, :])
-                mbar[lo:hi] = t.mean(axis=1)
-                means_j[lo:hi] = t.mean(axis=2)
-        nom = kernel_eval(kernel, y, np.asarray(nu))
-    return mbar, nom.var(axis=1, ddof=1), means_j.var(axis=1, ddof=1)
-
-
-def _synth_sample_variance(mbar, s2_input, z, jj):
-    m = mbar + np.sqrt(s2_input / jj)[:, None] * z
-    return m.var(axis=1, ddof=1)
+_CONSTRUCTIONS = {
+    "combine_bias_current": ("current",),
+    "combine_bias_alternative": ("alternative",),
+    "vardiff_reldiff": ("current", "alternative"),
+    "mean_variance": ("current", "alternative"),
+}
 
 
 def _combine_block(cfg: ExperimentConfig, block: int) -> tuple[NDArray, ...]:
-    """Per-trial statistics for one block of a combine-type estimand."""
+    """Per-trial statistics for one block of a combine-type estimand.
+
+    Each trial is one K = 1 pipeline run: the block's trials form the
+    leading axis of one :func:`~mcombine.pipeline.transform_stage` and one
+    :func:`~mcombine.pipeline.combine_with_noise` call per construction
+    (per row chunk, to bound the (trials, J, Q) kernel tensor).  The
+    statistic is the sample variance of the synthesized replicates, or
+    their mean for ``mean_variance``.
+    """
     sc = cfg.scenario
-    nu = float(sc.s_dist.mean_vector()[0])
     estimand = cfg.estimand
     if estimand == "target_variance_oracle":
         y, s, _ = _draw_y_s_z(cfg, _STAGE_MAIN, block, with_z=False, s_cols=1)
         fbar = kernel_eval(sc.kernel, y, s).mean(axis=1)
         return (fbar,)
+    if estimand not in _CONSTRUCTIONS:
+        raise DomainError(f"not a combine estimand: {estimand}")
     y, s, z = _draw_y_s_z(cfg, _STAGE_MAIN, block, with_z=True)
-    mbar, s2_nom, s2_means = _block_combine_stats(sc.kernel, y, s, nu)
-    jj = float(sc.j)
-    if estimand == "combine_bias_current":
-        return (_synth_sample_variance(mbar, s2_nom, z, jj),)
-    if estimand == "combine_bias_alternative":
-        return (_synth_sample_variance(mbar, s2_means, z, jj),)
-    if estimand == "vardiff_reldiff":
-        return (
-            _synth_sample_variance(mbar, s2_nom, z, jj),
-            _synth_sample_variance(mbar, s2_means, z, jj),
-        )
-    if estimand == "mean_variance":
-        mc = mbar + np.sqrt(s2_nom / jj)[:, None] * z
-        ma = mbar + np.sqrt(s2_means / jj)[:, None] * z
-        return (mc.mean(axis=1), ma.mean(axis=1))
-    raise DomainError(f"not a combine estimand: {estimand}")
+    spec = TransformSpec(kernel=sc.kernel)
+    nu = sc.s_dist.mean_vector()
+    constructions = _CONSTRUCTIONS[estimand]
+    stats: list[list[NDArray]] = [[] for _ in constructions]
+    rows = y.shape[0]
+    step = max(1, _TENSOR_ELEMS // (sc.j * sc.q))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        data, errors = DataBatch(y[lo:hi, :, None]), ErrorBatch(s[lo:hi, :, None])
+        t = pipeline.transform_stage(data, errors, spec, nu)
+        # Arrays are dropped as soon as they are dead: the error draws after
+        # the last transform, each construction's replicates once reduced.
+        # Holding them raised a block's peak memory past the point where the
+        # allocator hands the heap back to the OS after every block, and the
+        # next block faulted it back in: about 3,000 page faults a block at
+        # J = 4, Q = 300, a third of the block's time.
+        if hi == rows:
+            del s, errors
+        for out, construction in zip(stats, constructions):
+            m = pipeline.combine_with_noise(t, z[lo:hi, :, None], construction).replicates[..., 0]
+            out.append(m.mean(axis=1) if estimand == "mean_variance" else m.var(axis=1, ddof=1))
+            del m
+    return tuple(np.concatenate(out) for out in stats)
 
 
 # --------------------------------------------------------------------------
@@ -824,7 +792,7 @@ def bias_factor_current_oracle(
         raise DomainError("oracle needs at least two draws")
     reject = scenario.kernel.kind == "exponential"
     nu = float(scenario.s_dist.mean_vector()[0])
-    y = _scalar_block(scenario.y_dist, (trials,), stream.substream(_ROLE_Y).gen, reject)
+    y = models.sample(scenario.y_dist, trials, stream.substream(_ROLE_Y), reject_zero=reject)[:, 0]
     f_nom = kernel_eval(scenario.kernel, y, np.asarray(nu))
     m = analytics.conditional_mean_given_y(scenario, y)
     gf = f_nom - f_nom.mean()
@@ -854,12 +822,12 @@ def relbias_current_oracle(
     per = trials // chunks
     vals = []
     for c in range(chunks):
-        gy = stream.substream(c, 0).gen
-        gs = stream.substream(c, 1).gen
-        y1 = _scalar_block(scenario.y_dist, (per,), gy, reject)
-        y2 = _scalar_block(scenario.y_dist, (per,), gy, reject)
-        y3 = _scalar_block(scenario.y_dist, (per,), gy, reject)
-        s = _scalar_block(scenario.s_dist, (per,), gs)
+        gy = stream.substream(c, 0)
+        gs = stream.substream(c, 1)
+        y1, y2, y3 = (
+            models.sample(scenario.y_dist, per, gy, reject_zero=reject)[:, 0] for _ in range(3)
+        )
+        s = models.sample(scenario.s_dist, per, gs)[:, 0]
         f1 = kernel_eval(scenario.kernel, y1, s)
         f2 = kernel_eval(scenario.kernel, y2, s)
         g1 = f1 - f1.mean()

@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 
 from .exceptions import DomainError
 from .linalg import sample_covariance, scaled_rotation_factor
-from .models import TransformSpec, kernel_eval
+from .models import ScalarKernel, TransformSpec, kernel_eval
 from .rng import RngStream
 
 __all__ = [
@@ -37,27 +37,32 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DataBatch:
-    """J > 1 measurement vectors of length K, one per row."""
+    """J > 1 measurement vectors of length K, one per row.
+
+    ``rows`` is (J, K), or (..., J, K) for a stack of independent batches
+    (one per Monte Carlo trial); every stage carries the leading axes
+    through.
+    """
 
     rows: NDArray[np.float64]
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2:
-            raise DomainError("data rows must form a 2-D array (J, K)")
-        if rows.shape[0] < 2:
-            raise DomainError(f"need J > 1 data vectors, got {rows.shape[0]}")
+        if rows.ndim < 2:
+            raise DomainError("data rows must form an array (..., J, K)")
+        if rows.shape[-2] < 2:
+            raise DomainError(f"need J > 1 data vectors, got {rows.shape[-2]}")
         if not np.all(np.isfinite(rows)):
             raise DomainError("data contains non-finite entries")
         object.__setattr__(self, "rows", rows)
 
     @property
     def j(self) -> int:
-        return self.rows.shape[0]
+        return self.rows.shape[-2]
 
     @property
     def k(self) -> int:
-        return self.rows.shape[1]
+        return self.rows.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +72,8 @@ class ErrorBatch:
     With ``shared=True`` (the usual case) the same Q rows are reused for
     every data vector, modeling a common systematic error.  With
     ``shared=False`` the batch holds J·Q rows and each data vector
-    consumes its own contiguous Q-row block.
+    consumes its own contiguous Q-row block.  Leading axes, if any, must
+    match those of the data batch.
     """
 
     rows: NDArray[np.float64]
@@ -75,9 +81,9 @@ class ErrorBatch:
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2:
-            raise DomainError("error rows must form a 2-D array")
-        if rows.shape[0] < 1:
+        if rows.ndim < 2:
+            raise DomainError("error rows must form an array (..., Q, K)")
+        if rows.shape[-2] < 1:
             raise DomainError("error batch is empty")
         if not np.all(np.isfinite(rows)):
             raise DomainError("errors contain non-finite entries")
@@ -86,27 +92,27 @@ class ErrorBatch:
 
 @dataclass(frozen=True, eq=False)
 class TransformOutput:
-    """Per-vector nominals (J, K) and replicates (J, Q, K)."""
+    """Per-vector nominals (..., J, K) and replicates (..., J, Q, K)."""
 
     nominals: NDArray[np.float64]
     replicates: NDArray[np.float64]
 
     @property
     def j(self) -> int:
-        return self.nominals.shape[0]
+        return self.nominals.shape[-2]
 
     @property
     def q(self) -> int:
-        return self.replicates.shape[1]
+        return self.replicates.shape[-2]
 
     @property
     def k(self) -> int:
-        return self.nominals.shape[1]
+        return self.nominals.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class CombineOutput:
-    """Combined nominal (K,), synthesized replicates (Q, K), and provenance."""
+    """Combined nominal (..., K), synthesized replicates (..., Q, K), and provenance."""
 
     nominal: NDArray[np.float64]
     replicates: NDArray[np.float64]
@@ -122,6 +128,35 @@ class CombineOutput:
         }
 
 
+def _kernel_output(kernel: ScalarKernel, y, s, shape: tuple[int, ...], row_axis: int, what: str):
+    """Kernel values at (y, s) as an array of ``shape``, data rows on ``row_axis``.
+
+    A kernel that ignores an argument may return a smaller array; it is
+    broadcast and copied only then.  Non-finite values are rejected here,
+    where the kernel and the data row that produced them are still known.
+    """
+    out = kernel_eval(kernel, y, s)
+    if out.shape != shape:
+        try:
+            out = np.broadcast_to(out, shape).copy()
+        except ValueError:
+            raise DomainError(
+                f"{kernel.kind} kernel returned {what} of shape {out.shape}, expected {shape}"
+            ) from None
+    # Any non-finite value makes the sum non-finite, and so can overflow:
+    # the sum only screens, and the exact per-row test, which needs a
+    # tensor-sized mask, runs only when it fires.
+    with np.errstate(over="ignore"):
+        total = out.sum()
+    if not np.isfinite(total):
+        rows_ok = np.isfinite(out).reshape(shape[: row_axis + 1] + (-1,)).all(axis=-1)
+        if not rows_ok.all():
+            row = tuple(int(i) for i in np.argwhere(~rows_ok)[0])
+            where = f"data row {row[-1]}" + (f" of batch {row[:-1]}" if len(row) > 1 else "")
+            raise DomainError(f"{kernel.kind} kernel returned non-finite {what} at {where}")
+    return out
+
+
 def transform_stage(
     data: DataBatch, errors: ErrorBatch, spec: TransformSpec, nu
 ) -> TransformOutput:
@@ -133,24 +168,29 @@ def transform_stage(
     """
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     k = data.k
+    lead = data.rows.shape[:-2]
     if nu.shape != (k,):
         raise DomainError(f"nu must be a length-{k} vector, got shape {nu.shape}")
-    if errors.rows.shape[1] != k:
+    if errors.rows.shape[-1] != k:
         raise DomainError(
-            f"error vectors have length {errors.rows.shape[1]}, data has K={k}"
+            f"error vectors have length {errors.rows.shape[-1]}, data has K={k}"
+        )
+    if errors.rows.shape[:-2] != lead:
+        raise DomainError(
+            f"error batch leading shape {errors.rows.shape[:-2]} does not match data's {lead}"
         )
     j = data.j
     if errors.shared:
-        s = errors.rows[np.newaxis, :, :]  # (1, Q, K) broadcast over j
-        q = errors.rows.shape[0]
+        q = errors.rows.shape[-2]
+        s = errors.rows[..., np.newaxis, :, :]  # (..., 1, Q, K) broadcast over j
     else:
-        total = errors.rows.shape[0]
+        total = errors.rows.shape[-2]
         if total % j != 0:
             raise DomainError(
                 f"unshared errors need J*Q rows; {total} rows do not divide by J={j}"
             )
         q = total // j
-        s = errors.rows.reshape(j, q, k)
+        s = errors.rows.reshape(*lead, j, q, k)
 
     y = data.rows
     if spec.t_y is not None:
@@ -165,40 +205,44 @@ def transform_stage(
         sv = s @ spec.t_s.T
         nu_t = spec.t_s @ nu
 
-    nominals = kernel_eval(spec.kernel, y, nu_t[np.newaxis, :])
-    replicates = kernel_eval(spec.kernel, y[:, np.newaxis, :], sv)
-    if errors.shared:
-        replicates = np.broadcast_to(replicates, (j, q, k)).copy()
+    nominals = _kernel_output(spec.kernel, y, nu_t, (*lead, j, k), len(lead), "nominals")
+    replicates = _kernel_output(
+        spec.kernel, y[..., np.newaxis, :], sv, (*lead, j, q, k), len(lead), "replicates"
+    )
     return TransformOutput(nominals=nominals, replicates=replicates)
 
 
 def combine_nominal(t: TransformOutput) -> NDArray[np.float64]:
     """Mean of the per-vector nominals."""
-    return t.nominals.mean(axis=0)
+    return t.nominals.mean(axis=-2)
 
 
 def combine_with_noise(t: TransformOutput, z, construction: str) -> CombineOutput:
-    """Combine with caller-supplied synthesis noise ``z`` of shape (Q, K).
+    """Combine with caller-supplied synthesis noise ``z`` of shape (..., Q, K).
 
     This is the deterministic core of both constructions; the public
     entry points draw ``z`` from a stream and delegate here.  Useful when
-    a test or estimator wants to re-run a combine on fixed draws.
+    a test or estimator wants to re-run a combine on fixed draws, and it
+    is what the Monte Carlo harness runs, one trial per leading index.
     """
     z = np.asarray(z, dtype=float)
     jj = t.j
-    if z.shape != (t.q, t.k):
-        raise DomainError(f"z must have shape (Q, K) = {(t.q, t.k)}, got {z.shape}")
+    expected = t.nominals.shape[:-2] + (t.q, t.k)
+    if z.shape != expected:
+        raise DomainError(f"z must have shape (..., Q, K) = {expected}, got {z.shape}")
     if construction == "current":
         input_cov = sample_covariance(t.nominals)
     elif construction == "alternative":
         if t.q < 2:
             raise DomainError("alternative construction requires Q >= 2")
-        input_cov = sample_covariance(t.replicates.mean(axis=1))
+        input_cov = sample_covariance(t.replicates.mean(axis=-2))
     else:
         raise DomainError(f"unknown construction {construction!r}")
     factor = scaled_rotation_factor(input_cov)
-    mbar = t.replicates.mean(axis=0)  # (Q, K): mean over j at fixed q
-    replicates = mbar + (z @ factor.T) / np.sqrt(jj)
+    mbar = t.replicates.mean(axis=-3)  # (..., Q, K): mean over j at fixed q
+    # factor @ z_q for every q; over a stack of tiny matrices einsum is
+    # several times faster than matmul, which makes one BLAS call per matrix
+    replicates = mbar + np.einsum("...qk,...lk->...ql", z, factor, optimize=False) / np.sqrt(jj)
     return CombineOutput(
         nominal=combine_nominal(t),
         replicates=replicates,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mcombine import experiments
 from mcombine.analytics import (
     ScalarScenario,
     bias_factor_current,
@@ -16,6 +17,7 @@ from mcombine.experiments import (
     EstimateResult,
     ExperimentConfig,
     MapSpec,
+    _draw_y_s_z,
     _run_blocks,
     bias_factor_current_oracle,
     estimate_combine_bias,
@@ -33,9 +35,11 @@ from mcombine.models import (
     PHASE,
     Normal,
     ScalarKernel,
+    TransformSpec,
     TwoPoint,
     Uniform,
 )
+from mcombine.pipeline import DataBatch, ErrorBatch, combine_with_noise, transform_stage
 from mcombine.rng import RngStream
 
 STD_NORMAL = Normal(mean=[0.0], cov=[[1.0]])
@@ -222,6 +226,54 @@ def test_combine_bias_custom_kernel_uses_oracle_target():
     assert res.extras["target_variance"] == pytest.approx(1.0 / 4.0 + 1.0, rel=0.05)
     # unbiased like its named twin: the point estimate sits near zero
     assert abs(res.point) <= 4.0 * res.std_error
+
+
+def test_combine_bias_custom_kernel_ignoring_data():
+    # f(y, s) = s: every data vector gives the same transform, so the
+    # nominal spread is exactly zero and the current construction is unbiased
+    sc = ScalarScenario(
+        kernel=ScalarKernel("custom", fn=lambda y, s: s), y_dist=STD_NORMAL, s_dist=STD_NORMAL, j=3, q=10
+    )
+    res = estimate_combine_bias(cfg_bias(sc, "current", trials=4_000, seed=9))
+    assert np.isfinite(res.point)
+    assert res.extras["target_variance"] == pytest.approx(1.0, rel=0.1)
+    assert abs(res.point) <= 4.0 * res.std_error
+
+
+def test_combine_bias_non_finite_custom_kernel_fails():
+    log_kernel = ScalarKernel("custom", fn=lambda y, s: np.log(y) * s)
+    sc = ScalarScenario(kernel=log_kernel, y_dist=STD_NORMAL, s_dist=STD_NORMAL, j=3, q=10)
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="custom kernel.*data row"):
+        estimate_combine_bias(cfg_bias(sc, "current", trials=1_000))
+
+
+HARNESS_CONSTRUCTIONS = {
+    "combine_bias_current": ("current",),
+    "vardiff_reldiff": ("current", "alternative"),
+    "mean_variance": ("current", "alternative"),
+}
+
+
+@pytest.mark.parametrize("scenario", [phase_extremal(j=3, q=7), mult_standard(j=5, q=4)], ids=["phase", "mult"])
+@pytest.mark.parametrize("estimand", sorted(HARNESS_CONSTRUCTIONS))
+@pytest.mark.parametrize("tensor_elems", [None, 50], ids=["one_chunk", "row_chunks"])
+def test_harness_statistic_is_the_pipeline_combine(scenario, estimand, tensor_elems, monkeypatch):
+    # one trial of the harness == one 2-D pipeline run on that trial's draws
+    if tensor_elems is not None:
+        monkeypatch.setattr(experiments, "_TENSOR_ELEMS", tensor_elems)
+    cfg = ExperimentConfig(estimand=estimand, trials=700, scenario=scenario, master_seed=3, block_size=300)
+    per_trial = _run_blocks(cfg)
+    spec = TransformSpec(kernel=scenario.kernel)
+    nu = scenario.s_dist.mean_vector()
+    for trial in (0, 1, 299, 300, 650, 699):
+        block, row = divmod(trial, cfg.block_size)
+        y, s, z = _draw_y_s_z(cfg, 0, block, with_z=True)
+        t = transform_stage(DataBatch(y[row][:, None]), ErrorBatch(s[row][:, None]), spec, nu)
+        assert len(per_trial) == len(HARNESS_CONSTRUCTIONS[estimand])
+        for construction, stat in zip(HARNESS_CONSTRUCTIONS[estimand], per_trial):
+            m = combine_with_noise(t, z[row][:, None], construction).replicates[:, 0]
+            want = m.mean() if estimand == "mean_variance" else m.var(ddof=1)
+            assert stat[trial] == want
 
 
 def test_target_oracle_examples():

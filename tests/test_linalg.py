@@ -85,7 +85,9 @@ def test_cross_covariance_rejects_mismatched_rows():
 
 
 # --------------------------------------------------------------------------
-# eigendecomposition (oracle: numpy.linalg.eigh)
+# eigendecomposition (eigh is the solver, so comparisons with eigh check
+# only the order and sign convention added on top; reconstruction and
+# orthogonality are the independent checks)
 
 
 def test_eigendecompose_matches_eigh_eigenvalues():
@@ -189,3 +191,57 @@ def test_rotation_factor_rejects_clearly_negative():
 def test_rotation_factor_scalar_case():
     f = scaled_rotation_factor(np.array([[4.0]]))
     assert np.allclose(f, [[2.0]])
+
+
+# --------------------------------------------------------------------------
+# stacks: one call over leading axes equals a loop over the matrices
+
+
+def _spd_stack():
+    rng = np.random.default_rng(13)
+    mats = [_random_psd(rng, 3) for _ in range(5)]
+    mats.append(np.diag([2.0, 2.0, 1.0]))  # tied eigenvalues
+    mats.append(np.diag([1.0, 3.0, 3.0]))
+    return np.stack(mats)
+
+
+def test_stacked_eigendecompose_equals_per_matrix_loop():
+    stack = _spd_stack()
+    pair = sym_eigendecompose(stack)
+    for i, m in enumerate(stack):
+        one = sym_eigendecompose(m)
+        assert np.array_equal(pair.values[i], one.values)
+        assert np.array_equal(pair.vectors[i], one.vectors)
+    vecs = pair.vectors
+    lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=-2)[:, None, :], axis=-2)
+    assert np.all(lead > 0.0)
+
+
+def test_stacked_moments_and_factor_equal_per_matrix_loop():
+    stack = _spd_stack()
+    factors = scaled_rotation_factor(stack)
+    rows = np.random.default_rng(14).standard_normal((4, 9, 3))
+    covs = sample_covariance(rows)
+    for i, m in enumerate(stack):
+        assert np.array_equal(factors[i], scaled_rotation_factor(m))
+    cross = cross_covariance(rows, rows[::-1])
+    means = sample_mean(rows)
+    for i, r in enumerate(rows):
+        assert np.array_equal(covs[i], sample_covariance(r))
+        assert np.array_equal(cross[i], cross_covariance(r, rows[::-1][i]))
+        assert np.array_equal(means[i], sample_mean(r))
+
+
+def test_stacked_factor_names_a_negative_matrix():
+    stack = np.stack([np.eye(2), np.diag([1.0, -0.5])])
+    with pytest.raises(NumericalError, match="-5.000e-01"):
+        scaled_rotation_factor(stack)
+
+
+def test_lapack_failure_is_a_numerical_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError):
+        sym_eigendecompose(np.eye(2))

@@ -3,7 +3,16 @@ import pytest
 
 from mcombine.exceptions import DomainError
 from mcombine.linalg import sample_covariance
-from mcombine.models import ADDITIVE, MULTIPLICATIVE, PHASE, Normal, TransformSpec, apply_scalar, sample
+from mcombine.models import (
+    ADDITIVE,
+    MULTIPLICATIVE,
+    PHASE,
+    Normal,
+    ScalarKernel,
+    TransformSpec,
+    apply_scalar,
+    sample,
+)
 from mcombine.pipeline import (
     CombineOutput,
     DataBatch,
@@ -109,6 +118,50 @@ def test_transform_applies_linear_premaps():
 def test_transform_nu_length_must_match():
     with pytest.raises(DomainError):
         transform_stage(_batch(), _shared_errors(), TransformSpec(kernel=ADDITIVE), np.zeros(3))
+
+
+def test_transform_broadcasts_kernel_that_ignores_data():
+    # f(y, s) = s returns one row for all J data vectors; the stage still
+    # reports J nominals and J replicate rows, so the combine sees J > 1
+    spec = TransformSpec(kernel=ScalarKernel("custom", fn=lambda y, s: s))
+    data = DataBatch(np.array([[1.0], [2.0], [4.0]]))
+    errors = _shared_errors(q=4, k=1, seed=12)
+    t = transform_stage(data, errors, spec, np.ones(1))
+    assert t.nominals.shape == (3, 1)
+    assert t.replicates.shape == (3, 4, 1)
+    assert np.array_equal(t.replicates[2], errors.rows)
+    t.replicates[0, 0, 0] = 0.0  # a real array, not a read-only broadcast view
+    out = combine_current(t, RngStream(1))
+    assert np.array_equal(out.input_cov, np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_transform_rejects_non_finite_kernel_output(stacked):
+    spec = TransformSpec(kernel=ScalarKernel("custom", fn=lambda y, s: np.log(y) * s))
+    rows = np.array([[1.0], [2.0], [-3.0], [-1.0]])
+    errors = np.ones((2, 1))
+    if stacked:
+        rows = np.stack([rows[[0, 1, 1, 1]], rows])
+        errors = np.stack([errors, errors])
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError) as info:
+        transform_stage(DataBatch(rows), ErrorBatch(errors), spec, np.ones(1))
+    message = str(info.value)
+    assert "custom kernel" in message
+    assert "data row 2" in message
+    assert ("batch (1,)" in message) == stacked
+
+
+def test_transform_accepts_finite_output_whose_sum_overflows():
+    data = DataBatch(np.full((3, 1), 1e308))
+    t = transform_stage(data, ErrorBatch(np.ones((4, 1))), TransformSpec(kernel=MULTIPLICATIVE), np.ones(1))
+    assert np.all(t.replicates == 1e308)
+
+
+def test_transform_rejects_mismatched_leading_axes():
+    data = DataBatch(np.ones((2, 3, 1)))
+    errors = ErrorBatch(np.ones((3, 4, 1)))
+    with pytest.raises(DomainError):
+        transform_stage(data, errors, TransformSpec(kernel=ADDITIVE), np.zeros(1))
 
 
 # --------------------------------------------------------------------------
@@ -225,3 +278,27 @@ def test_k2_grand_mean_is_unbiased():
     expected = y_dist.mean_vector() * s_dist.mean_vector()
     se = grand.std(axis=0, ddof=1) / np.sqrt(trials)
     assert np.all(np.abs(grand.mean(axis=0) - expected) < 3.0 * se)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("construction", ["current", "alternative"])
+def test_stacked_combine_equals_per_batch_loop(shared, construction):
+    # K = 3 with pre-maps: every leading index is an independent pipeline run
+    rng = np.random.default_rng(20)
+    t_count, j, q, k = 5, 4, 6, 3
+    rows = rng.standard_normal((t_count, j, k))
+    errors = rng.standard_normal((t_count, q if shared else j * q, k))
+    z = rng.standard_normal((t_count, q, k))
+    nu = np.array([0.1, 0.0, -0.3])
+    spec = TransformSpec(kernel=PHASE, t_y=rng.standard_normal((k, k)), t_s=np.eye(k) * 0.5)
+    t = transform_stage(DataBatch(rows), ErrorBatch(errors, shared=shared), spec, nu)
+    out = combine_with_noise(t, z, construction)
+    assert out.replicates.shape == (t_count, q, k)
+    for i in range(t_count):
+        one_t = transform_stage(DataBatch(rows[i]), ErrorBatch(errors[i], shared=shared), spec, nu)
+        one = combine_with_noise(one_t, z[i], construction)
+        assert np.array_equal(t.nominals[i], one_t.nominals)
+        assert np.array_equal(t.replicates[i], one_t.replicates)
+        assert np.array_equal(out.nominal[i], one.nominal)
+        assert np.array_equal(out.input_cov[i], one.input_cov)
+        assert np.array_equal(out.replicates[i], one.replicates)
