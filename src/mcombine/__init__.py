@@ -18,12 +18,10 @@ Layout
 """
 
 from .analytics import (
-    BiasReport,
     ScalarScenario,
     bias_factor_alternative,
     bias_factor_alternative_mc,
     bias_factor_current,
-    bias_report,
     exponential_conditional_mean,
     gauss_legendre,
     mean_variance_gap,
@@ -67,7 +65,6 @@ from .models import (
     TwoPoint,
     Uniform,
     apply_scalar,
-    apply_vector,
     dist_from_json,
     dist_to_json,
     kernel_from_json,
@@ -94,7 +91,6 @@ __all__ = [
     "MULTIPLICATIVE",
     "PHASE",
     "EXPONENTIAL",
-    "BiasReport",
     "CentralMoments",
     "CombineOutput",
     "DataBatch",
@@ -115,11 +111,9 @@ __all__ = [
     "TwoPoint",
     "Uniform",
     "apply_scalar",
-    "apply_vector",
     "bias_factor_alternative",
     "bias_factor_alternative_mc",
     "bias_factor_current",
-    "bias_report",
     "combine_alternative",
     "combine_current",
     "combine_nominal",

@@ -43,7 +43,6 @@ from .rng import RngStream
 __all__ = [
     "QUAD_NODES",
     "ScalarScenario",
-    "BiasReport",
     "gauss_legendre",
     "exponential_conditional_mean",
     "conditional_mean_given_y",
@@ -58,7 +57,6 @@ __all__ = [
     "var_of_sample_variance_normal",
     "synthesis_input_variance_gap",
     "vardiff_sample_variances",
-    "bias_report",
 ]
 
 #: Gauss-Legendre node count for one-dimensional integrals.
@@ -82,19 +80,6 @@ class ScalarScenario:
             raise DomainError(f"need J > 1 data vectors, got {self.j}")
         if self.q < 1:
             raise DomainError(f"need Q >= 1 error draws, got {self.q}")
-
-
-@dataclass(frozen=True)
-class BiasReport:
-    """All analytic bias quantities for one scenario, each a closed form or a
-    one-dimensional quadrature over exact conditional moments."""
-
-    bias_factor_current: float
-    bias_factor_alternative: float
-    target_var: float
-    relbias_current: float
-    relbias_alternative: float
-    mean_var_gap: float
 
 
 _BASE_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -198,22 +183,28 @@ def _uniform_power_mean(a: float, b: float, c) -> np.ndarray:
     return (np.power(b, c + 1.0) - np.power(a, c + 1.0)) / ((c + 1.0) * (b - a))
 
 
-def _phase_sin_moments(y_dist: DistSpec, shift) -> tuple[np.ndarray, np.ndarray]:
-    """(E[sin(Y+s)], E[sin²(Y+s)]) for an array of shifts s, closed form."""
-    s = np.asarray(shift, dtype=float)
+def _moments_given_s(s: ScalarScenario, x) -> tuple[np.ndarray, np.ndarray]:
+    """(E[f(Y, S) | S = x], E[f(Y, S)² | S = x]) for an array of x, closed
+    form, for the phase and exponential kernels."""
+    x = np.asarray(x, dtype=float)
+    if s.kernel.kind == "exponential":
+        a, b, _ = _exponential_params(s)
+        return _uniform_power_mean(a, b, x), _uniform_power_mean(a, b, 2.0 * x)
+    _phase_delta(s)  # validates the pairing
+    y_dist = s.y_dist
     if isinstance(y_dist, TwoPoint):
         a, b, p = float(y_dist.a[0]), float(y_dist.b[0]), y_dist.p
-        m1 = p * np.sin(a + s) + (1.0 - p) * np.sin(b + s)
-        m2 = p * np.sin(a + s) ** 2 + (1.0 - p) * np.sin(b + s) ** 2
+        m1 = p * np.sin(a + x) + (1.0 - p) * np.sin(b + x)
+        m2 = p * np.sin(a + x) ** 2 + (1.0 - p) * np.sin(b + x) ** 2
         return m1, m2
     if isinstance(y_dist, Uniform):
         c, d = float(y_dist.lo[0]), float(y_dist.hi[0])
         if c == d:
-            m1 = np.sin(c + s)
+            m1 = np.sin(c + x)
             return m1, m1**2
         width = d - c
-        m1 = (np.cos(c + s) - np.cos(d + s)) / width
-        m2 = 0.5 - (np.sin(2.0 * (d + s)) - np.sin(2.0 * (c + s))) / (4.0 * width)
+        m1 = (np.cos(c + x) - np.cos(d + x)) / width
+        m2 = 0.5 - (np.sin(2.0 * (d + x)) - np.sin(2.0 * (c + x))) / (4.0 * width)
         return m1, m2
     raise DomainError("phase kernel supports two_point or uniform data distributions only")
 
@@ -247,13 +238,9 @@ def conditional_variance_given_s(s: ScalarScenario, shift):
         out = np.full_like(s_arr, var_y)
     elif kind == "multiplicative":
         out = s_arr**2 * var_y
-    elif kind == "phase":
-        _phase_delta(s)  # validates the pairing
-        m1, m2 = _phase_sin_moments(s.y_dist, s_arr)
+    elif kind in ("phase", "exponential"):
+        m1, m2 = _moments_given_s(s, s_arr)
         out = m2 - m1**2
-    elif kind == "exponential":
-        a, b, _ = _exponential_params(s)
-        out = _uniform_power_mean(a, b, 2.0 * s_arr) - _uniform_power_mean(a, b, s_arr) ** 2
     else:
         raise DomainError(f"no exact conditional variance for kernel {kind!r}")
     return float(out) if np.isscalar(shift) else out
@@ -409,11 +396,7 @@ def target_variance(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
     if kind in ("phase", "exponential"):
         lo, hi = _error_interval(s)
         x, w = gauss_legendre(lo, hi, nodes)
-        if kind == "phase":
-            m1, m2 = _phase_sin_moments(s.y_dist, x)
-        else:
-            a, b, _ = _exponential_params(s)
-            m1, m2 = _uniform_power_mean(a, b, x), _uniform_power_mean(a, b, 2.0 * x)
+        m1, m2 = _moments_given_s(s, x)
         width = hi - lo
         mean = float(w @ m1) / width
         var_f = float(w @ m2) / width - mean**2
@@ -422,8 +405,8 @@ def target_variance(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
     raise DomainError(f"no target variance for kernel {kind!r}")
 
 
-def _checked_target(s: ScalarScenario, nodes: int) -> float:
-    t = target_variance(s, nodes=nodes)
+def _require_positive_target(t: float) -> float:
+    """``t`` itself, or :class:`DomainError` when a relative bias over it is undefined."""
     if not (t > 0.0):
         raise DomainError(f"target variance is not positive ({t}); relative bias undefined")
     return t
@@ -431,7 +414,7 @@ def _checked_target(s: ScalarScenario, nodes: int) -> float:
 
 def relbias_current(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
     """Relative covariance bias of the current construction: (factor/J)/target."""
-    t = _checked_target(s, nodes)
+    t = _require_positive_target(target_variance(s, nodes=nodes))
     return bias_factor_current(s, nodes=nodes) / s.j / t
 
 
@@ -441,7 +424,7 @@ def relbias_alternative(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
     Lies in [0, 1/Q]; for the multiplicative kernel it reaches the upper
     bound exactly when both inputs have zero mean.
     """
-    t = _checked_target(s, nodes)
+    t = _require_positive_target(target_variance(s, nodes=nodes))
     phi = bias_factor_alternative(s, nodes=nodes)
     return phi / (s.j * s.q) / t
 
@@ -502,18 +485,3 @@ def vardiff_sample_variances(s: ScalarScenario) -> float:
     constructions' sample variances: the synthesis-input gap over J²."""
     return synthesis_input_variance_gap(s) / float(s.j) ** 2
 
-
-def bias_report(s: ScalarScenario) -> BiasReport:
-    """Evaluate every analytic quantity for one scenario."""
-    psi = bias_factor_current(s)
-    phi = bias_factor_alternative(s)
-    t = _checked_target(s, QUAD_NODES)
-    jq = s.j * s.q
-    return BiasReport(
-        bias_factor_current=psi,
-        bias_factor_alternative=phi,
-        target_var=t,
-        relbias_current=psi / s.j / t,
-        relbias_alternative=phi / jq / t,
-        mean_var_gap=psi / jq - phi / (jq * s.q),
-    )

@@ -27,17 +27,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import analytics, experiments, models, pipeline
 from .exceptions import DomainError, NumericalError
 from .experiments import ExperimentConfig, MapSpec
-from .models import Normal, ScalarKernel, TwoPoint, Uniform
+from .models import Normal, TwoPoint, Uniform
 from .rng import RngStream
 
 __all__ = ["main", "build_parser"]
@@ -47,15 +48,11 @@ DEFAULT_SEED = 0
 _RANGE_HELP = "range: lo:hi:N (linear), lo:hi:logN (log-spaced), or comma list"
 
 
-class _CliConfigError(Exception):
-    """Invalid flags/config; mapped to exit status 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the artifact contract
     # reserves 2 for numerical failures, so remap to a config error.
     def error(self, message):
-        raise _CliConfigError(message)
+        raise DomainError(message)
 
 
 # --------------------------------------------------------------------------
@@ -77,25 +74,25 @@ def _parse_range(value) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise _CliConfigError(f"bad range {text!r}; expected lo:hi:N or lo:hi:logN")
+            raise DomainError(f"bad range {text!r}; expected lo:hi:N or lo:hi:logN")
         lo, hi, count = parts
         log = count.startswith("log")
         count = count[3:] if log else count
         try:
             lo_f, hi_f, n = float(lo), float(hi), int(count)
         except ValueError:
-            raise _CliConfigError(f"bad range {text!r}; expected numeric lo:hi:N") from None
+            raise DomainError(f"bad range {text!r}; expected numeric lo:hi:N") from None
         if n < 1:
-            raise _CliConfigError(f"range {text!r} needs at least one point")
+            raise DomainError(f"range {text!r} needs at least one point")
         if log:
             if lo_f <= 0 or hi_f <= 0:
-                raise _CliConfigError(f"log range {text!r} needs positive endpoints")
+                raise DomainError(f"log range {text!r} needs positive endpoints")
             return list(np.geomspace(lo_f, hi_f, n))
         return list(np.linspace(lo_f, hi_f, n))
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise _CliConfigError(f"bad range {text!r}") from None
+        raise DomainError(f"bad range {text!r}") from None
 
 
 def _q_values(value) -> list[int]:
@@ -103,7 +100,7 @@ def _q_values(value) -> list[int]:
     for v in _parse_range(value):
         q = int(round(v))
         if q < 2:
-            raise _CliConfigError(f"Q values must be >= 2, got {q}")
+            raise DomainError(f"Q values must be >= 2, got {q}")
         if not qs or qs[-1] != q:
             qs.append(q)
     return qs
@@ -113,11 +110,11 @@ def _grid_triple(value) -> tuple[float, float, int]:
     text = str(value).strip()
     parts = text.split(":")
     if len(parts) != 3 or parts[2].startswith("log"):
-        raise _CliConfigError(f"bad grid {text!r}; expected lo:hi:N")
+        raise DomainError(f"bad grid {text!r}; expected lo:hi:N")
     try:
         return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise _CliConfigError(f"bad grid {text!r}; expected numeric lo:hi:N") from None
+        raise DomainError(f"bad grid {text!r}; expected numeric lo:hi:N") from None
 
 
 def _load_dist(value) -> models.DistSpec:
@@ -125,20 +122,13 @@ def _load_dist(value) -> models.DistSpec:
         try:
             value = json.loads(value)
         except json.JSONDecodeError as exc:
-            raise _CliConfigError(f"bad distribution JSON: {exc}") from None
+            raise DomainError(f"bad distribution JSON: {exc}") from None
     return models.dist_from_json(value)
-
-
-def _kernel(model: str) -> ScalarKernel:
-    try:
-        return models.kernel_from_json(model)
-    except DomainError as exc:
-        raise _CliConfigError(str(exc)) from None
 
 
 def _check_choice(name: str, value, choices: Sequence[str]) -> str:
     if value not in choices:
-        raise _CliConfigError(f"--{name} must be one of {', '.join(choices)}; got {value!r}")
+        raise DomainError(f"--{name} must be one of {', '.join(choices)}; got {value!r}")
     return value
 
 
@@ -179,14 +169,14 @@ def _merge_config(ns: argparse.Namespace, parser_dests: set[str]) -> None:
         with open(ns.config) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise _CliConfigError(f"cannot read config file: {exc}") from None
+        raise DomainError(f"cannot read config file: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise _CliConfigError(f"bad config JSON: {exc}") from None
+        raise DomainError(f"bad config JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise _CliConfigError("config file must hold a JSON object")
+        raise DomainError("config file must hold a JSON object")
     for key, value in data.items():
         if key == "config" or key not in parser_dests:
-            raise _CliConfigError(f"unknown config key {key!r} for this subcommand")
+            raise DomainError(f"unknown config key {key!r} for this subcommand")
         if getattr(ns, key) is None:
             setattr(ns, key, value)
 
@@ -199,7 +189,7 @@ def _resolve(ns: argparse.Namespace, key: str, default):
 def _require_out(ns: argparse.Namespace) -> str:
     out = getattr(ns, "out", None)
     if out is None:
-        raise _CliConfigError("missing --out (or 'out' in the config file)")
+        raise DomainError("missing --out (or 'out' in the config file)")
     return str(out)
 
 
@@ -220,25 +210,22 @@ def _default_dists(model: str, alpha) -> tuple[models.DistSpec, models.DistSpec]
     if model == "exponential":
         a = 0.95 if alpha is None else float(alpha)
         return Uniform(lo=[0.0], hi=[8.0]), Uniform(lo=[1.0 - a], hi=[1.0 + a])
-    raise _CliConfigError(f"unknown model {model!r}")
+    raise DomainError(f"unknown model {model!r}")
 
 
 def _build_scenario(ns: argparse.Namespace, j: int, q: int) -> analytics.ScalarScenario:
     model = getattr(ns, "model", None)
     if model is None:
-        raise _CliConfigError("missing --model")
+        raise DomainError("missing --model")
     alpha = getattr(ns, "alpha", None)
     if alpha is not None and getattr(ns, "s_dist", None) is not None:
-        raise _CliConfigError("--alpha and --s-dist are mutually exclusive")
+        raise DomainError("--alpha and --s-dist are mutually exclusive")
     y_default, s_default = _default_dists(model, alpha)
     y_dist = _load_dist(ns.y_dist) if getattr(ns, "y_dist", None) is not None else y_default
     s_dist = _load_dist(ns.s_dist) if getattr(ns, "s_dist", None) is not None else s_default
-    try:
-        return analytics.ScalarScenario(
-            kernel=_kernel(model), y_dist=y_dist, s_dist=s_dist, j=j, q=q
-        )
-    except DomainError as exc:
-        raise _CliConfigError(str(exc)) from None
+    return analytics.ScalarScenario(
+        kernel=models.kernel_from_json(model), y_dist=y_dist, s_dist=s_dist, j=j, q=q
+    )
 
 
 def _common_mc(ns: argparse.Namespace, default_trials: int):
@@ -255,74 +242,55 @@ def _common_mc(ns: argparse.Namespace, default_trials: int):
 # Subcommand runners
 
 
-def _sweep_rows(ns, estimand: str, default_trials: int, estimator: Callable):
-    """Shared Q-sweep driver: one seeded estimate per Q value (salt = index)."""
+#: Q-sweep subcommands: (artifact column, default trials, estimand, estimator
+#: name).  bias-sweep's estimand follows --construction.  The estimator is
+#: looked up on ``experiments`` at each call, so a wrapper installed on the
+#: module (perfbench/spans.py) sees it.
+_SWEEPS = {
+    "bias-sweep": ("relbias", 10_000, None, "estimate_combine_bias"),
+    "vardiff": ("reldiff", 100_000, "vardiff_reldiff", "estimate_vardiff"),
+    "mean-var": ("diff", 10_000, "mean_variance", "estimate_mean_variance"),
+}
+
+
+def _run_sweep(ns, cmd: str) -> int:
+    """One seeded estimate per Q value (salt = index), written as one artifact."""
+    column, default_trials, estimand, estimator = _SWEEPS[cmd]
+    label = f"{cmd} {ns.model}"
+    if estimand is None:
+        construction = _check_choice(
+            "construction", _resolve(ns, "construction", "current"), ("current", "alternative")
+        )
+        estimand = f"combine_bias_{construction}"
+        label += f" {construction}"
     trials, seed, workers, block_size, fmt = _common_mc(ns, default_trials)
     j = int(_resolve(ns, "j", 4))
     qs = _q_values(_resolve(ns, "q", "10"))
     results = []
     for idx, q in enumerate(qs):
-        scenario = _build_scenario(ns, j, q)
         cfg = ExperimentConfig(
             estimand=estimand,
             trials=trials,
-            scenario=scenario,
+            scenario=_build_scenario(ns, j, q),
             master_seed=seed,
             salt=idx,
             block_size=block_size,
             workers=workers,
         )
-        results.append((q, estimator(cfg)))
-    return qs, results, fmt
-
-
-def _emit_sweep(ns, column: str, results, fmt: str) -> str:
+        results.append((q, getattr(experiments, estimator)(cfg)))
     out = _require_out(ns)
     if fmt == "json":
-        payload = [{"q": q, **res.to_json_dict()} for q, res in results]
-        _write_json(out, payload)
+        _write_json(out, [{"q": q, **res.to_json_dict()} for q, res in results])
     else:
         rows = [
             (_fmt(q), _fmt(res.point), _fmt(res.std_error), _fmt(res.analytic_reference))
             for q, res in results
         ]
         _write_csv(out, ("q", column, "std_error", "analytic_reference"), rows)
-    return out
-
-
-def _run_bias_sweep(ns) -> int:
-    construction = _check_choice(
-        "construction", _resolve(ns, "construction", "current"), ("current", "alternative")
-    )
-    estimand = f"combine_bias_{construction}"
-    qs, results, fmt = _sweep_rows(ns, estimand, 10_000, experiments.estimate_combine_bias)
-    out = _emit_sweep(ns, "relbias", results, fmt)
     q, last = results[-1]
     print(
-        f"bias-sweep {ns.model} {construction}: {len(qs)} Q values -> {out} "
-        f"(relbias[Q={q}] = {last.point:.6g} +/- {last.std_error:.6g})"
-    )
-    return 0
-
-
-def _run_vardiff(ns) -> int:
-    qs, results, fmt = _sweep_rows(ns, "vardiff_reldiff", 100_000, experiments.estimate_vardiff)
-    out = _emit_sweep(ns, "reldiff", results, fmt)
-    q, last = results[-1]
-    print(
-        f"vardiff {ns.model}: {len(qs)} Q values -> {out} "
-        f"(reldiff[Q={q}] = {last.point:.6g} +/- {last.std_error:.6g})"
-    )
-    return 0
-
-
-def _run_mean_var(ns) -> int:
-    qs, results, fmt = _sweep_rows(ns, "mean_variance", 10_000, experiments.estimate_mean_variance)
-    out = _emit_sweep(ns, "diff", results, fmt)
-    q, last = results[-1]
-    print(
-        f"mean-var {ns.model}: {len(qs)} Q values -> {out} "
-        f"(diff[Q={q}] = {last.point:.6g} +/- {last.std_error:.6g})"
+        f"{label}: {len(qs)} Q values -> {out} "
+        f"({column}[Q={q}] = {last.point:.6g} +/- {last.std_error:.6g})"
     )
     return 0
 
@@ -330,17 +298,13 @@ def _run_mean_var(ns) -> int:
 def _run_map(ns, estimand: str) -> int:
     model = getattr(ns, "model", None)
     if model is None:
-        raise _CliConfigError("missing --model")
+        raise DomainError("missing --model")
     lo, hi, n = _grid_triple(_resolve(ns, "grid", "0:8:161"))
     alpha = float(_resolve(ns, "alpha", 0.95))
     j = int(_resolve(ns, "j", 2))
     fmt = _check_choice("format", _resolve(ns, "format", "csv"), ("csv", "json"))
-    try:
-        spec = MapSpec(kernel=_kernel(model), alpha=alpha, lo=lo, hi=hi, n=n, j=j)
-        cfg = ExperimentConfig(estimand=estimand, map=spec)
-        grid = experiments.run_map(cfg)
-    except DomainError as exc:
-        raise _CliConfigError(str(exc)) from None
+    spec = MapSpec(kernel=models.kernel_from_json(model), alpha=alpha, lo=lo, hi=hi, n=n, j=j)
+    grid = experiments.run_map(ExperimentConfig(estimand=estimand, map=spec))
     out = _require_out(ns)
     column = "psi" if estimand == "psi_map" else "relbias"
     if fmt == "json":
@@ -369,7 +333,7 @@ def _run_lemmas(ns) -> int:
         try:
             ids = [int(tok) for tok in str(raw).split(",") if tok.strip()]
         except ValueError:
-            raise _CliConfigError(f"bad --id {raw!r}; expected 'all' or a comma list") from None
+            raise DomainError(f"bad --id {raw!r}; expected 'all' or a comma list") from None
     u2 = float(_resolve(ns, "u2", 0.0))
     n_obs = int(_resolve(ns, "n", 2))
     results = {}
@@ -426,10 +390,10 @@ def _read_data_csv(path: str) -> np.ndarray:
             try:
                 header = next(reader)
             except StopIteration:
-                raise _CliConfigError(f"data CSV {path!r} is empty") from None
+                raise DomainError(f"data CSV {path!r} is empty") from None
             expected = [f"y_{i + 1}" for i in range(len(header))]
             if [h.strip() for h in header] != expected:
-                raise _CliConfigError(
+                raise DomainError(
                     f"data CSV header must be {','.join(expected)}; got {','.join(header)}"
                 )
             rows = []
@@ -439,23 +403,23 @@ def _read_data_csv(path: str) -> np.ndarray:
                 try:
                     rows.append([float(tok) for tok in line])
                 except ValueError:
-                    raise _CliConfigError(f"non-numeric data row: {line}") from None
+                    raise DomainError(f"non-numeric data row: {line}") from None
     except OSError as exc:
-        raise _CliConfigError(f"cannot read data CSV: {exc}") from None
+        raise DomainError(f"cannot read data CSV: {exc}") from None
     if len(rows) < 2:
-        raise _CliConfigError("data CSV needs at least two measurement rows")
+        raise DomainError("data CSV needs at least two measurement rows")
     widths = {len(r) for r in rows}
     if widths != {len(header)}:
-        raise _CliConfigError("data CSV rows have inconsistent lengths")
+        raise DomainError("data CSV rows have inconsistent lengths")
     return np.asarray(rows, dtype=float)
 
 
 def _run_pipeline(ns) -> int:
     model = getattr(ns, "model", None)
     if model is None:
-        raise _CliConfigError("missing --model")
+        raise DomainError("missing --model")
     if getattr(ns, "data", None) is None:
-        raise _CliConfigError("missing --data")
+        raise DomainError("missing --data")
     construction = _check_choice(
         "construction", _resolve(ns, "construction", "current"), ("current", "alternative")
     )
@@ -469,27 +433,24 @@ def _run_pipeline(ns) -> int:
     if s_dist_flag is not None:
         s_dist = _load_dist(s_dist_flag)
         if s_dist.k != k:
-            raise _CliConfigError(f"--s-dist has {s_dist.k} components but data has {k}")
+            raise DomainError(f"--s-dist has {s_dist.k} components but data has {k}")
         nu = s_dist.mean_vector()
         if nu_flag is not None and abs(float(nu_flag) - float(nu[0])) > 1e-12:
-            raise _CliConfigError("--nu conflicts with the mean of --s-dist")
+            raise DomainError("--nu conflicts with the mean of --s-dist")
     else:
         nu_scalar = 0.0 if nu_flag is None else float(nu_flag)
         nu = np.full(k, nu_scalar)
         s_dist = Normal(mean=nu, cov=np.eye(k))
-    try:
-        data = pipeline.DataBatch(rows)
-        spec = models.TransformSpec(kernel=_kernel(model))
-        root = RngStream(seed)
-        s_rows = models.sample(s_dist, q, root.substream(0))
-        errors = pipeline.ErrorBatch(s_rows, shared=True)
-        t = pipeline.transform_stage(data, errors, spec, nu)
-        if construction == "current":
-            combined = pipeline.combine_current(t, root.substream(1))
-        else:
-            combined = pipeline.combine_alternative(t, root.substream(1))
-    except DomainError as exc:
-        raise _CliConfigError(str(exc)) from None
+    data = pipeline.DataBatch(rows)
+    spec = models.TransformSpec(kernel=models.kernel_from_json(model))
+    root = RngStream(seed)
+    s_rows = models.sample(s_dist, q, root.substream(0))
+    errors = pipeline.ErrorBatch(s_rows, shared=True)
+    t = pipeline.transform_stage(data, errors, spec, nu)
+    if construction == "current":
+        combined = pipeline.combine_current(t, root.substream(1))
+    else:
+        combined = pipeline.combine_alternative(t, root.substream(1))
     out = _require_out(ns)
     payload = {
         "model": model,
@@ -589,12 +550,10 @@ def build_parser() -> _Parser:
 
 _DISPATCH: dict[str, Callable[[argparse.Namespace], int]] = {
     "pipeline": _run_pipeline,
-    "bias-sweep": _run_bias_sweep,
+    **{cmd: functools.partial(_run_sweep, cmd=cmd) for cmd in _SWEEPS},
     "psi-map": lambda ns: _run_map(ns, "psi_map"),
     "relbias-map": lambda ns: _run_map(ns, "relbias_map"),
-    "vardiff": _run_vardiff,
     "lemmas": _run_lemmas,
-    "mean-var": _run_mean_var,
 }
 
 
@@ -606,13 +565,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             print("error: a subcommand is required", file=sys.stderr)
             return 1
-        dests = {a.dest for a in parser._subparsers._group_actions[0].choices[ns.cmd]._actions}
-        dests.discard("help")
-        _merge_config(ns, dests)
+        _merge_config(ns, set(vars(ns)) - {"cmd"})
         return _DISPATCH[ns.cmd](ns)
-    except _CliConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

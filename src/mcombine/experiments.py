@@ -17,7 +17,9 @@ main experiment (0) from an embedded oracle (1), and ``role`` is 0 for
 data draws, 1 for error draws, 2 for synthesis noise.  Trial ``t`` lives
 at row ``t % block_size`` of block ``t // block_size``, so its draws are
 a fixed function of the trial index: results are bitwise identical for
-any worker count and any trial execution order.  Per-trial statistics
+any worker count and any trial execution order.  Both stages run their
+blocks through the same scheduler, on a pool of at most ``workers``
+processes (no more than there are blocks or CPUs).  Per-trial statistics
 are reduced in ascending trial order.
 
 Each trial of a combine estimand is one run of the pipeline users run on
@@ -35,8 +37,9 @@ because its statistic is a nonlinear function of whole-run variances.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterator
 
 import numpy as np
@@ -119,7 +122,12 @@ class MapSpec:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """A complete, seeded description of one experiment."""
+    """A complete, seeded description of one experiment.
+
+    Monte Carlo estimands need ``trials >= 4``: chunked standard errors
+    split the trials into at least two chunks of at least two trials.
+    ``workers`` bounds the process pool; the results do not depend on it.
+    """
 
     estimand: str
     trials: int = 10_000
@@ -141,8 +149,8 @@ class ExperimentConfig:
             if self.map is None:
                 raise DomainError(f"{self.estimand} requires a MapSpec")
             return
-        if self.trials < 2:
-            raise DomainError("need at least two trials")
+        if self.trials < 4:
+            raise DomainError(f"need at least four trials, got {self.trials}")
         if self.block_size < 1:
             raise DomainError("block_size must be positive")
         if self.workers < 1:
@@ -254,7 +262,7 @@ _CONSTRUCTIONS = {
 }
 
 
-def _combine_block(cfg: ExperimentConfig, block: int) -> tuple[NDArray, ...]:
+def _combine_block(cfg: ExperimentConfig, block: int, stage: int) -> tuple[NDArray, ...]:
     """Per-trial statistics for one block of a combine-type estimand.
 
     Each trial is one K = 1 pipeline run: the block's trials form the
@@ -262,17 +270,19 @@ def _combine_block(cfg: ExperimentConfig, block: int) -> tuple[NDArray, ...]:
     :func:`~mcombine.pipeline.combine_with_noise` call per construction
     (per row chunk, to bound the (trials, J, Q) kernel tensor).  The
     statistic is the sample variance of the synthesized replicates, or
-    their mean for ``mean_variance``.
+    their mean for ``mean_variance``.  The target-variance oracle instead
+    returns each trial's batch mean of f over J data draws sharing one error
+    draw, from the stage's own streams.
     """
     sc = cfg.scenario
     estimand = cfg.estimand
     if estimand == "target_variance_oracle":
-        y, s, _ = _draw_y_s_z(cfg, _STAGE_MAIN, block, with_z=False, s_cols=1)
+        y, s, _ = _draw_y_s_z(cfg, stage, block, with_z=False, s_cols=1)
         fbar = kernel_eval(sc.kernel, y, s).mean(axis=1)
         return (fbar,)
     if estimand not in _CONSTRUCTIONS:
         raise DomainError(f"not a combine estimand: {estimand}")
-    y, s, z = _draw_y_s_z(cfg, _STAGE_MAIN, block, with_z=True)
+    y, s, z = _draw_y_s_z(cfg, stage, block, with_z=True)
     spec = TransformSpec(kernel=sc.kernel)
     nu = sc.s_dist.mean_vector()
     constructions = _CONSTRUCTIONS[estimand]
@@ -397,24 +407,28 @@ def _lemma_block(cfg: ExperimentConfig, plan: dict[str, Any], block: int) -> tup
 
 
 def _worker_blocks(payload) -> list[tuple[NDArray, ...]]:
-    cfg, plan, blocks = payload
+    cfg, plan, stage, blocks = payload
     if cfg.estimand == "lemma_check":
         return [_lemma_block(cfg, plan, b) for b in blocks]
-    return [_combine_block(cfg, b) for b in blocks]
+    return [_combine_block(cfg, b, stage) for b in blocks]
 
 
-def _run_blocks(cfg: ExperimentConfig, plan: dict[str, Any] | None = None) -> tuple[NDArray, ...]:
-    """Evaluate all blocks (optionally on a process pool) and concatenate
-    per-trial arrays in ascending trial order."""
+def _run_blocks(
+    cfg: ExperimentConfig, plan: dict[str, Any] | None = None, stage: int = _STAGE_MAIN
+) -> tuple[NDArray, ...]:
+    """Evaluate all blocks and concatenate per-trial arrays in ascending
+    trial order.  The pool has at most ``workers`` processes, one per block
+    and one per CPU; results do not depend on its size."""
     nb = _n_blocks(cfg)
-    if cfg.workers <= 1 or nb <= 1:
-        pieces = _worker_blocks((cfg, plan, range(nb)))
+    n_workers = min(cfg.workers, nb, os.cpu_count() or 1)
+    if n_workers <= 1:
+        pieces = _worker_blocks((cfg, plan, stage, range(nb)))
     else:
-        groups: list[list[int]] = [[] for _ in range(min(cfg.workers, nb))]
+        groups: list[list[int]] = [[] for _ in range(n_workers)]
         for b in range(nb):
-            groups[b % len(groups)].append(b)
-        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-            results = list(pool.map(_worker_blocks, [(cfg, plan, g) for g in groups]))
+            groups[b % n_workers].append(b)
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            results = list(pool.map(_worker_blocks, [(cfg, plan, stage, g) for g in groups]))
         by_index: dict[int, tuple[NDArray, ...]] = {}
         for g, res in zip(groups, results):
             for b, arrs in zip(g, res):
@@ -460,34 +474,31 @@ def estimate_combine_bias(cfg: ExperimentConfig) -> EstimateResult:
     Runs ``trials`` independent pipelines, averages the per-trial sample
     variance of the synthesized replicates, and normalizes against the
     target variance — analytic when the scenario supports it, otherwise
-    an embedded Monte Carlo oracle on an independent substream.
+    an embedded Monte Carlo oracle on the oracle stage's streams, run on
+    the same ``workers`` pool.  A target variance that is not positive
+    raises :class:`DomainError`.
     """
     if cfg.estimand not in ("combine_bias_current", "combine_bias_alternative"):
         raise DomainError(f"not a combine-bias estimand: {cfg.estimand}")
+    try:
+        target = analytics.target_variance(cfg.scenario)
+    except DomainError:
+        target = None  # no analytic target: the embedded oracle estimates it
+    else:
+        analytics._require_positive_target(target)
     (s2,) = _run_blocks(cfg)
     n = s2.size
     mean_s2 = float(s2.mean())
     se_s2 = float(s2.std(ddof=1)) / math.sqrt(n)
-    try:
-        target = analytics.target_variance(cfg.scenario)
-        point = mean_s2 / target - 1.0
+    if target is None:
+        oracle_cfg = replace(cfg, estimand="target_variance_oracle")
+        (fbar,) = _run_blocks(oracle_cfg, stage=_STAGE_ORACLE)
+        target, target_se = _variance_with_se(fbar)
+        analytics._require_positive_target(target)
+        se = math.hypot(se_s2 / target, mean_s2 * target_se / target**2)
+    else:
         se = se_s2 / target
-    except DomainError:
-        oracle = estimate_target_variance_oracle(
-            ExperimentConfig(
-                estimand="target_variance_oracle",
-                trials=cfg.trials,
-                scenario=cfg.scenario,
-                master_seed=cfg.master_seed,
-                salt=cfg.salt,
-                block_size=cfg.block_size,
-                workers=cfg.workers,
-            ),
-            _stage=_STAGE_ORACLE,
-        )
-        target = float(oracle.point)
-        point = mean_s2 / target - 1.0
-        se = math.hypot(se_s2 / target, mean_s2 * float(oracle.std_error) / target**2)
+    point = mean_s2 / target - 1.0
     reference = _reference_relbias(cfg)
     return EstimateResult(
         point=point,
@@ -499,7 +510,7 @@ def estimate_combine_bias(cfg: ExperimentConfig) -> EstimateResult:
     )
 
 
-def estimate_target_variance_oracle(cfg: ExperimentConfig, *, _stage: int = _STAGE_MAIN) -> EstimateResult:
+def estimate_target_variance_oracle(cfg: ExperimentConfig) -> EstimateResult:
     """Brute-force estimate of the target variance V[mean_j f(Y_j, S)].
 
     Independent of both constructions: each trial draws a fresh data
@@ -507,20 +518,8 @@ def estimate_target_variance_oracle(cfg: ExperimentConfig, *, _stage: int = _STA
     trials of the batch-mean transform value.
     """
     if cfg.estimand != "target_variance_oracle":
-        cfg = ExperimentConfig(
-            estimand="target_variance_oracle",
-            trials=cfg.trials,
-            scenario=cfg.scenario,
-            master_seed=cfg.master_seed,
-            salt=cfg.salt,
-            block_size=cfg.block_size,
-            workers=cfg.workers,
-        )
-    if _stage == _STAGE_MAIN:
-        (fbar,) = _run_blocks(cfg)
-    else:
-        pieces = [_combine_block_oracle_stage(cfg, b) for b in range(_n_blocks(cfg))]
-        fbar = np.concatenate(pieces, axis=0)
+        cfg = replace(cfg, estimand="target_variance_oracle")
+    (fbar,) = _run_blocks(cfg)
     point, se = _variance_with_se(fbar)
     try:
         reference = analytics.target_variance(cfg.scenario)
@@ -534,12 +533,6 @@ def estimate_target_variance_oracle(cfg: ExperimentConfig, *, _stage: int = _STA
         z_score=_zscore(point, se, reference),
         extras={"mean": float(fbar.mean())},
     )
-
-
-def _combine_block_oracle_stage(cfg: ExperimentConfig, block: int) -> NDArray:
-    sc = cfg.scenario
-    y, s, _ = _draw_y_s_z(cfg, _STAGE_ORACLE, block, with_z=False, s_cols=1)
-    return kernel_eval(sc.kernel, y, s).mean(axis=1)
 
 
 def estimate_mean_variance(cfg: ExperimentConfig) -> EstimateResult:
@@ -638,18 +631,7 @@ def verify_lemma(lemma_id: int, cfg: ExperimentConfig) -> EstimateResult:
     variance of the sample variance.
     """
     if cfg.estimand != "lemma_check" or cfg.lemma_id != lemma_id:
-        cfg = ExperimentConfig(
-            estimand="lemma_check",
-            trials=cfg.trials,
-            master_seed=cfg.master_seed,
-            salt=cfg.salt,
-            block_size=cfg.block_size,
-            workers=cfg.workers,
-            lemma_id=lemma_id,
-            lemma_u2=cfg.lemma_u2,
-            lemma_n=cfg.lemma_n,
-            lemma_common=cfg.lemma_common,
-        )
+        cfg = replace(cfg, estimand="lemma_check", lemma_id=lemma_id)
     plan = _lemma_plan(cfg)
     arrays = _run_blocks(cfg, plan)
     if lemma_id == 1:

@@ -40,7 +40,6 @@ __all__ = [
     "DistSpec",
     "CentralMoments",
     "apply_scalar",
-    "apply_vector",
     "kernel_eval",
     "sample",
     "moments",
@@ -125,26 +124,6 @@ class TransformSpec:
             if not np.all(np.isfinite(m)):
                 raise DomainError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, m)
-
-
-def apply_vector(spec: TransformSpec, y, s) -> NDArray[np.float64]:
-    """Componentwise kernel over optionally pre-mapped vectors.
-
-    Absent maps mean identity (applied without materializing one).
-    """
-    y = np.asarray(y, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if y.shape != s.shape or y.ndim != 1:
-        raise DomainError(f"y and s must be equal-length vectors, got {y.shape} and {s.shape}")
-    if spec.t_y is not None:
-        if spec.t_y.shape[0] != y.shape[0]:
-            raise DomainError("t_y dimension does not match y")
-        y = spec.t_y @ y
-    if spec.t_s is not None:
-        if spec.t_s.shape[0] != s.shape[0]:
-            raise DomainError("t_s dimension does not match s")
-        s = spec.t_s @ s
-    return kernel_eval(spec.kernel, y, s)
 
 
 # --------------------------------------------------------------------------

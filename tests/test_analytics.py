@@ -10,7 +10,6 @@ from mcombine.analytics import (
     bias_factor_alternative,
     bias_factor_alternative_mc,
     bias_factor_current,
-    bias_report,
     conditional_mean_given_y,
     conditional_variance_given_s,
     exponential_conditional_mean,
@@ -479,22 +478,22 @@ def test_node_doubling_stability_exponential_integrals():
 
 
 # --------------------------------------------------------------------------
-# report assembly and validation
+# values of one scenario, and validation
 
 
-def test_bias_report_consistency():
-    rep = bias_report(mult_standard(j=4, q=10))
-    assert math.isclose(rep.relbias_alternative, 0.1, rel_tol=1e-12)
-    assert rep.bias_factor_current == 0.0
-    assert math.isclose(rep.target_var, 0.25, rel_tol=1e-14)
-    assert math.isclose(rep.mean_var_gap, -1.0 / 400.0, rel_tol=1e-12)
+def test_analytic_values_consistency():
+    s = mult_standard(j=4, q=10)
+    assert math.isclose(relbias_alternative(s), 0.1, rel_tol=1e-12)
+    assert bias_factor_current(s) == 0.0
+    assert math.isclose(target_variance(s), 0.25, rel_tol=1e-14)
+    assert math.isclose(mean_variance_gap(s), -1.0 / 400.0, rel_tol=1e-12)
 
 
-def test_bias_report_phase_extremal_is_exact():
+def test_phase_extremal_alternative_is_exact():
     for q in (3, 50):
-        rep = bias_report(phase_extremal(j=4, q=q))
-        assert abs(rep.bias_factor_alternative - 0.5) <= 1e-12
-        assert abs(rep.relbias_alternative - 1.0 / q) <= 1e-12
+        s = phase_extremal(j=4, q=q)
+        assert abs(bias_factor_alternative(s) - 0.5) <= 1e-12
+        assert abs(relbias_alternative(s) - 1.0 / q) <= 1e-12
 
 
 def test_scenario_validation():

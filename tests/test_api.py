@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -8,6 +9,7 @@ import pytest
 import mcombine
 
 SUBMODULES = [f"mcombine.{m.name}" for m in pkgutil.iter_modules(mcombine.__path__)]
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", ["mcombine", *SUBMODULES])
@@ -31,3 +33,21 @@ def test_benchmark_tracer_finds_every_wrapped_name():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_imports_resolve(path):
+    # the demos take seconds to run, so they are parsed, not run: every
+    # mcombine name a demo imports must still exist
+    missing = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] != "mcombine":
+                continue
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "mcombine":
+                    importlib.import_module(alias.name)
+    assert missing == []

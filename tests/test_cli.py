@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +13,13 @@ import pytest
 import mcombine
 import mcombine.cli as cli
 from mcombine.cli import (
-    _CliConfigError,
     _fmt,
     _grid_triple,
     _parse_range,
     _q_values,
     main,
 )
-from mcombine.exceptions import NumericalError
+from mcombine.exceptions import DomainError, NumericalError
 
 
 @pytest.fixture
@@ -58,7 +58,7 @@ def test_parse_range_comma_list_and_scalars():
 
 @pytest.mark.parametrize("bad", ["1:2", "a:b:3", "1:2:0", "0:10:log4", "-1:10:log4", "x,y"])
 def test_parse_range_rejects_malformed(bad):
-    with pytest.raises(_CliConfigError):
+    with pytest.raises(DomainError):
         vals = _parse_range(bad)
         _q_values(vals)  # log ranges with bad endpoints raise at parse time
 
@@ -66,15 +66,15 @@ def test_parse_range_rejects_malformed(bad):
 def test_q_values_round_dedupe_and_floor():
     assert _q_values("3:5:3") == [3, 4, 5]
     assert _q_values("2.2,2.4,3.9") == [2, 4]
-    with pytest.raises(_CliConfigError):
+    with pytest.raises(DomainError):
         _q_values("1,5")
 
 
 def test_grid_triple_rejects_log_and_lists():
     assert _grid_triple("0:8:161") == (0.0, 8.0, 161)
-    with pytest.raises(_CliConfigError):
+    with pytest.raises(DomainError):
         _grid_triple("0:8:log161")
-    with pytest.raises(_CliConfigError):
+    with pytest.raises(DomainError):
         _grid_triple("1,2,3")
 
 
@@ -191,6 +191,73 @@ def test_alpha_and_s_dist_are_exclusive(tmp_path, capsys):
     )
     assert rc == 1
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# runs too small or degenerate to give a finite result
+
+FEW_TRIALS = {
+    "vardiff": ["vardiff", "--model", "phase", "--q", "3", "--trials", "3", "--out", "v.csv"],
+    "lemmas": ["lemmas", "--trials", "3", "--out", "l.csv"],
+    "mean-var": ["mean-var", "--model", "phase", "--q", "3", "--trials", "2", "--format", "json",
+                 "--out", "m.json"],
+}
+
+
+def _only_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("cmd", sorted(FEW_TRIALS))
+def test_too_few_trials_exit_one_before_any_work(cmd, tmp_path, monkeypatch, capsys):
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("sampled before validating --trials")
+
+    monkeypatch.setattr(cli.experiments, "_run_blocks", no_blocks)
+    monkeypatch.chdir(tmp_path)
+    assert main(FEW_TRIALS[cmd]) == 1
+    assert "at least four trials" in _only_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", sorted(FEW_TRIALS))
+def test_four_trials_give_finite_values(cmd, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = list(FEW_TRIALS[cmd])
+    argv[argv.index("--trials") + 1] = "4"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    (out,) = tmp_path.iterdir()
+    if out.suffix == ".json":
+        rows = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"{out.name}: {c}"))
+        values = [v for row in rows for k, v in row.items() if k != "extras" and v is not None]
+    else:
+        lines = out.read_text().splitlines()
+        values = [tok for line in lines[1:] for tok in line.split(",")[1:] if tok]
+    assert values and all(math.isfinite(float(v)) for v in values)
+
+
+ZERO_TARGET = {
+    # analytic target: f = y*s with the data a point mass at 0
+    "analytic": ["--model", "multiplicative", "--y-dist", '{"kind":"normal","mean":[0],"cov":[[0]]}'],
+    # no closed form for a normal error under the phase kernel: the oracle's
+    # batch means sin(0 + 0) are all 0
+    "oracle": ["--model", "phase", "--y-dist", '{"kind":"uniform","lo":[0],"hi":[0]}',
+               "--s-dist", '{"kind":"normal","mean":[0],"cov":[[0]]}'],
+}
+
+
+@pytest.mark.parametrize("target", sorted(ZERO_TARGET))
+def test_zero_target_variance_exits_one(target, tmp_path, capsys):
+    out = tmp_path / "z.csv"
+    argv = ["bias-sweep", *ZERO_TARGET[target], "--q", "3", "--trials", "100", "--out", str(out)]
+    assert main(argv) == 1
+    line = _only_error_line(capsys.readouterr().err)
+    assert line == "error: target variance is not positive (0.0); relative bias undefined"
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,8 +104,11 @@ def test_config_needs_q_at_least_two_for_combine():
 
 
 def test_config_rejects_tiny_trials():
-    with pytest.raises(DomainError):
-        ExperimentConfig(estimand="combine_bias_current", trials=1, scenario=mult_standard())
+    # chunked standard errors need two chunks of at least two trials
+    for trials in (1, 2, 3):
+        with pytest.raises(DomainError, match="at least four trials"):
+            ExperimentConfig(estimand="combine_bias_current", trials=trials, scenario=mult_standard())
+    ExperimentConfig(estimand="combine_bias_current", trials=4, scenario=mult_standard())
 
 
 def test_config_lemma_id_bounds():
@@ -245,6 +249,86 @@ def test_combine_bias_non_finite_custom_kernel_fails():
     sc = ScalarScenario(kernel=log_kernel, y_dist=STD_NORMAL, s_dist=STD_NORMAL, j=3, q=10)
     with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="custom kernel.*data row"):
         estimate_combine_bias(cfg_bias(sc, "current", trials=1_000))
+
+
+ZERO_TARGET = "target variance is not positive (0.0); relative bias undefined"
+
+
+def test_combine_bias_zero_analytic_target_fails_before_sampling(monkeypatch):
+    # V[f] = 0 when the data law is a point mass at 0 under f(y, s) = y*s
+    point_mass = Normal(mean=[0.0], cov=[[0.0]])
+    sc = ScalarScenario(kernel=MULTIPLICATIVE, y_dist=point_mass, s_dist=STD_NORMAL, j=4, q=3)
+    with pytest.raises(DomainError) as analytic:
+        relbias_current(sc)
+
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("sampled before checking the target variance")
+
+    monkeypatch.setattr(experiments, "_run_blocks", no_blocks)
+    with pytest.raises(DomainError) as harness:
+        estimate_combine_bias(cfg_bias(sc, "current", trials=100))
+    assert str(harness.value) == str(analytic.value) == ZERO_TARGET
+
+
+def test_combine_bias_zero_oracle_target_fails():
+    # no closed form for a custom kernel, and the oracle's batch means are all 0
+    zero = ScalarKernel("custom", fn=lambda y, s: 0.0 * (y + s))
+    sc = ScalarScenario(kernel=zero, y_dist=STD_NORMAL, s_dist=STD_NORMAL, j=4, q=3)
+    with pytest.raises(DomainError) as harness:
+        estimate_combine_bias(cfg_bias(sc, "alternative", trials=100))
+    assert str(harness.value) == ZERO_TARGET
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replaces ProcessPoolExecutor: records each pool's size, runs in-process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return list(map(fn, payloads))
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_is_bounded_by_cpu_count(recording_pool, monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    cfg = ExperimentConfig(
+        estimand="vardiff_reldiff", trials=640, scenario=mult_standard(), block_size=64, workers=10_000
+    )
+    pooled = estimate_vardiff(cfg)
+    assert recording_pool == [3]
+    serial = estimate_vardiff(replace(cfg, workers=1))
+    assert recording_pool == [3]
+    assert json.dumps(pooled.to_json_dict()) == json.dumps(serial.to_json_dict())
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)  # unknown: run serially
+    assert json.dumps(estimate_vardiff(cfg).to_json_dict()) == json.dumps(serial.to_json_dict())
+    assert recording_pool == [3]
+
+
+def test_embedded_oracle_runs_on_the_pool(recording_pool, monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    twin = ScalarKernel("custom", fn=lambda y, s: y + s)
+    sc = ScalarScenario(kernel=twin, y_dist=STD_NORMAL, s_dist=STD_NORMAL, j=4, q=10)
+    cfg = cfg_bias(sc, "current", trials=1_000, seed=8, block_size=256, workers=2)
+    pooled = estimate_combine_bias(cfg)
+    assert recording_pool == [2, 2]  # the main stage, then the oracle stage
+    serial = estimate_combine_bias(replace(cfg, workers=1))
+    assert json.dumps(pooled.to_json_dict()) == json.dumps(serial.to_json_dict())
+    # the oracle's target is the variance of the oracle stage's batch means
+    draws = [_draw_y_s_z(cfg, experiments._STAGE_ORACLE, b, with_z=False, s_cols=1) for b in range(4)]
+    fbar = np.concatenate([(y + s).mean(axis=1) for y, s, _ in draws])
+    assert pooled.extras["target_variance"] == pytest.approx(fbar.var(ddof=1), rel=1e-12)
 
 
 HARNESS_CONSTRUCTIONS = {

@@ -17,7 +17,6 @@ from mcombine.models import (
     TwoPoint,
     Uniform,
     apply_scalar,
-    apply_vector,
     dist_from_json,
     dist_to_json,
     kernel_eval,
@@ -93,27 +92,7 @@ def test_unknown_kernel_name_rejected():
 
 
 # --------------------------------------------------------------------------
-# vector transform
-
-
-def test_apply_vector_componentwise():
-    spec = TransformSpec(kernel=MULTIPLICATIVE)
-    y = np.array([1.0, 2.0, 3.0])
-    s = np.array([2.0, 0.5, -1.0])
-    assert np.array_equal(apply_vector(spec, y, s), np.array([2.0, 1.0, -3.0]))
-
-
-def test_apply_vector_with_linear_premaps():
-    t_y = np.array([[0.0, 1.0], [1.0, 0.0]])  # swap components
-    spec = TransformSpec(kernel=ADDITIVE, t_y=t_y)
-    out = apply_vector(spec, np.array([1.0, 2.0]), np.array([10.0, 20.0]))
-    assert np.array_equal(out, np.array([12.0, 21.0]))
-
-
-def test_apply_vector_rejects_length_mismatch():
-    spec = TransformSpec(kernel=ADDITIVE)
-    with pytest.raises(DomainError):
-        apply_vector(spec, np.ones(3), np.ones(2))
+# transform spec
 
 
 def test_transform_spec_rejects_nonsquare_map():

@@ -113,6 +113,16 @@ def test_transform_applies_linear_premaps():
     t = transform_stage(data, errors, spec, np.zeros(2))
     assert np.allclose(t.replicates[0, 0], [3.0, 2.0])
     assert np.allclose(t.replicates[1, 0], [5.0, 4.0])
+    # error pre-map: replicate (j, q) is T_y y_j + T_s s_q, nominal T_y y_j + T_s nu
+    t_s = np.array([[2.0, 0.0], [1.0, 1.0]])
+    spec = TransformSpec(kernel=ADDITIVE, t_y=swap, t_s=t_s)
+    errors = ErrorBatch(np.array([[1.0, 2.0], [0.5, -1.0]]), shared=True)
+    t = transform_stage(data, errors, spec, np.array([1.0, -1.0]))
+    # T_s s = [2, 3] and [1, -0.5]; T_s nu = [2, 0]; T_y y = [2, 1] and [4, 3]
+    assert np.array_equal(t.replicates, [[[4.0, 4.0], [3.0, 0.5]], [[6.0, 6.0], [5.0, 2.5]]])
+    assert np.array_equal(t.nominals, [[4.0, 1.0], [6.0, 3.0]])
+    with pytest.raises(DomainError, match="t_s dimension"):
+        transform_stage(data, errors, TransformSpec(kernel=ADDITIVE, t_s=np.eye(3)), np.zeros(2))
 
 
 def test_transform_nu_length_must_match():
