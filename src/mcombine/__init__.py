@@ -30,7 +30,6 @@ from .analytics import (
     synthesis_input_variance_gap,
     target_variance,
     var_of_sample_variance_normal,
-    vardiff_sample_variances,
 )
 from .exceptions import DomainError, NumericalError
 from .experiments import (
@@ -64,7 +63,6 @@ from .models import (
     TransformSpec,
     TwoPoint,
     Uniform,
-    apply_scalar,
     dist_from_json,
     dist_to_json,
     kernel_from_json,
@@ -110,7 +108,6 @@ __all__ = [
     "TransformSpec",
     "TwoPoint",
     "Uniform",
-    "apply_scalar",
     "bias_factor_alternative",
     "bias_factor_alternative_mc",
     "bias_factor_current",
@@ -142,6 +139,5 @@ __all__ = [
     "target_variance",
     "transform_stage",
     "var_of_sample_variance_normal",
-    "vardiff_sample_variances",
     "verify_lemma",
 ]

@@ -56,7 +56,6 @@ __all__ = [
     "mean_variance_gap",
     "var_of_sample_variance_normal",
     "synthesis_input_variance_gap",
-    "vardiff_sample_variances",
 ]
 
 #: Gauss-Legendre node count for one-dimensional integrals.
@@ -478,10 +477,3 @@ def synthesis_input_variance_gap(s: ScalarScenario) -> float:
     )
     var_s2y = (phi4 - sigma2**2) / jj + 2.0 * sigma2**2 / (jj * (jj - 1.0))
     return sigma2**2 * var_sbar2 + e_sbar4_less_nu4 * var_s2y
-
-
-def vardiff_sample_variances(s: ScalarScenario) -> float:
-    """Large-Q difference V[S²_alternative] − V[S²_current] of the two
-    constructions' sample variances: the synthesis-input gap over J²."""
-    return synthesis_input_variance_gap(s) / float(s.j) ** 2
-

@@ -28,10 +28,12 @@ data: the block's trials form the leading axis of a single
 :func:`~mcombine.pipeline.combine_with_noise` call (K = 1), and draws
 come from :func:`~mcombine.models.sample`.
 
-Standard errors come from the across-trial spread of the per-trial
-statistic (delta method for ratios, with an analytic denominator treated
-as fixed); the variability estimand uses consecutive trial chunks
-because its statistic is a nonlinear function of whole-run variances.
+Every standard error is the across-trial spread of per-trial influence
+values over the square root of the trial count.  Each estimator is a
+smooth function of trial means, so the delta method gives those values:
+the per-trial statistic itself for a mean, ``n/(n−1)·(x − x̄)(y − ȳ)ᵀ``
+for a sample (cross-)covariance, and their linear combination by the
+gradient for a ratio (an analytic denominator is treated as fixed).
 """
 
 from __future__ import annotations
@@ -86,9 +88,9 @@ ESTIMANDS = (
 _ROLE_Y, _ROLE_S, _ROLE_Z = 0, 1, 2
 _STAGE_MAIN, _STAGE_ORACLE = 0, 1
 
-#: Chunk count for block-method standard errors (variability estimand,
-#: lemma checks on variance-like statistics).
-_SE_CHUNKS = 20
+#: Relative size below which a difference of two estimates that coincide
+#: is rounding noise: it is reported as exactly 0.0, so its z-score is 0.
+_ROUNDING = 1e-12
 
 #: Row-chunk threshold for the (trials, J, Q) kernel tensor, in elements.
 _TENSOR_ELEMS = 8_000_000
@@ -124,8 +126,10 @@ class MapSpec:
 class ExperimentConfig:
     """A complete, seeded description of one experiment.
 
-    Monte Carlo estimands need ``trials >= 4``: chunked standard errors
-    split the trials into at least two chunks of at least two trials.
+    Monte Carlo estimands need ``trials >= 100``: below that the
+    standard errors are too noisy for their z-scores to be read as normal
+    (the lemma 1 check, an identity that holds exactly, exceeds |z| = 5 in
+    one run in ten at 4 trials; lemmas 1–4 never did at 100).
     ``workers`` bounds the process pool; the results do not depend on it.
     """
 
@@ -149,8 +153,8 @@ class ExperimentConfig:
             if self.map is None:
                 raise DomainError(f"{self.estimand} requires a MapSpec")
             return
-        if self.trials < 4:
-            raise DomainError(f"need at least four trials, got {self.trials}")
+        if self.trials < 100:
+            raise DomainError(f"need at least 100 trials, got {self.trials}")
         if self.block_size < 1:
             raise DomainError("block_size must be positive")
         if self.workers < 1:
@@ -438,21 +442,21 @@ def _run_blocks(
     return tuple(np.concatenate([p[i] for p in pieces], axis=0) for i in range(n_arrays))
 
 
-def _chunk_edges(n: int, chunks: int) -> list[tuple[int, int]]:
-    chunks = max(2, min(chunks, n // 2))
-    edges = np.linspace(0, n, chunks + 1).astype(int)
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(chunks)]
+def _mean_with_se(values: NDArray) -> tuple[Any, Any]:
+    """Mean of per-trial influence values over the trial axis (axis 0),
+    with its standard error."""
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
 
 
-def _variance_with_se(values: NDArray) -> tuple[float, float]:
-    """Sample variance of per-trial values with its asymptotic SE."""
-    n = values.size
-    centered = values - values.mean()
-    g = centered**2
-    scale = n / (n - 1.0)
-    point = scale * float(g.mean())
-    se = scale * float(g.std(ddof=1)) / math.sqrt(n)
-    return point, se
+def _covariance_values(x: NDArray, y: NDArray) -> NDArray:
+    """Per-trial influence values of the sample (cross-)covariance of
+    ``x`` and ``y`` over axis 0, ``n/(n−1)·(x − x̄)(y − ȳ)ᵀ``: their mean
+    is the statistic.  Trials hold scalars (T,) or vectors (T, K)."""
+    xc = x - x.mean(axis=0)
+    yc = xc if y is x else y - y.mean(axis=0)
+    values = np.einsum("tk,tl->tkl", xc, yc) if x.ndim == 2 else xc * yc
+    values *= x.shape[0] / (x.shape[0] - 1.0)
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -488,12 +492,11 @@ def estimate_combine_bias(cfg: ExperimentConfig) -> EstimateResult:
         analytics._require_positive_target(target)
     (s2,) = _run_blocks(cfg)
     n = s2.size
-    mean_s2 = float(s2.mean())
-    se_s2 = float(s2.std(ddof=1)) / math.sqrt(n)
+    mean_s2, se_s2 = map(float, _mean_with_se(s2))
     if target is None:
         oracle_cfg = replace(cfg, estimand="target_variance_oracle")
         (fbar,) = _run_blocks(oracle_cfg, stage=_STAGE_ORACLE)
-        target, target_se = _variance_with_se(fbar)
+        target, target_se = map(float, _mean_with_se(_covariance_values(fbar, fbar)))
         analytics._require_positive_target(target)
         se = math.hypot(se_s2 / target, mean_s2 * target_se / target**2)
     else:
@@ -520,7 +523,7 @@ def estimate_target_variance_oracle(cfg: ExperimentConfig) -> EstimateResult:
     if cfg.estimand != "target_variance_oracle":
         cfg = replace(cfg, estimand="target_variance_oracle")
     (fbar,) = _run_blocks(cfg)
-    point, se = _variance_with_se(fbar)
+    point, se = map(float, _mean_with_se(_covariance_values(fbar, fbar)))
     try:
         reference = analytics.target_variance(cfg.scenario)
     except DomainError:
@@ -541,18 +544,21 @@ def estimate_mean_variance(cfg: ExperimentConfig) -> EstimateResult:
     Per trial, both constructions are built from common data, error, and
     noise draws (paired design); the point estimate is
     V[grand mean, current] − V[grand mean, alternative] with an
-    influence-based SE that respects the pairing.
+    influence-based SE that respects the pairing.  A point within
+    rounding of zero (1e-12 of the sum of the two variances) is reported
+    as exactly 0.0, as for the additive kernel, where the two grand means
+    coincide.
     """
     if cfg.estimand != "mean_variance":
         raise DomainError(f"not a mean_variance config: {cfg.estimand}")
     a, b = _run_blocks(cfg)
     n = a.size
-    scale = n / (n - 1.0)
-    da = a - a.mean()
-    db = b - b.mean()
-    d = da**2 - db**2
-    point = scale * float(d.mean())
-    se = scale * float(d.std(ddof=1)) / math.sqrt(n)
+    ga = _covariance_values(a, a)
+    gb = _covariance_values(b, b)
+    var_a, var_b = float(ga.mean()), float(gb.mean())
+    point, se = map(float, _mean_with_se(ga - gb))
+    if abs(point) <= _ROUNDING * (var_a + var_b):
+        point = 0.0
     try:
         reference = analytics.mean_variance_gap(cfg.scenario)
     except DomainError:
@@ -566,8 +572,8 @@ def estimate_mean_variance(cfg: ExperimentConfig) -> EstimateResult:
         extras={
             "grand_mean_current": float(a.mean()),
             "grand_mean_alternative": float(b.mean()),
-            "var_current": scale * float((da**2).mean()),
-            "var_alternative": scale * float((db**2).mean()),
+            "var_current": var_a,
+            "var_alternative": var_b,
         },
     )
 
@@ -578,32 +584,30 @@ def estimate_vardiff(cfg: ExperimentConfig) -> EstimateResult:
 
         (V[S²_current] − V[S²_alternative]) / (V[S²_current] + V[S²_alternative])
 
-    estimated across trials, with a standard error from consecutive
-    trial chunks (the statistic is a nonlinear function of whole-run
-    variances, so per-trial influence values are not available).
+    estimated across trials.  Its SE comes from the per-trial influence
+    values 2(V_a·g_c − V_c·g_a)/(V_c + V_a)², where g_c and g_a are the
+    two sample variances' own influence values.  A point within 1e-12 of
+    zero is reported as exactly 0.0, as for the additive kernel, where
+    the two constructions coincide.
     """
     if cfg.estimand != "vardiff_reldiff":
         raise DomainError(f"not a vardiff config: {cfg.estimand}")
     s2c, s2a = _run_blocks(cfg)
     n = s2c.size
-
-    def reldiff(c: NDArray, a: NDArray) -> float:
-        vc = float(c.var(ddof=1))
-        va = float(a.var(ddof=1))
-        denom = vc + va
-        if denom == 0.0:
-            return 0.0
-        return (vc - va) / denom
-
-    point = reldiff(s2c, s2a)
-    edges = _chunk_edges(n, _SE_CHUNKS)
-    chunk_vals = np.array([reldiff(s2c[lo:hi], s2a[lo:hi]) for lo, hi in edges])
-    se = float(chunk_vals.std(ddof=1)) / math.sqrt(chunk_vals.size)
+    gc = _covariance_values(s2c, s2c)
+    ga = _covariance_values(s2a, s2a)
+    vc, va = float(gc.mean()), float(ga.mean())
+    denom = vc + va
+    if denom == 0.0:  # both statistics constant across trials
+        point, se = 0.0, 0.0
+    else:
+        point = (vc - va) / denom
+        se = float(_mean_with_se(2.0 * (va * gc - vc * ga) / denom**2)[1])
+        if abs(point) <= _ROUNDING:
+            point = 0.0
     # raw variability difference (alternative minus current) with its own SE,
     # comparable to the closed large-Q form for the multiplicative kernel
-    diffs = np.array(
-        [float(s2a[lo:hi].var(ddof=1)) - float(s2c[lo:hi].var(ddof=1)) for lo, hi in edges]
-    )
+    diff, diff_se = map(float, _mean_with_se(ga - gc))
     # Only the additive kernel makes the two constructions' variabilities
     # agree at finite Q; elsewhere the difference merely decays with Q.
     reference = 0.0 if cfg.scenario.kernel.kind == "additive" else None
@@ -614,10 +618,10 @@ def estimate_vardiff(cfg: ExperimentConfig) -> EstimateResult:
         analytic_reference=reference,
         z_score=_zscore(point, se, reference),
         extras={
-            "var_s2_current": float(s2c.var(ddof=1)),
-            "var_s2_alternative": float(s2a.var(ddof=1)),
-            "var_diff_alternative_minus_current": float(diffs.mean()),
-            "var_diff_se": float(diffs.std(ddof=1)) / math.sqrt(diffs.size),
+            "var_s2_current": vc,
+            "var_s2_alternative": va,
+            "var_diff_alternative_minus_current": diff,
+            "var_diff_se": diff_se,
         },
     )
 
@@ -628,68 +632,43 @@ def verify_lemma(lemma_id: int, cfg: ExperimentConfig) -> EstimateResult:
     Builds randomized instances satisfying the lemma's hypotheses,
     estimates both sides, and reports the difference with z-scores
     (reference 0), except lemma 5 where the reference is the closed-form
-    variance of the sample variance.
+    variance of the sample variance.  Lemmas 2–4 take their point from
+    whole-run (cross-)covariances and their SE from the per-trial
+    influence values of the same difference.
     """
     if cfg.estimand != "lemma_check" or cfg.lemma_id != lemma_id:
         cfg = replace(cfg, estimand="lemma_check", lemma_id=lemma_id)
     plan = _lemma_plan(cfg)
     arrays = _run_blocks(cfg, plan)
+    n = arrays[0].shape[0]
+    extras = None
     if lemma_id == 1:
         (covs,) = arrays
-        n = covs.shape[0]
-        point = covs.mean(axis=0)
-        se = covs.std(axis=0, ddof=1) / math.sqrt(n)
+        point, se = _mean_with_se(covs)
         reference = plan["reference"]
-        return EstimateResult(point, se, n, reference, _zscore(point, se, reference))
-    if lemma_id == 2:
-        x, a, bbt = arrays
-        n = x.shape[0]
-        diffs = np.array(
-            [
-                sample_covariance(x[lo:hi]) - sample_covariance(a[lo:hi]) - bbt[lo:hi].mean(axis=0)
-                for lo, hi in _chunk_edges(n, _SE_CHUNKS)
-            ]
-        )
-    elif lemma_id == 3:
-        x1, x2, a1, a2 = arrays
-        n = x1.shape[0]
-        diffs = np.array(
-            [
-                cross_covariance(x1[lo:hi], x2[lo:hi]) - cross_covariance(a1[lo:hi], a2[lo:hi])
-                for lo, hi in _chunk_edges(n, _SE_CHUNKS)
-            ]
-        )
-    elif lemma_id == 4:
-        f1, f2, m = arrays
-        n = f1.shape[0]
-        diffs = np.array(
-            [
-                cross_covariance(f1[lo:hi], f2[lo:hi]) - sample_covariance(m[lo:hi])
-                for lo, hi in _chunk_edges(n, _SE_CHUNKS)
-            ]
-        )
     elif lemma_id == 5:
         (s2,) = arrays
-        n = s2.size
-        point, se = _variance_with_se(s2)
+        point, se = map(float, _mean_with_se(_covariance_values(s2, s2)))
         reference = analytics.var_of_sample_variance_normal(
             plan["sigma"] ** 2, cfg.lemma_u2, cfg.lemma_n
         )
-        return EstimateResult(
-            point,
-            se,
-            n,
-            reference,
-            _zscore(point, se, reference),
-            extras={"mean_sample_variance": float(s2.mean())},
-        )
+        extras = {"mean_sample_variance": float(s2.mean())}
     else:
-        raise DomainError(f"lemma_id must be 1..5, got {lemma_id}")
-    nb = diffs.shape[0]
-    point = diffs.mean(axis=0)
-    se = diffs.std(axis=0, ddof=1) / math.sqrt(nb)
-    reference = np.zeros_like(point)
-    return EstimateResult(point, se, n, reference, _zscore(point, se, reference))
+        if lemma_id == 2:
+            x, a, bbt = arrays
+            point = sample_covariance(x) - sample_covariance(a) - bbt.mean(axis=0)
+            values = _covariance_values(x, x) - _covariance_values(a, a) - bbt
+        elif lemma_id == 3:
+            x1, x2, a1, a2 = arrays
+            point = cross_covariance(x1, x2) - cross_covariance(a1, a2)
+            values = _covariance_values(x1, x2) - _covariance_values(a1, a2)
+        else:  # lemma 4: the config admits only ids 1..5
+            f1, f2, m = arrays
+            point = cross_covariance(f1, f2) - sample_covariance(m)
+            values = _covariance_values(f1, f2) - _covariance_values(m, m)
+        se = _mean_with_se(values)[1]
+        reference = np.zeros_like(point)
+    return EstimateResult(point, se, n, reference, _zscore(point, se, reference), extras)
 
 
 # --------------------------------------------------------------------------

@@ -39,7 +39,6 @@ __all__ = [
     "TwoPoint",
     "DistSpec",
     "CentralMoments",
-    "apply_scalar",
     "kernel_eval",
     "sample",
     "moments",
@@ -98,11 +97,6 @@ def kernel_eval(kernel: ScalarKernel, y, s) -> np.ndarray:
             raise DomainError("exponential kernel requires y > 0")
         return y**s
     return np.asarray(kernel.fn(y, s), dtype=float)
-
-
-def apply_scalar(kernel: ScalarKernel, y: float, s: float) -> float:
-    """f(y, s) for scalar arguments."""
-    return float(kernel_eval(kernel, y, s))
 
 
 @dataclass(frozen=True)

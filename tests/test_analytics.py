@@ -20,7 +20,6 @@ from mcombine.analytics import (
     synthesis_input_variance_gap,
     target_variance,
     var_of_sample_variance_normal,
-    vardiff_sample_variances,
 )
 from mcombine.exceptions import DomainError
 from mcombine.models import ADDITIVE, EXPONENTIAL, MULTIPLICATIVE, PHASE, Normal, TwoPoint, Uniform
@@ -341,20 +340,13 @@ def test_vardiff_bracket_standard_normal_is_four_over_q_squared():
         assert math.isclose(got, 4.0 / q**2, rel_tol=1e-12)
 
 
-def test_vardiff_scaling_by_j_squared():
-    s = mult_standard(j=4, q=10)
-    assert math.isclose(
-        vardiff_sample_variances(s), synthesis_input_variance_gap(s) / 16.0, rel_tol=1e-15
-    )
-
-
 def test_vardiff_additive_zero():
-    assert vardiff_sample_variances(scenario(ADDITIVE, STD_NORMAL, STD_NORMAL)) == 0.0
+    assert synthesis_input_variance_gap(scenario(ADDITIVE, STD_NORMAL, STD_NORMAL)) == 0.0
 
 
 def test_vardiff_rejects_other_kernels():
     with pytest.raises(DomainError):
-        vardiff_sample_variances(phase_extremal())
+        synthesis_input_variance_gap(phase_extremal())
 
 
 def test_vardiff_bracket_nonzero_error_mean():

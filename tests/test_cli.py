@@ -198,7 +198,7 @@ def test_alpha_and_s_dist_are_exclusive(tmp_path, capsys):
 
 FEW_TRIALS = {
     "vardiff": ["vardiff", "--model", "phase", "--q", "3", "--trials", "3", "--out", "v.csv"],
-    "lemmas": ["lemmas", "--trials", "3", "--out", "l.csv"],
+    "lemmas": ["lemmas", "--trials", "99", "--out", "l.csv"],
     "mean-var": ["mean-var", "--model", "phase", "--q", "3", "--trials", "2", "--format", "json",
                  "--out", "m.json"],
 }
@@ -218,7 +218,7 @@ def test_too_few_trials_exit_one_before_any_work(cmd, tmp_path, monkeypatch, cap
     monkeypatch.setattr(cli.experiments, "_run_blocks", no_blocks)
     monkeypatch.chdir(tmp_path)
     assert main(FEW_TRIALS[cmd]) == 1
-    assert "at least four trials" in _only_error_line(capsys.readouterr().err)
+    assert "at least 100 trials" in _only_error_line(capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -226,7 +226,7 @@ def test_too_few_trials_exit_one_before_any_work(cmd, tmp_path, monkeypatch, cap
 def test_four_trials_give_finite_values(cmd, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = list(FEW_TRIALS[cmd])
-    argv[argv.index("--trials") + 1] = "4"
+    argv[argv.index("--trials") + 1] = "100"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 0

@@ -10,7 +10,7 @@ from mcombine.models import (
     Normal,
     ScalarKernel,
     TransformSpec,
-    apply_scalar,
+    kernel_eval,
     sample,
 )
 from mcombine.pipeline import (
@@ -72,9 +72,9 @@ def test_transform_matches_scalar_loop():
     assert t.replicates.shape == (4, 5, 2)
     for j in range(4):
         for k in range(2):
-            assert t.nominals[j, k] == apply_scalar(PHASE, data.rows[j, k], nu[k])
+            assert t.nominals[j, k] == kernel_eval(PHASE, data.rows[j, k], nu[k])
             for q in range(5):
-                assert t.replicates[j, q, k] == apply_scalar(
+                assert t.replicates[j, q, k] == kernel_eval(
                     PHASE, data.rows[j, k], errors.rows[q, k]
                 )
 
