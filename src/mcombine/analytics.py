@@ -17,9 +17,17 @@ sizes J and Q) the quantities of interest are:
   the large-Q difference of the variances of their sample variances.
 
 Additive and multiplicative kernels have full closed forms.  The phase
-kernel (sin(y+s), S uniform on (−δ, δ)) and the exponential kernel
-(y**s, Y uniform on [a, b], S uniform on [1−α, 1+α]) use one-dimensional
-Gauss–Legendre quadrature over exact conditional moments.
+kernel (sin(y+s), S uniform on (−δ, δ), δ > 0) and the exponential kernel
+(y**s, Y uniform on [a, b] with a >= 0 and b > 0, S uniform on [1−α, 1+α]
+with 0 < α <= 1) use one-dimensional Gauss–Legendre quadrature over exact
+conditional moments.
+
+Uniform data laws go through array cores that take broadcastable arrays
+of supports (c, d) and evaluate cells × nodes at once, with every node
+sum in one row-independent form.  A scenario function calls them with
+one cell; the parameter maps call them once per grid row, where NaN
+marks the cells on which the scenario function raises :class:`DomainError`.
+Two-point phase data keep their own closed-form path.
 """
 
 from __future__ import annotations
@@ -85,8 +93,7 @@ _BASE_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _base_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Node construction is by far the dominant cost when a parameter map
-    # evaluates thousands of cells; the reference nodes depend only on n.
+    # The reference nodes depend only on n: build them once per n.
     cached = _BASE_NODES.get(n)
     if cached is None:
         x, w = np.polynomial.legendre.leggauss(n)
@@ -96,15 +103,29 @@ def _base_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
+def _affine_nodes(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # The base nodes mapped onto [lo, hi]; array bounds need a trailing axis.
+    x, w = _base_gauss_legendre(n)
+    half = 0.5 * (hi - lo)
+    return 0.5 * (hi + lo) + half * x, half * w
+
+
 def gauss_legendre(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [lo, hi]; weights sum to hi − lo."""
     if n < 1:
         raise DomainError("quadrature needs at least one node")
     if hi < lo:
         raise DomainError("quadrature interval is reversed")
-    x, w = _base_gauss_legendre(n)
-    half = 0.5 * (hi - lo)
-    return 0.5 * (hi + lo) + half * x, half * w
+    return _affine_nodes(lo, hi, n)
+
+
+def _integrate(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Σ w·f over the node axis (the last), for every leading cell.
+
+    The only node reduction in this module: each cell's sum is the same
+    pairwise sum whether it is evaluated alone or inside a row of cells.
+    """
+    return (w * f).sum(axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -119,33 +140,59 @@ def _scalar_mean(dist: DistSpec) -> float:
     return float(dist.mean_vector()[0])
 
 
-def _phase_delta(s: ScalarScenario) -> float:
-    d = s.s_dist
-    if not isinstance(d, Uniform):
-        raise DomainError("phase kernel requires a uniform error distribution on (-delta, delta)")
-    lo, hi = float(d.lo[0]), float(d.hi[0])
-    if hi <= 0.0 or abs(lo + hi) > 1e-12 * hi:
-        raise DomainError("phase error distribution must be Unif(-delta, delta) with delta > 0")
-    return hi
-
-
-def _exponential_params(s: ScalarScenario) -> tuple[float, float, float]:
-    """(a, b, alpha) for the exponential pairing Y~Unif[a,b], S~Unif[1-a,1+a]."""
-    y, e = s.y_dist, s.s_dist
-    if not isinstance(y, Uniform) or not isinstance(e, Uniform):
-        raise DomainError("exponential kernel requires uniform data and error distributions")
-    a, b = float(y.lo[0]), float(y.hi[0])
-    if a < 0.0:
-        raise DomainError("exponential kernel requires data support with a >= 0")
-    if a == 0.0 and b == 0.0:
-        raise DomainError("exponential kernel requires positive data; Unif[0,0] is degenerate at 0")
-    lo, hi = float(e.lo[0]), float(e.hi[0])
+def _error_law(kind: str, s_dist: DistSpec) -> tuple[float, float, float]:
+    """(lo, hi, p): the validated uniform error support of a phase (p = δ,
+    support (−δ, δ)) or exponential (p = α, support [1−α, 1+α]) kernel."""
+    if not isinstance(s_dist, Uniform):
+        raise DomainError(f"{kind} kernel requires a uniform error distribution")
+    lo, hi = float(s_dist.lo[0]), float(s_dist.hi[0])
+    if kind == "phase":
+        if hi <= 0.0 or abs(lo + hi) > 1e-12 * hi:
+            raise DomainError("phase error distribution must be Unif(-delta, delta) with delta > 0")
+        return -hi, hi, hi
     alpha = 0.5 * (hi - lo)
     if abs(0.5 * (hi + lo) - 1.0) > 1e-12:
         raise DomainError("exponential error distribution must be Unif[1-alpha, 1+alpha]")
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"exponential error half-width must lie in (0, 1], got {alpha}")
-    return a, b, alpha
+    return 1.0 - alpha, 1.0 + alpha, alpha
+
+
+def _scenario_law(s: ScalarScenario, what: str) -> tuple[float, float, float]:
+    """:func:`_error_law` of a phase or exponential scenario whose data law
+    it also checks: two-point or uniform for phase; for exponential,
+    uniform on [a, b] with a >= 0 and b > 0."""
+    kind, y = s.kernel.kind, s.y_dist
+    if kind == "phase":
+        if not isinstance(y, (TwoPoint, Uniform)):
+            raise DomainError("phase kernel supports two_point or uniform data distributions only")
+    elif kind == "exponential":
+        if not isinstance(y, Uniform):
+            raise DomainError("exponential kernel requires uniform data and error distributions")
+        a, b = float(y.lo[0]), float(y.hi[0])
+        if a < 0.0:
+            raise DomainError("exponential kernel requires data support with a >= 0")
+        if a == 0.0 and b == 0.0:
+            raise DomainError("exponential kernel requires positive data; Unif[0,0] is degenerate at 0")
+    else:
+        raise DomainError(f"no {what} for kernel {kind!r}")
+    return _error_law(kind, s.s_dist)
+
+
+def _exp_mean(y: np.ndarray, alpha: float) -> np.ndarray:
+    # E[y**S] for an array y > 0 of at least one dimension, without domain
+    # checks; see exponential_conditional_mean.  In place where it can be:
+    # a map row holds only a few arrays of its size at once.
+    x = np.log(y)
+    small = np.abs(x) < 1e-6
+    x *= alpha
+    xl = np.where(small, 1.0, x)
+    ratio = np.sinh(xl)
+    ratio /= xl
+    xs = x[small]
+    ratio[small] = 1.0 + xs**2 / 6.0 + xs**4 / 120.0
+    ratio *= y
+    return ratio
 
 
 def exponential_conditional_mean(y, alpha: float):
@@ -160,71 +207,60 @@ def exponential_conditional_mean(y, alpha: float):
     arr = np.asarray(y, dtype=float)
     if not np.all(arr > 0.0):
         raise DomainError("exponential conditional mean requires y > 0")
-    logy = np.log(arr)
-    x = alpha * logy
-    small = np.abs(logy) < 1e-6
-    ratio = np.empty_like(arr)
-    xs = x[small]
-    ratio[small] = 1.0 + xs**2 / 6.0 + xs**4 / 120.0
-    xl = x[~small]
-    ratio[~small] = np.sinh(xl) / xl
-    out = arr * ratio
+    out = _exp_mean(np.atleast_1d(arr), alpha).reshape(arr.shape)
     if np.isscalar(y):
         return float(out)
     return out
 
 
-def _uniform_power_mean(a: float, b: float, c) -> np.ndarray:
-    """E[Y**c] for Y ~ Unif[a, b] with 0 <= a <= b and c >= 0 (vectorized in c)."""
-    c = np.asarray(c, dtype=float)
-    if a == b:
-        return np.power(a, c)
-    return (np.power(b, c + 1.0) - np.power(a, c + 1.0)) / ((c + 1.0) * (b - a))
+def _uniform_moments_given_s(kind: str, c, d, x) -> tuple[np.ndarray, np.ndarray]:
+    """(E[f(Y, S) | S = x], E[f(Y, S)² | S = x]) for Y ~ Unif[c, d], closed
+    form; c, d and x broadcast.  A cell with c = d is the point mass at c.
+    Exponential needs c >= 0 and d > 0 on every cell."""
+    same = c == d
+    width = np.where(same, 1.0, d - c)
+    if kind == "exponential":
+
+        def power_mean(p):
+            spread = (np.power(d, p + 1.0) - np.power(c, p + 1.0)) / ((p + 1.0) * width)
+            return np.where(same, np.power(c, p), spread)
+
+        return power_mean(x), power_mean(2.0 * x)
+    m1 = np.where(same, np.sin(c + x), (np.cos(c + x) - np.cos(d + x)) / width)
+    m2 = np.where(
+        same, m1**2, 0.5 - (np.sin(2.0 * (d + x)) - np.sin(2.0 * (c + x))) / (4.0 * width)
+    )
+    return m1, m2
 
 
 def _moments_given_s(s: ScalarScenario, x) -> tuple[np.ndarray, np.ndarray]:
     """(E[f(Y, S) | S = x], E[f(Y, S)² | S = x]) for an array of x, closed
     form, for the phase and exponential kernels."""
     x = np.asarray(x, dtype=float)
-    if s.kernel.kind == "exponential":
-        a, b, _ = _exponential_params(s)
-        return _uniform_power_mean(a, b, x), _uniform_power_mean(a, b, 2.0 * x)
-    _phase_delta(s)  # validates the pairing
+    _scenario_law(s, "conditional moments")
     y_dist = s.y_dist
     if isinstance(y_dist, TwoPoint):
         a, b, p = float(y_dist.a[0]), float(y_dist.b[0]), y_dist.p
         m1 = p * np.sin(a + x) + (1.0 - p) * np.sin(b + x)
         m2 = p * np.sin(a + x) ** 2 + (1.0 - p) * np.sin(b + x) ** 2
         return m1, m2
-    if isinstance(y_dist, Uniform):
-        c, d = float(y_dist.lo[0]), float(y_dist.hi[0])
-        if c == d:
-            m1 = np.sin(c + x)
-            return m1, m1**2
-        width = d - c
-        m1 = (np.cos(c + x) - np.cos(d + x)) / width
-        m2 = 0.5 - (np.sin(2.0 * (d + x)) - np.sin(2.0 * (c + x))) / (4.0 * width)
-        return m1, m2
-    raise DomainError("phase kernel supports two_point or uniform data distributions only")
+    return _uniform_moments_given_s(s.kernel.kind, y_dist.lo[0], y_dist.hi[0], x)
 
 
 def conditional_mean_given_y(s: ScalarScenario, y):
     """E[f(Y, S) | Y = y], exact, vectorized over y."""
     kind = s.kernel.kind
     y_arr = np.asarray(y, dtype=float)
-    nu = _scalar_mean(s.s_dist)
     if kind == "additive":
-        out = y_arr + nu
+        out = y_arr + _scalar_mean(s.s_dist)
     elif kind == "multiplicative":
-        out = y_arr * nu
+        out = y_arr * _scalar_mean(s.s_dist)
     elif kind == "phase":
-        delta = _phase_delta(s)
+        delta = _error_law(kind, s.s_dist)[2]
         out = np.sin(y_arr) * math.sin(delta) / delta
-    elif kind == "exponential":
-        _, _, alpha = _exponential_params(s)
-        out = exponential_conditional_mean(y_arr, alpha)
     else:
-        raise DomainError(f"no exact conditional mean for kernel {kind!r}")
+        alpha = _scenario_law(s, "exact conditional mean")[2]
+        out = exponential_conditional_mean(y_arr, alpha)
     return float(out) if np.isscalar(y) else out
 
 
@@ -232,30 +268,115 @@ def conditional_variance_given_s(s: ScalarScenario, shift):
     """V[f(Y, S) | S = s], exact, vectorized over s."""
     kind = s.kernel.kind
     s_arr = np.asarray(shift, dtype=float)
-    var_y = _scalar_variance(s.y_dist)
     if kind == "additive":
-        out = np.full_like(s_arr, var_y)
+        out = np.full_like(s_arr, _scalar_variance(s.y_dist))
     elif kind == "multiplicative":
-        out = s_arr**2 * var_y
-    elif kind in ("phase", "exponential"):
+        out = s_arr**2 * _scalar_variance(s.y_dist)
+    else:
         m1, m2 = _moments_given_s(s, s_arr)
         out = m2 - m1**2
-    else:
-        raise DomainError(f"no exact conditional variance for kernel {kind!r}")
     return float(out) if np.isscalar(shift) else out
 
 
 # --------------------------------------------------------------------------
+# Array cores over uniform data supports
+#
+# Each takes broadcastable arrays c <= d of data supports Unif[c, d] (one
+# entry per cell) and evaluates cells × nodes in one pass.  The scenario
+# functions below call them with a single cell and the parameter maps with
+# a grid row, so a map cell and the direct call give the same bits.
+
+
+def _phase_gain(delta: float) -> float:
+    # (sin δ/δ)²: V[E[sin(Y + S) | Y]] = gain·V[sin Y] for S ~ Unif(−δ, δ).
+    return (math.sin(delta) / delta) ** 2
+
+
+def _uniform_spread(kind: str, p: float, c, d, nodes: int) -> np.ndarray:
+    """V[sin Y] (phase) or V[k(Y)] (exponential, k the conditional mean at
+    half-width p) for Y ~ Unif[c, d], by quadrature over the support."""
+    x, w = _affine_nodes(c[..., None], d[..., None], nodes)
+    fy = np.sin(x) if kind == "phase" else _exp_mean(x, p)
+    same = c == d
+    width = np.where(same, 1.0, d - c)
+    mean = _integrate(w, fy) / width
+    return np.where(same, 0.0, _integrate(w, fy**2) / width - mean**2)
+
+
+def _uniform_psi(kind: str, p: float, c, d, nodes: int) -> np.ndarray:
+    """Current-construction factor for Y ~ Unif[c, d]: (1 − (sin δ/δ)²)·V[sin Y]
+    for phase, V[Y] − V[k(Y)] for exponential."""
+    spread = _uniform_spread(kind, p, c, d, nodes)
+    if kind == "phase":
+        return (1.0 - _phase_gain(p)) * spread
+    return (d - c) ** 2 / 12.0 - spread
+
+
+def _target_from_moments(w, m1, m2, width: float, jj: float) -> np.ndarray:
+    # (1/J)·V[f] + ((J−1)/J)·Cov[f(Y,S), f(Y',S)] from the error-node moments.
+    mean = _integrate(w, m1) / width
+    var_f = _integrate(w, m2) / width - mean**2
+    cov = _integrate(w, m1**2) / width - mean**2
+    return var_f / jj + (jj - 1.0) / jj * cov
+
+
+def _uniform_target(kind: str, lo: float, hi: float, c, d, jj: float, nodes: int) -> np.ndarray:
+    """Target variance for Y ~ Unif[c, d] and errors uniform on [lo, hi]."""
+    x, w = gauss_legendre(lo, hi, nodes)
+    m1, m2 = _uniform_moments_given_s(kind, c[..., None], d[..., None], x)
+    return _target_from_moments(w, m1, m2, hi - lo, jj)
+
+
+def _closed_target(kind: str, var_y, mu, var_s: float, nu: float, jj: float):
+    """Target variance of the additive or multiplicative kernel, from the
+    moments of the data (scalars or arrays) and of the errors."""
+    if kind == "additive":
+        return var_y / jj + var_s
+    return (var_y / jj) * (var_s + nu**2) + var_s * mu**2
+
+
+def _current_on_uniform_data(
+    kernel: ScalarKernel, s_dist: DistSpec, j: int, c, d, *, relative: bool
+) -> np.ndarray:
+    """The current construction's factor ψ, or with ``relative`` its relative
+    bias ψ/J/target, for data Unif[c, d] over arrays of supports c <= d.
+
+    The kernel, the error law and J are shared by every cell and validated
+    once.  NaN marks the undefined cells: exponential supports with c < 0
+    or c = d = 0, and relative biases over a target variance <= 0.
+    """
+    kind = kernel.kind
+    c = np.asarray(c, dtype=float)
+    d = np.asarray(d, dtype=float)
+    jj = float(j)
+    undefined = np.zeros(np.broadcast_shapes(c.shape, d.shape), dtype=bool)
+    if kind in ("additive", "multiplicative"):
+        psi = np.zeros(undefined.shape)
+        if not relative:
+            return psi
+        target = _closed_target(kind, (d - c) ** 2 / 12.0, 0.5 * (c + d),
+                                _scalar_variance(s_dist), _scalar_mean(s_dist), jj)
+    elif kind in ("phase", "exponential"):
+        lo, hi, p = _error_law(kind, s_dist)
+        if kind == "exponential":
+            # Stand-in supports keep log and power finite on undefined cells.
+            # c keeps its own shape: a row's shared c stays one value, so
+            # its powers are taken once per node, not once per cell.
+            undefined = (c < 0.0) | ((c == 0.0) & (d == 0.0))
+            d = np.where(undefined, 1.0, d)
+            c = np.where(c < 0.0, 1.0, c)
+        psi = _uniform_psi(kind, p, c, d, QUAD_NODES)
+        if not relative:
+            return np.where(undefined, np.nan, psi)
+        target = _uniform_target(kind, lo, hi, c, d, jj, QUAD_NODES)
+    else:
+        raise DomainError(f"no analytic bias factor for kernel {kind!r}")
+    undefined |= ~(target > 0.0)
+    return np.where(undefined, np.nan, psi / j / np.where(undefined, 1.0, target))
+
+
+# --------------------------------------------------------------------------
 # Bias factors
-
-
-def _error_interval(s: ScalarScenario) -> tuple[float, float]:
-    """Support (lo, hi) of the uniform error law of a phase or exponential scenario."""
-    if s.kernel.kind == "phase":
-        delta = _phase_delta(s)
-        return -delta, delta
-    _, _, alpha = _exponential_params(s)
-    return 1.0 - alpha, 1.0 + alpha
 
 
 def _conditional_mean_spread(s: ScalarScenario, nodes: int) -> tuple[float, float]:
@@ -265,37 +386,15 @@ def _conditional_mean_spread(s: ScalarScenario, nodes: int) -> tuple[float, floa
     quadrature, with k the conditional mean, and g = 1.
     """
     kind = s.kernel.kind
-    if kind == "phase":
-        delta = _phase_delta(s)
-        if isinstance(s.y_dist, TwoPoint):
-            a, b, p = float(s.y_dist.a[0]), float(s.y_dist.b[0]), s.y_dist.p
-            ex = p * math.sin(a) + (1.0 - p) * math.sin(b)
-            ex2 = p * math.sin(a) ** 2 + (1.0 - p) * math.sin(b) ** 2
-            var_sin = ex2 - ex**2
-        elif isinstance(s.y_dist, Uniform):
-            c, d = float(s.y_dist.lo[0]), float(s.y_dist.hi[0])
-            if c == d:
-                var_sin = 0.0
-            else:
-                x, w = gauss_legendre(c, d, nodes)
-                sy = np.sin(x)
-                ex = float(w @ sy) / (d - c)
-                ex2 = float(w @ sy**2) / (d - c)
-                var_sin = ex2 - ex**2
-        else:
-            raise DomainError("phase kernel supports two_point or uniform data distributions only")
-        shrink = math.sin(delta) / delta
-        return var_sin, shrink**2
-    if kind == "exponential":
-        a, b, alpha = _exponential_params(s)
-        if a == b:
-            return 0.0, 1.0
-        x, w = gauss_legendre(a, b, nodes)
-        k = exponential_conditional_mean(x, alpha)
-        ek = float(w @ k) / (b - a)
-        ek2 = float(w @ k**2) / (b - a)
-        return ek2 - ek**2, 1.0
-    raise DomainError(f"no analytic bias factor for kernel {kind!r}")
+    p = _scenario_law(s, "analytic bias factor")[2]
+    gain = _phase_gain(p) if kind == "phase" else 1.0
+    y = s.y_dist
+    if isinstance(y, TwoPoint):
+        a, b, q = float(y.a[0]), float(y.b[0]), y.p
+        ex = q * math.sin(a) + (1.0 - q) * math.sin(b)
+        ex2 = q * math.sin(a) ** 2 + (1.0 - q) * math.sin(b) ** 2
+        return ex2 - ex**2, gain
+    return float(_uniform_spread(kind, p, y.lo, y.hi, nodes)[0]), gain
 
 
 def bias_factor_current(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
@@ -308,11 +407,11 @@ def bias_factor_current(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
     kind = s.kernel.kind
     if kind in ("additive", "multiplicative"):
         return 0.0
-    spread, gain = _conditional_mean_spread(s, nodes)
-    if kind == "phase":
+    if isinstance(s.y_dist, TwoPoint):
+        spread, gain = _conditional_mean_spread(s, nodes)
         return (1.0 - gain) * spread
-    a, b, _ = _exponential_params(s)
-    return (b - a) ** 2 / 12.0 - spread
+    p = _scenario_law(s, "analytic bias factor")[2]
+    return float(_uniform_psi(kind, p, s.y_dist.lo, s.y_dist.hi, nodes)[0])
 
 
 def bias_factor_alternative_mc(
@@ -357,17 +456,15 @@ def bias_factor_alternative(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> fl
         return 0.0
     if kind == "multiplicative":
         return _scalar_variance(s.s_dist) * _scalar_variance(s.y_dist)
-    if kind in ("phase", "exponential"):
-        lo, hi = _error_interval(s)
-        x, w = gauss_legendre(lo, hi, nodes)
-        mean_var = float(w @ conditional_variance_given_s(s, x)) / (hi - lo)
-        spread, gain = _conditional_mean_spread(s, nodes)
-        # The factor is >= 0 for scalar outputs, but on near-point-mass data
-        # supports the closed-form conditional moments cancel to slightly
-        # below zero (about -7e-9 for phase and -3e-6 for exponential at
-        # support width 1e-8), so the floor stays.
-        return max(mean_var - gain * spread, 0.0)
-    raise DomainError(f"no bias factor for kernel {kind!r}")
+    lo, hi, _ = _scenario_law(s, "bias factor")
+    x, w = gauss_legendre(lo, hi, nodes)
+    mean_var = float(_integrate(w, conditional_variance_given_s(s, x))) / (hi - lo)
+    spread, gain = _conditional_mean_spread(s, nodes)
+    # The factor is >= 0 for scalar outputs, but on near-point-mass data
+    # supports the closed-form conditional moments cancel to slightly
+    # below zero (about -7e-9 for phase and -3e-6 for exponential at
+    # support width 1e-8), so the floor stays.
+    return max(mean_var - gain * spread, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -384,24 +481,17 @@ def target_variance(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
     """
     kind = s.kernel.kind
     jj = float(s.j)
-    var_y = _scalar_variance(s.y_dist)
-    var_s = _scalar_variance(s.s_dist)
-    if kind == "additive":
-        return var_y / jj + var_s
-    if kind == "multiplicative":
-        mu = _scalar_mean(s.y_dist)
-        nu = _scalar_mean(s.s_dist)
-        return (var_y / jj) * (var_s + nu**2) + var_s * mu**2
-    if kind in ("phase", "exponential"):
-        lo, hi = _error_interval(s)
+    if kind in ("additive", "multiplicative"):
+        return _closed_target(
+            kind, _scalar_variance(s.y_dist), _scalar_mean(s.y_dist),
+            _scalar_variance(s.s_dist), _scalar_mean(s.s_dist), jj,
+        )
+    lo, hi, _ = _scenario_law(s, "target variance")
+    y = s.y_dist
+    if isinstance(y, TwoPoint):
         x, w = gauss_legendre(lo, hi, nodes)
-        m1, m2 = _moments_given_s(s, x)
-        width = hi - lo
-        mean = float(w @ m1) / width
-        var_f = float(w @ m2) / width - mean**2
-        cov = float(w @ m1**2) / width - mean**2
-        return var_f / jj + (jj - 1.0) / jj * cov
-    raise DomainError(f"no target variance for kernel {kind!r}")
+        return float(_target_from_moments(w, *_moments_given_s(s, x), hi - lo, jj))
+    return float(_uniform_target(kind, lo, hi, y.lo, y.hi, jj, nodes)[0])
 
 
 def _require_positive_target(t: float) -> float:

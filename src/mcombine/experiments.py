@@ -101,9 +101,11 @@ class MapSpec:
     """Grid description for the pure-analytics parameter maps.
 
     The data law at cell (a, b) is Unif[a, b]; the error law is fixed by
-    the kernel: Unif[1−alpha, 1+alpha] for exponential, Unif(−alpha, alpha)
-    for phase, standard normal otherwise (where the map is identically
-    zero anyway).  ``j`` only affects relative-bias maps.
+    the kernel: Unif[1−alpha, 1+alpha] for exponential (alpha in (0, 1]),
+    Unif(−alpha, alpha) for phase (alpha > 0, finite), standard normal for
+    additive and multiplicative (alpha unused; the factor is identically
+    zero).  ``j`` only affects relative-bias maps.  The grid's ends must be
+    finite.  Custom kernels have no analytic map.
     """
 
     kernel: ScalarKernel
@@ -116,10 +118,19 @@ class MapSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("map grid needs at least one point per axis")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise DomainError(f"map grid ends must be finite, got {self.lo}:{self.hi}")
         if self.hi < self.lo:
             raise DomainError("map grid interval is reversed")
         if self.j < 2:
             raise DomainError("relative-bias maps need J > 1")
+        kind = self.kernel.kind
+        if kind == "custom":
+            raise DomainError("analytic maps need a named kernel, not a custom one")
+        if kind == "exponential" and not (0.0 < self.alpha <= 1.0):
+            raise DomainError(f"exponential maps need alpha in (0, 1], got {self.alpha}")
+        if kind == "phase" and not (0.0 < self.alpha < math.inf):
+            raise DomainError(f"phase maps need a finite alpha > 0, got {self.alpha}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -705,32 +716,25 @@ def run_map(cfg: ExperimentConfig) -> MapResult:
     """Evaluate the analytic bias factor (psi_map) or current-construction
     relative bias (relbias_map) over a (a, b) grid of uniform data laws.
 
-    Pure quadrature, no sampling; cells outside the a <= b triangle or
-    where the quantity is undefined hold NaN.
+    Pure quadrature, no sampling.  Row a is one array evaluation over its
+    cells b >= a, through the code the scenario functions run on a single
+    cell, so every cell equals the matching :func:`~mcombine.analytics.
+    bias_factor_current` or :func:`~mcombine.analytics.relbias_current`
+    call bit for bit.  NaN marks the cells below the diagonal and the cells
+    where that call raises: exponential supports with a < 0 or a = b = 0,
+    and relative biases over a target variance <= 0.
     """
     if cfg.estimand not in ("psi_map", "relbias_map"):
         raise DomainError(f"not a map estimand: {cfg.estimand}")
     spec = cfg.map
     grid = np.linspace(spec.lo, spec.hi, spec.n)
     s_dist = _map_error_dist(spec)
+    relative = cfg.estimand == "relbias_map"
     values = np.full((spec.n, spec.n), np.nan)
     for i, a in enumerate(grid):
-        for jdx in range(i, spec.n):
-            b = grid[jdx]
-            try:
-                scenario = ScalarScenario(
-                    kernel=spec.kernel,
-                    y_dist=Uniform(lo=[a], hi=[b]),
-                    s_dist=s_dist,
-                    j=spec.j,
-                    q=2,
-                )
-                if cfg.estimand == "psi_map":
-                    values[i, jdx] = analytics.bias_factor_current(scenario)
-                else:
-                    values[i, jdx] = analytics.relbias_current(scenario)
-            except DomainError:
-                values[i, jdx] = np.nan
+        values[i, i:] = analytics._current_on_uniform_data(
+            spec.kernel, s_dist, spec.j, a, grid[i:], relative=relative
+        )
     return MapResult(
         estimand=cfg.estimand, spec=spec, a_values=grid, b_values=grid.copy(), values=values
     )

@@ -223,7 +223,7 @@ def test_too_few_trials_exit_one_before_any_work(cmd, tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("cmd", sorted(FEW_TRIALS))
-def test_four_trials_give_finite_values(cmd, tmp_path, monkeypatch):
+def test_trial_floor_gives_finite_values(cmd, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = list(FEW_TRIALS[cmd])
     argv[argv.index("--trials") + 1] = "100"
@@ -380,6 +380,31 @@ def test_relbias_map_json_uses_null_for_undefined(tmp_path):
 
 def test_map_rejects_bad_grid(tmp_path):
     assert main(["psi-map", "--model", "phase", "--grid", "0:8", "--out", str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("model, alpha", [("exponential", "1.5"), ("phase", "0")])
+def test_map_alpha_out_of_range_exits_one_without_artifact(model, alpha, tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert main(["psi-map", "--model", model, "--alpha", alpha, "--out", str(out)]) == 1
+    assert "alpha" in _only_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, nan_cells", [
+    ("psi-map", {(-1, -1), (-1, 0), (-1, 1), (-1, 2), (0, 0)}),
+    ("relbias-map", {(-1, -1), (-1, 0), (-1, 1), (-1, 2), (0, 0), (1, 1)}),
+])
+def test_undefined_map_cells_are_masked_not_warned(command, nan_cells, tmp_path):
+    # a < 0 and Unif[0, 0] are outside the exponential domain; at (1, 1)
+    # Y = 1 makes the target variance 0
+    out = tmp_path / "m.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--model", "exponential", "--grid=-1:2:4", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 10
+    got = {(int(float(a)), int(float(b))) for a, b, v in rows if math.isnan(float(v))}
+    assert got == nan_cells
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -578,6 +579,76 @@ def test_map_undefined_cells_are_nan():
     grid = run_map(ExperimentConfig(estimand="psi_map", map=spec))
     assert math.isnan(grid.values[0, 0])  # Unif[0,0] puts data at zero
     assert math.isnan(grid.values[1, 0])  # below the diagonal
+
+
+@pytest.mark.parametrize("estimand", ["psi_map", "relbias_map"])
+@pytest.mark.parametrize("kernel", [PHASE, EXPONENTIAL], ids=["phase", "exponential"])
+def test_map_cells_are_the_direct_calls_bitwise(kernel, estimand):
+    # a < 0, a = 0, the diagonal, a = b = 0 and (1, 1) (zero exponential
+    # target) all sit on this grid; a map row is one array evaluation
+    alpha = 0.95
+    spec = MapSpec(kernel=kernel, alpha=alpha, lo=-0.5, hi=2.0, n=6, j=3)
+    grid = run_map(ExperimentConfig(estimand=estimand, map=spec))
+    if kernel is EXPONENTIAL:
+        s_dist = Uniform(lo=[1.0 - alpha], hi=[1.0 + alpha])
+    else:
+        s_dist = Uniform(lo=[-alpha], hi=[alpha])
+    direct = bias_factor_current if estimand == "psi_map" else relbias_current
+    raised = 0
+    for i, a in enumerate(grid.a_values):
+        for jdx, b in enumerate(grid.b_values):
+            got = grid.values[i, jdx]
+            if a > b:
+                assert math.isnan(got)
+                continue
+            sc = ScalarScenario(kernel=kernel, y_dist=Uniform(lo=[a], hi=[b]), s_dist=s_dist, j=3, q=2)
+            try:
+                want = direct(sc)
+            except DomainError:
+                raised += 1
+                assert math.isnan(got), (a, b)
+                continue
+            assert got == want, (a, b, got, want)
+    assert raised == {PHASE: 0, EXPONENTIAL: 7 if estimand == "psi_map" else 8}[kernel]
+
+
+@pytest.mark.parametrize(
+    "kernel, alpha",
+    [(k, a) for k, alphas in ((EXPONENTIAL, (1.5, 0.0, -0.5, math.nan)),
+                              (PHASE, (0.0, -1.0, math.inf, math.nan))) for a in alphas],
+    ids=lambda v: v.kind if isinstance(v, ScalarKernel) else str(v),
+)
+def test_map_spec_rejects_alpha_outside_the_kernel_range(kernel, alpha):
+    with pytest.raises(DomainError, match="alpha"):
+        MapSpec(kernel=kernel, alpha=alpha)
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_map_spec_rejects_non_finite_grid(lo, hi):
+    # linspace would spread NaN or inf over the grid and write a garbage map
+    with pytest.raises(DomainError, match="finite"):
+        MapSpec(kernel=PHASE, lo=lo, hi=hi, n=3)
+
+
+def test_map_spec_alpha_ranges_and_kernels():
+    MapSpec(kernel=EXPONENTIAL, alpha=1.0)
+    MapSpec(kernel=PHASE, alpha=4.0)
+    MapSpec(kernel=ADDITIVE, alpha=7.0)  # standard normal errors; alpha unused
+    with pytest.raises(DomainError, match="custom"):
+        MapSpec(kernel=ScalarKernel("custom", fn=lambda y, s: y * s))
+
+
+def test_map_memory_stays_one_row_at_a_time():
+    # A full-grid (13,041 cells x 256 nodes) float tensor is 26.7 MB; one
+    # row of the default exponential relbias map peaks at about 1.9 MB.
+    cfg = ExperimentConfig(estimand="relbias_map", map=MapSpec(kernel=EXPONENTIAL))
+    tracemalloc.start()
+    try:
+        run_map(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 # --------------------------------------------------------------------------
