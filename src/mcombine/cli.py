@@ -66,12 +66,12 @@ def _fmt(x) -> str:
 
 
 def _parse_range(value) -> list[float]:
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
     text = str(value).strip()
-    if ":" in text:
+    if isinstance(value, (int, float)):
+        values = [float(value)]
+    elif isinstance(value, (list, tuple)):
+        values = [float(v) for v in value]
+    elif ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise DomainError(f"bad range {text!r}; expected lo:hi:N or lo:hi:logN")
@@ -84,15 +84,22 @@ def _parse_range(value) -> list[float]:
             raise DomainError(f"bad range {text!r}; expected numeric lo:hi:N") from None
         if n < 1:
             raise DomainError(f"range {text!r} needs at least one point")
+        # a finite width also keeps numpy's spacing arithmetic from overflowing
+        if not math.isfinite(hi_f - lo_f):
+            raise DomainError(f"range {text!r} needs finite endpoints")
         if log:
             if lo_f <= 0 or hi_f <= 0:
                 raise DomainError(f"log range {text!r} needs positive endpoints")
             return list(np.geomspace(lo_f, hi_f, n))
         return list(np.linspace(lo_f, hi_f, n))
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise DomainError(f"bad range {text!r}") from None
+    else:
+        try:
+            values = [float(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise DomainError(f"bad range {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"range values must be finite, got {value!r}")
+    return values
 
 
 def _q_values(value) -> list[int]:
@@ -315,7 +322,12 @@ def _run_map(ns, estimand: str) -> int:
         }
         _write_json(out, payload)
     else:
-        rows = [(_fmt(a), _fmt(b), _fmt(v)) for a, b, v in grid.rows()]
+        # the rows of grid.rows(), with each grid coordinate formatted once
+        a_text = [_fmt(a) for a in grid.a_values]
+        b_text = [_fmt(b) for b in grid.b_values]
+        values = grid.values.tolist()
+        upper = np.argwhere(grid.a_values[:, None] <= grid.b_values[None, :]).tolist()
+        rows = [(a_text[i], b_text[k], _fmt(values[i][k])) for i, k in upper]
         _write_csv(out, ("a", "b", column), rows)
     cells = n * (n + 1) // 2
     print(f"{estimand.replace('_', '-')} {model}: {n}x{n} grid ({cells} cells) -> {out}")
@@ -435,7 +447,7 @@ def _run_pipeline(ns) -> int:
         if s_dist.k != k:
             raise DomainError(f"--s-dist has {s_dist.k} components but data has {k}")
         nu = s_dist.mean_vector()
-        if nu_flag is not None and abs(float(nu_flag) - float(nu[0])) > 1e-12:
+        if nu_flag is not None and np.any(np.abs(float(nu_flag) - nu) > 1e-12):
             raise DomainError("--nu conflicts with the mean of --s-dist")
     else:
         nu_scalar = 0.0 if nu_flag is None else float(nu_flag)

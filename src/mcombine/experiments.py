@@ -18,9 +18,11 @@ data draws, 1 for error draws, 2 for synthesis noise.  Trial ``t`` lives
 at row ``t % block_size`` of block ``t // block_size``, so its draws are
 a fixed function of the trial index: results are bitwise identical for
 any worker count and any trial execution order.  Both stages run their
-blocks through the same scheduler, on a pool of at most ``workers``
-processes (no more than there are blocks or CPUs).  Per-trial statistics
-are reduced in ascending trial order.
+blocks through one runner, which maps a block function over the blocks on
+a pool of at most ``workers`` processes (no more than there are blocks or
+CPUs).  Each worker evaluates one contiguous run of blocks and the runs
+come back in block order, so the per-trial arrays concatenate directly;
+per-trial statistics are reduced in ascending trial order.
 
 Each trial of a combine estimand is one run of the pipeline users run on
 data: the block's trials form the leading axis of a single
@@ -42,7 +44,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Iterator
+from functools import partial
+from typing import Any, Callable, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -192,13 +195,28 @@ class EstimateResult:
     std_error: float | NDArray[np.float64]
     trials: int
     analytic_reference: float | NDArray[np.float64] | None = None
-    z_score: float | NDArray[np.float64] | None = None
     extras: dict[str, float] | None = None
 
+    @property
+    def z_score(self) -> float | NDArray[np.float64] | None:
+        """(point − reference) / SE; with a zero SE it is 0 where point and
+        reference agree exactly and inf where they do not.  None without a
+        reference."""
+        if self.analytic_reference is None:
+            return None
+        p = np.asarray(self.point, dtype=float)
+        s = np.asarray(self.std_error, dtype=float)
+        r = np.asarray(self.analytic_reference, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exact = np.where(p == r, 0.0, np.inf)
+            z = np.where(s > 0.0, (p - r) / np.where(s > 0.0, s, 1.0), exact)
+        return float(z) if z.ndim == 0 else z
+
     def max_abs_z(self) -> float:
-        if self.z_score is None:
+        z = self.z_score
+        if z is None:
             raise DomainError("result has no reference, hence no z-score")
-        return float(np.max(np.abs(self.z_score)))
+        return float(np.max(np.abs(z)))
 
     def to_json_dict(self) -> dict[str, Any]:
         def conv(v):
@@ -218,19 +236,6 @@ class EstimateResult:
         if self.extras is not None:
             out["extras"] = {k: float(v) for k, v in self.extras.items()}
         return out
-
-
-def _zscore(point, se, reference):
-    if reference is None:
-        return None
-    p = np.asarray(point, dtype=float)
-    s = np.asarray(se, dtype=float)
-    r = np.asarray(reference, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(s > 0.0, (p - r) / np.where(s > 0.0, s, 1.0), np.where(p == r, 0.0, np.inf))
-    if z.ndim == 0:
-        return float(z)
-    return z
 
 
 # --------------------------------------------------------------------------
@@ -269,38 +274,22 @@ def _draw_y_s_z(cfg: ExperimentConfig, stage: int, block: int, *, with_z: bool,
     return y, s, z
 
 
-_CONSTRUCTIONS = {
-    "combine_bias_current": ("current",),
-    "combine_bias_alternative": ("alternative",),
-    "vardiff_reldiff": ("current", "alternative"),
-    "mean_variance": ("current", "alternative"),
-}
-
-
-def _combine_block(cfg: ExperimentConfig, block: int, stage: int) -> tuple[NDArray, ...]:
-    """Per-trial statistics for one block of a combine-type estimand.
+def _combine_block(
+    cfg: ExperimentConfig, block: int, constructions: tuple[str, ...], mean: bool
+) -> tuple[NDArray, ...]:
+    """Per-trial statistics for one block, one array per construction.
 
     Each trial is one K = 1 pipeline run: the block's trials form the
     leading axis of one :func:`~mcombine.pipeline.transform_stage` and one
     :func:`~mcombine.pipeline.combine_with_noise` call per construction
     (per row chunk, to bound the (trials, J, Q) kernel tensor).  The
     statistic is the sample variance of the synthesized replicates, or
-    their mean for ``mean_variance``.  The target-variance oracle instead
-    returns each trial's batch mean of f over J data draws sharing one error
-    draw, from the stage's own streams.
+    their mean when ``mean`` is set.
     """
     sc = cfg.scenario
-    estimand = cfg.estimand
-    if estimand == "target_variance_oracle":
-        y, s, _ = _draw_y_s_z(cfg, stage, block, with_z=False, s_cols=1)
-        fbar = kernel_eval(sc.kernel, y, s).mean(axis=1)
-        return (fbar,)
-    if estimand not in _CONSTRUCTIONS:
-        raise DomainError(f"not a combine estimand: {estimand}")
-    y, s, z = _draw_y_s_z(cfg, stage, block, with_z=True)
+    y, s, z = _draw_y_s_z(cfg, _STAGE_MAIN, block, with_z=True)
     spec = TransformSpec(kernel=sc.kernel)
     nu = sc.s_dist.mean_vector()
-    constructions = _CONSTRUCTIONS[estimand]
     stats: list[list[NDArray]] = [[] for _ in constructions]
     rows = y.shape[0]
     step = max(1, _TENSOR_ELEMS // (sc.j * sc.q))
@@ -318,9 +307,16 @@ def _combine_block(cfg: ExperimentConfig, block: int, stage: int) -> tuple[NDArr
             del s, errors
         for out, construction in zip(stats, constructions):
             m = pipeline.combine_with_noise(t, z[lo:hi, :, None], construction).replicates[..., 0]
-            out.append(m.mean(axis=1) if estimand == "mean_variance" else m.var(axis=1, ddof=1))
+            out.append(m.mean(axis=1) if mean else m.var(axis=1, ddof=1))
             del m
     return tuple(np.concatenate(out) for out in stats)
+
+
+def _oracle_block(cfg: ExperimentConfig, block: int, stage: int) -> tuple[NDArray]:
+    """Each trial's batch mean of f over J data draws sharing one error
+    draw, from the given stage's streams."""
+    y, s, _ = _draw_y_s_z(cfg, stage, block, with_z=False, s_cols=1)
+    return (kernel_eval(cfg.scenario.kernel, y, s).mean(axis=1),)
 
 
 # --------------------------------------------------------------------------
@@ -329,11 +325,9 @@ def _combine_block(cfg: ExperimentConfig, block: int, stage: int) -> tuple[NDArr
 _PARAM_ROLE = 255
 
 
-def _random_spd_factor(gen: np.random.Generator, k: int) -> NDArray[np.float64]:
+def _random_covariance(gen: np.random.Generator, k: int) -> NDArray[np.float64]:
     a = gen.standard_normal((k, k))
-    spd = a @ a.T / k + 0.3 * np.eye(k)
-    vals, vecs = np.linalg.eigh(spd)
-    return vecs * np.sqrt(vals)
+    return a @ a.T / k + 0.3 * np.eye(k)
 
 
 def _lemma_plan(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -341,20 +335,17 @@ def _lemma_plan(cfg: ExperimentConfig) -> dict[str, Any]:
     lid = cfg.lemma_id
     k = 2
     if lid == 1:
-        fw = _random_spd_factor(gen, k)
+        w = Normal(mean=np.zeros(k), cov=_random_covariance(gen, k))
         # Sample covariance of J vectors sharing a common additive term is
         # unbiased for the marginal covariance *minus* the cross-covariance,
         # so the common part drops out of the expectation either way.
-        fc = _random_spd_factor(gen, k) if cfg.lemma_common else np.zeros((k, k))
-        return {"k": k, "j": 4, "fw": fw, "fc": fc, "reference": fw @ fw.T}
+        common = _random_covariance(gen, k) if cfg.lemma_common else np.zeros((k, k))
+        return {"j": 4, "w": w, "c": Normal(mean=np.zeros(k), cov=common), "reference": w.cov}
     if lid in (2, 3):
         return {"k": k, "c0": 1.0, "c1": 0.5}
     if lid == 4:
-        fy = _random_spd_factor(gen, k)
-        nu = np.array([0.7, -1.1])
-        fs = _random_spd_factor(gen, k)
-        mu = np.array([0.3, -0.2])
-        return {"k": k, "mu": mu, "fy": fy, "nu": nu, "fs": fs}
+        y = Normal(mean=[0.3, -0.2], cov=_random_covariance(gen, k))
+        return {"y": y, "s": Normal(mean=[0.7, -1.1], cov=_random_covariance(gen, k))}
     if lid == 5:
         n = cfg.lemma_n
         if cfg.lemma_u2 == 0.0:
@@ -368,51 +359,43 @@ def _lemma_plan(cfg: ExperimentConfig) -> dict[str, Any]:
     raise DomainError(f"lemma_id must be 1..5, got {lid}")
 
 
-def _lemma_block(cfg: ExperimentConfig, plan: dict[str, Any], block: int) -> tuple[NDArray, ...]:
+def _lemma_block(cfg: ExperimentConfig, block: int, plan: dict[str, Any]) -> tuple[NDArray, ...]:
     rows = _block_rows(cfg, block)
     bs = cfg.block_size
     lid = cfg.lemma_id
-    g0 = _stream(cfg, _STAGE_MAIN, block, 0).gen
-    g1 = _stream(cfg, _STAGE_MAIN, block, 1).gen
-    g2 = _stream(cfg, _STAGE_MAIN, block, 2).gen
-    g3 = _stream(cfg, _STAGE_MAIN, block, 3).gen
-    k = plan.get("k", 0)
+    # A stream opens on its first draw, so each lemma opens only the roles it uses.
+    st = [_stream(cfg, _STAGE_MAIN, block, role) for role in range(4)]
     if lid == 1:
         j = plan["j"]
-        w = g0.standard_normal((bs, j, k))[:rows] @ plan["fw"].T
-        c = g1.standard_normal((bs, 1, k))[:rows] @ plan["fc"].T
-        x = w + c
-        xc = x - x.mean(axis=1, keepdims=True)
-        cov = np.einsum("bjk,bjl->bkl", xc, xc) / (j - 1)
-        return (cov,)
+        w = models.sample(plan["w"], bs * j, st[0]).reshape(bs, j, -1)[:rows]
+        c = models.sample(plan["c"], bs, st[1])[:rows, None, :]
+        return (sample_covariance(w + c),)
+    k = plan.get("k", 0)
     if lid == 2:
-        w = g0.standard_normal((bs, k))[:rows]
+        w = st[0].gen.standard_normal((bs, k))[:rows]
         a = w + 0.5 * w**2
         bmat = plan["c0"] * np.eye(k)[None, :, :] + plan["c1"] * w[:, :, None] * w[:, None, :]
-        z = g1.standard_normal((bs, k))[:rows]
+        z = st[1].gen.standard_normal((bs, k))[:rows]
         x = a + np.einsum("bkl,bl->bk", bmat, z)
         bbt = np.einsum("bkl,bml->bkm", bmat, bmat)
         return (x, a, bbt)
     if lid == 3:
-        w = g0.standard_normal((bs, k))[:rows]
-        a1 = w + g1.standard_normal((bs, k))[:rows]
-        a2 = 0.5 * w + g2.standard_normal((bs, k))[:rows]
+        w = st[0].gen.standard_normal((bs, k))[:rows]
+        a1 = w + st[1].gen.standard_normal((bs, k))[:rows]
+        a2 = 0.5 * w + st[2].gen.standard_normal((bs, k))[:rows]
         bmat = plan["c0"] * np.eye(k)[None, :, :] + plan["c1"] * w[:, :, None] * w[:, None, :]
-        z12 = g3.standard_normal((bs, 2, k))[:rows]
+        z12 = st[3].gen.standard_normal((bs, 2, k))[:rows]
         x1 = a1 + np.einsum("bkl,bl->bk", bmat, z12[:, 0, :])
         x2 = a2 + np.einsum("bkl,bl->bk", bmat, z12[:, 1, :])
         return (x1, x2, a1, a2)
     if lid == 4:
-        y = plan["mu"] + g0.standard_normal((bs, k))[:rows] @ plan["fy"].T
-        s1 = plan["nu"] + g1.standard_normal((bs, k))[:rows] @ plan["fs"].T
-        s2 = plan["nu"] + g2.standard_normal((bs, k))[:rows] @ plan["fs"].T
-        f1 = y * s1
-        f2 = y * s2
-        m = y * plan["nu"]
-        return (f1, f2, m)
+        y = models.sample(plan["y"], bs, st[0])[:rows]
+        s1 = models.sample(plan["s"], bs, st[1])[:rows]
+        s2 = models.sample(plan["s"], bs, st[2])[:rows]
+        return (y * s1, y * s2, y * plan["s"].mean)
     if lid == 5:
         n = plan["n"]
-        x = plan["mu"] + plan["sigma"] * g0.standard_normal((bs, n))[:rows]
+        x = plan["mu"] + plan["sigma"] * st[0].gen.standard_normal((bs, n))[:rows]
         return (x.var(axis=1, ddof=1),)
     raise DomainError(f"lemma_id must be 1..5, got {lid}")
 
@@ -421,36 +404,30 @@ def _lemma_block(cfg: ExperimentConfig, plan: dict[str, Any], block: int) -> tup
 # Block scheduling
 
 
-def _worker_blocks(payload) -> list[tuple[NDArray, ...]]:
-    cfg, plan, stage, blocks = payload
-    if cfg.estimand == "lemma_check":
-        return [_lemma_block(cfg, plan, b) for b in blocks]
-    return [_combine_block(cfg, b, stage) for b in blocks]
+def _map_blocks(cfg: ExperimentConfig, fn: Callable, args: tuple, blocks: range) -> list[tuple]:
+    return [fn(cfg, b, *args) for b in blocks]
 
 
-def _run_blocks(
-    cfg: ExperimentConfig, plan: dict[str, Any] | None = None, stage: int = _STAGE_MAIN
-) -> tuple[NDArray, ...]:
-    """Evaluate all blocks and concatenate per-trial arrays in ascending
-    trial order.  The pool has at most ``workers`` processes, one per block
-    and one per CPU; results do not depend on its size."""
+def _run_blocks(cfg: ExperimentConfig, fn: Callable, *args) -> tuple[NDArray, ...]:
+    """Evaluate ``fn(cfg, block, *args)`` for every block and concatenate
+    its per-trial arrays in ascending trial order.
+
+    The pool has at most ``workers`` processes, no more than there are
+    blocks or CPUs.  Each worker evaluates one contiguous run of blocks;
+    ``map`` returns the runs in block order, so the results concatenate as
+    they come and do not depend on the pool size.
+    """
     nb = _n_blocks(cfg)
     n_workers = min(cfg.workers, nb, os.cpu_count() or 1)
+    edges = [nb * w // n_workers for w in range(n_workers + 1)]
+    runs = [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    work = partial(_map_blocks, cfg, fn, args)
     if n_workers <= 1:
-        pieces = _worker_blocks((cfg, plan, stage, range(nb)))
+        pieces = work(runs[0])
     else:
-        groups: list[list[int]] = [[] for _ in range(n_workers)]
-        for b in range(nb):
-            groups[b % n_workers].append(b)
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_worker_blocks, [(cfg, plan, stage, g) for g in groups]))
-        by_index: dict[int, tuple[NDArray, ...]] = {}
-        for g, res in zip(groups, results):
-            for b, arrs in zip(g, res):
-                by_index[b] = arrs
-        pieces = [by_index[b] for b in range(nb)]
-    n_arrays = len(pieces[0])
-    return tuple(np.concatenate([p[i] for p in pieces], axis=0) for i in range(n_arrays))
+            pieces = [p for run in pool.map(work, runs) for p in run]
+    return tuple(np.concatenate(arrays) for arrays in zip(*pieces))
 
 
 def _mean_with_se(values: NDArray) -> tuple[Any, Any]:
@@ -474,11 +451,10 @@ def _covariance_values(x: NDArray, y: NDArray) -> NDArray:
 # Public estimators
 
 
-def _reference_relbias(cfg: ExperimentConfig) -> float | None:
+def _analytic(fn: Callable[[ScalarScenario], Any], scenario: ScalarScenario) -> Any:
+    """``fn(scenario)``, or None where the scenario has no analytic value."""
     try:
-        if cfg.estimand == "combine_bias_current":
-            return analytics.relbias_current(cfg.scenario)
-        return analytics.relbias_alternative(cfg.scenario)
+        return fn(scenario)
     except DomainError:
         return None
 
@@ -493,33 +469,30 @@ def estimate_combine_bias(cfg: ExperimentConfig) -> EstimateResult:
     the same ``workers`` pool.  A target variance that is not positive
     raises :class:`DomainError`.
     """
-    if cfg.estimand not in ("combine_bias_current", "combine_bias_alternative"):
+    construction = cfg.estimand.removeprefix("combine_bias_")
+    if construction not in ("current", "alternative"):
         raise DomainError(f"not a combine-bias estimand: {cfg.estimand}")
-    try:
-        target = analytics.target_variance(cfg.scenario)
-    except DomainError:
-        target = None  # no analytic target: the embedded oracle estimates it
-    else:
+    target = _analytic(analytics.target_variance, cfg.scenario)
+    if target is not None:
         analytics._require_positive_target(target)
-    (s2,) = _run_blocks(cfg)
+    (s2,) = _run_blocks(cfg, _combine_block, (construction,), False)
     n = s2.size
     mean_s2, se_s2 = map(float, _mean_with_se(s2))
-    if target is None:
-        oracle_cfg = replace(cfg, estimand="target_variance_oracle")
-        (fbar,) = _run_blocks(oracle_cfg, stage=_STAGE_ORACLE)
+    if target is None:  # no analytic target: the embedded oracle estimates it
+        (fbar,) = _run_blocks(cfg, _oracle_block, _STAGE_ORACLE)
         target, target_se = map(float, _mean_with_se(_covariance_values(fbar, fbar)))
         analytics._require_positive_target(target)
         se = math.hypot(se_s2 / target, mean_s2 * target_se / target**2)
     else:
         se = se_s2 / target
-    point = mean_s2 / target - 1.0
-    reference = _reference_relbias(cfg)
+    relbias = (
+        analytics.relbias_current if construction == "current" else analytics.relbias_alternative
+    )
     return EstimateResult(
-        point=point,
+        point=mean_s2 / target - 1.0,
         std_error=se,
         trials=n,
-        analytic_reference=reference,
-        z_score=_zscore(point, se, reference),
+        analytic_reference=_analytic(relbias, cfg.scenario),
         extras={"mean_sample_variance": mean_s2, "target_variance": target},
     )
 
@@ -531,20 +504,15 @@ def estimate_target_variance_oracle(cfg: ExperimentConfig) -> EstimateResult:
     batch and a single shared error, and the variance is taken across
     trials of the batch-mean transform value.
     """
-    if cfg.estimand != "target_variance_oracle":
-        cfg = replace(cfg, estimand="target_variance_oracle")
-    (fbar,) = _run_blocks(cfg)
+    if cfg.scenario is None:
+        raise DomainError("target_variance_oracle requires a scenario")
+    (fbar,) = _run_blocks(cfg, _oracle_block, _STAGE_MAIN)
     point, se = map(float, _mean_with_se(_covariance_values(fbar, fbar)))
-    try:
-        reference = analytics.target_variance(cfg.scenario)
-    except DomainError:
-        reference = None
     return EstimateResult(
         point=point,
         std_error=se,
         trials=fbar.size,
-        analytic_reference=reference,
-        z_score=_zscore(point, se, reference),
+        analytic_reference=_analytic(analytics.target_variance, cfg.scenario),
         extras={"mean": float(fbar.mean())},
     )
 
@@ -562,7 +530,7 @@ def estimate_mean_variance(cfg: ExperimentConfig) -> EstimateResult:
     """
     if cfg.estimand != "mean_variance":
         raise DomainError(f"not a mean_variance config: {cfg.estimand}")
-    a, b = _run_blocks(cfg)
+    a, b = _run_blocks(cfg, _combine_block, ("current", "alternative"), True)
     n = a.size
     ga = _covariance_values(a, a)
     gb = _covariance_values(b, b)
@@ -570,16 +538,11 @@ def estimate_mean_variance(cfg: ExperimentConfig) -> EstimateResult:
     point, se = map(float, _mean_with_se(ga - gb))
     if abs(point) <= _ROUNDING * (var_a + var_b):
         point = 0.0
-    try:
-        reference = analytics.mean_variance_gap(cfg.scenario)
-    except DomainError:
-        reference = None
     return EstimateResult(
         point=point,
         std_error=se,
         trials=n,
-        analytic_reference=reference,
-        z_score=_zscore(point, se, reference),
+        analytic_reference=_analytic(analytics.mean_variance_gap, cfg.scenario),
         extras={
             "grand_mean_current": float(a.mean()),
             "grand_mean_alternative": float(b.mean()),
@@ -603,7 +566,7 @@ def estimate_vardiff(cfg: ExperimentConfig) -> EstimateResult:
     """
     if cfg.estimand != "vardiff_reldiff":
         raise DomainError(f"not a vardiff config: {cfg.estimand}")
-    s2c, s2a = _run_blocks(cfg)
+    s2c, s2a = _run_blocks(cfg, _combine_block, ("current", "alternative"), False)
     n = s2c.size
     gc = _covariance_values(s2c, s2c)
     ga = _covariance_values(s2a, s2a)
@@ -627,7 +590,6 @@ def estimate_vardiff(cfg: ExperimentConfig) -> EstimateResult:
         std_error=se,
         trials=n,
         analytic_reference=reference,
-        z_score=_zscore(point, se, reference),
         extras={
             "var_s2_current": vc,
             "var_s2_alternative": va,
@@ -650,7 +612,7 @@ def verify_lemma(lemma_id: int, cfg: ExperimentConfig) -> EstimateResult:
     if cfg.estimand != "lemma_check" or cfg.lemma_id != lemma_id:
         cfg = replace(cfg, estimand="lemma_check", lemma_id=lemma_id)
     plan = _lemma_plan(cfg)
-    arrays = _run_blocks(cfg, plan)
+    arrays = _run_blocks(cfg, _lemma_block, plan)
     n = arrays[0].shape[0]
     extras = None
     if lemma_id == 1:
@@ -679,7 +641,7 @@ def verify_lemma(lemma_id: int, cfg: ExperimentConfig) -> EstimateResult:
             values = _covariance_values(f1, f2) - _covariance_values(m, m)
         se = _mean_with_se(values)[1]
         reference = np.zeros_like(point)
-    return EstimateResult(point, se, n, reference, _zscore(point, se, reference), extras)
+    return EstimateResult(point, se, n, reference, extras)
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Any, Callable, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .exceptions import DomainError
+from .exceptions import DomainError, NumericalError
 from .linalg import scaled_rotation_factor
 from .rng import RngStream
 
@@ -135,7 +135,12 @@ def _as_vec(x, name: str) -> NDArray[np.float64]:
 
 @dataclass(frozen=True, eq=False)
 class Normal:
-    """Multivariate normal with mean vector and symmetric PSD covariance."""
+    """Multivariate normal with mean vector and symmetric PSD covariance.
+
+    The covariance is factored once, here: a matrix that is not positive
+    semidefinite beyond rounding is a :class:`DomainError`, and
+    :func:`sample` reuses the factor.
+    """
 
     mean: NDArray[np.float64]
     cov: NDArray[np.float64]
@@ -151,8 +156,14 @@ class Normal:
             raise DomainError("cov contains non-finite entries")
         if np.abs(cov - cov.T).max() > 1e-12 * max(1.0, np.abs(cov).max()):
             raise DomainError("cov must be symmetric")
+        cov = 0.5 * (cov + cov.T)
+        try:
+            factor = scaled_rotation_factor(cov)
+        except NumericalError as exc:
+            raise DomainError(f"cov is not positive semidefinite: {exc}") from None
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "_factor", factor)
 
     @property
     def k(self) -> int:
@@ -241,8 +252,9 @@ def sample(dist: DistSpec, n: int, stream: RngStream, *, reject_zero: bool = Fal
     """Draw ``n`` i.i.d. rows from ``dist`` using ``stream``.
 
     Normal draws are built as mean + factor @ z with the covariance's
-    scaled rotation factor, so a synthesized normal sample and a
-    covariance-matched replicate synthesis share one code path.
+    scaled rotation factor (computed when the law is built), so a
+    synthesized normal sample and a covariance-matched replicate synthesis
+    share one code path.
 
     ``reject_zero`` redraws rows containing an exactly-zero component —
     used when the draws feed the exponential kernel, whose base must stay
@@ -257,8 +269,7 @@ def sample(dist: DistSpec, n: int, stream: RngStream, *, reject_zero: bool = Fal
     # the bits of @ and is several times faster for the (n, 1) @ (1, 1) of
     # scalar laws.
     if isinstance(dist, Normal):
-        factor = scaled_rotation_factor(dist.cov)
-        out = np.dot(gen.standard_normal((n, dist.k)), factor.T)
+        out = np.dot(gen.standard_normal((n, dist.k)), dist._factor.T)
         out += dist.mean
     elif isinstance(dist, Uniform):
         out = gen.random((n, dist.k))

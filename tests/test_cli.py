@@ -123,6 +123,31 @@ def test_numerical_failure_maps_to_exit_two(monkeypatch, data_csv, tmp_path, cap
     assert "numerical failure" in capsys.readouterr().err
 
 
+NON_FINITE_Q = ["inf", "1e400", "3:1e400:3"]
+
+
+@pytest.mark.parametrize("q", NON_FINITE_Q)
+def test_non_finite_q_exits_one_without_artifact(q, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["bias-sweep", "--model", "additive", "--q", q, "--trials", "100", "--out", "o.csv"])
+    assert rc == 1
+    assert "finite" in _only_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+NOT_PSD = '{"kind":"normal","mean":[0],"cov":[[-1]]}'
+
+
+def test_non_psd_y_dist_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["bias-sweep", "--model", "additive", "--y-dist", NOT_PSD, "--trials", "200"]
+    assert main([*argv, "--out", "o.csv"]) == 1
+    assert "not positive semidefinite" in _only_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------------------
 # bias-sweep artifacts
 
@@ -378,6 +403,17 @@ def test_relbias_map_json_uses_null_for_undefined(tmp_path):
     assert isinstance(grid[1][2], float)
 
 
+@pytest.mark.parametrize("command", ["psi-map", "relbias-map"])
+@pytest.mark.parametrize("model", ["exponential", "phase"])
+def test_map_csv_rows_are_the_result_rows(command, model, tmp_path):
+    out = tmp_path / "m.csv"
+    assert main([command, "--model", model, "--grid", "0:8:21", "--out", str(out)]) == 0
+    spec = cli.MapSpec(kernel=cli.models.kernel_from_json(model), lo=0.0, hi=8.0, n=21)
+    grid = cli.experiments.run_map(cli.ExperimentConfig(estimand=command.replace("-", "_"), map=spec))
+    want = [",".join(map(_fmt, row)) for row in grid.rows()]
+    assert out.read_text().splitlines()[1:] == want
+
+
 def test_map_rejects_bad_grid(tmp_path):
     assert main(["psi-map", "--model", "phase", "--grid", "0:8", "--out", str(tmp_path / "x.csv")]) == 1
 
@@ -454,6 +490,25 @@ def test_pipeline_nu_conflicts_with_s_dist(data_csv, tmp_path, capsys):
     rc = main(pipeline_args(data_csv, tmp_path / "x.json", ("--s-dist", s, "--nu", "0.5")))
     assert rc == 1
     assert "conflicts" in capsys.readouterr().err
+
+
+def test_pipeline_nu_is_checked_against_every_mean_component(data_csv, tmp_path, capsys):
+    s = json.dumps({"kind": "normal", "mean": [1, 2], "cov": [[1, 0], [0, 1]]})
+    out = tmp_path / "x.json"
+    assert main(pipeline_args(data_csv, out, ("--s-dist", s, "--nu", "1"))) == 1
+    assert _only_error_line(capsys.readouterr().err) == "error: --nu conflicts with the mean of --s-dist"
+    assert not out.exists()
+    s = json.dumps({"kind": "normal", "mean": [1, 1], "cov": [[1, 0], [0, 1]]})
+    assert main(pipeline_args(data_csv, out, ("--s-dist", s, "--nu", "1"))) == 0
+    assert json.loads(out.read_text())["nu"] == [1.0, 1.0]
+
+
+def test_pipeline_non_psd_s_dist_exits_one(data_csv, tmp_path, capsys):
+    s = json.dumps({"kind": "normal", "mean": [0, 0], "cov": [[1, 2], [2, 1]]})
+    out = tmp_path / "x.json"
+    assert main(pipeline_args(data_csv, out, ("--s-dist", s))) == 1
+    assert "not positive semidefinite" in _only_error_line(capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_pipeline_s_dist_width_must_match_data(data_csv, tmp_path):

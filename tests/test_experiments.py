@@ -123,11 +123,26 @@ def test_config_map_required_for_map_estimands():
 
 
 def test_result_zscore_definition():
-    r = EstimateResult(point=1.5, std_error=0.25, trials=10, analytic_reference=1.0, z_score=2.0)
+    r = EstimateResult(point=1.5, std_error=0.25, trials=10, analytic_reference=1.0)
     assert r.z_score == (r.point - r.analytic_reference) / r.std_error
     bare = EstimateResult(point=1.0, std_error=0.1, trials=10)
     with pytest.raises(DomainError):
         bare.max_abs_z()
+    # the z-score is derived from the result's own fields
+    assert bare.z_score is None and bare.to_json_dict()["z_score"] is None
+    exact = EstimateResult(point=0.5, std_error=0.0, trials=10, analytic_reference=0.5)
+    assert (exact.z_score, exact.max_abs_z()) == (0.0, 0.0)
+    miss = EstimateResult(point=0.5, std_error=0.0, trials=10, analytic_reference=0.25)
+    assert miss.z_score == math.inf
+    arr = EstimateResult(
+        point=np.array([[1.5, 2.0], [3.0, 0.0]]),
+        std_error=np.array([[0.25, 0.0], [0.0, 0.5]]),
+        trials=10,
+        analytic_reference=np.array([[1.0, 2.0], [1.0, 1.0]]),
+    )
+    assert arr.z_score.tolist() == [[2.0, 0.0], [math.inf, -2.0]]
+    assert arr.to_json_dict()["z_score"] == [[2.0, 0.0], [math.inf, -2.0]]
+    assert arr.max_abs_z() == math.inf
 
 
 # --------------------------------------------------------------------------
@@ -161,8 +176,9 @@ def test_worker_count_invariance_for_lemmas_and_vardiff():
 
 def test_per_trial_draws_are_fixed_by_trial_index():
     # extending the trial count must not disturb earlier trials' statistics
-    short = _run_blocks(cfg_bias(mult_standard(), "current", trials=700, seed=9, block_size=256))
-    longer = _run_blocks(cfg_bias(mult_standard(), "current", trials=1_500, seed=9, block_size=256))
+    current = (experiments._combine_block, ("current",), False)
+    short = _run_blocks(cfg_bias(mult_standard(), "current", trials=700, seed=9, block_size=256), *current)
+    longer = _run_blocks(cfg_bias(mult_standard(), "current", trials=1_500, seed=9, block_size=256), *current)
     assert np.array_equal(short[0], longer[0][:700])
 
 
@@ -280,10 +296,19 @@ def test_combine_bias_zero_oracle_target_fails():
     assert str(harness.value) == ZERO_TARGET
 
 
+class _PoolSizes(list):
+    """Each pool's size; ``payloads`` holds each pool's list of map payloads."""
+
+    def __init__(self):
+        super().__init__()
+        self.payloads = []
+
+
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Replaces ProcessPoolExecutor: records each pool's size, runs in-process."""
-    sizes = []
+    """Replaces ProcessPoolExecutor: records each pool's size and the
+    payloads it maps, runs in-process."""
+    sizes = _PoolSizes()
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -296,10 +321,31 @@ def recording_pool(monkeypatch):
             return False
 
         def map(self, fn, payloads):
-            return list(map(fn, payloads))
+            sizes.payloads.append(list(payloads))
+            return list(map(fn, sizes.payloads[-1]))
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     return sizes
+
+
+def test_each_worker_runs_one_contiguous_run_of_blocks(recording_pool, monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    cfg = ExperimentConfig(
+        estimand="mean_variance", trials=1_000, scenario=mult_standard(), block_size=64, workers=3
+    )
+    args = (experiments._combine_block, ("current", "alternative"), True)
+    pooled = _run_blocks(cfg, *args)
+    assert recording_pool == [3]
+    (runs,) = recording_pool.payloads
+    assert len(runs) == 3
+    assert all(isinstance(r, range) and r.step == 1 and len(r) > 0 for r in runs)
+    assert [b for r in runs for b in r] == list(range(16))  # every block once, in order
+    assert max(map(len, runs)) - min(map(len, runs)) <= 1
+    serial = _run_blocks(replace(cfg, workers=1), *args)
+    assert recording_pool == [3]
+    assert len(pooled) == len(serial) == 2
+    for p, s in zip(pooled, serial):
+        assert p.shape == (1_000,) and p.tobytes() == s.tobytes()
 
 
 def test_pool_is_bounded_by_cpu_count(recording_pool, monkeypatch):
@@ -347,7 +393,8 @@ def test_harness_statistic_is_the_pipeline_combine(scenario, estimand, tensor_el
     if tensor_elems is not None:
         monkeypatch.setattr(experiments, "_TENSOR_ELEMS", tensor_elems)
     cfg = ExperimentConfig(estimand=estimand, trials=700, scenario=scenario, master_seed=3, block_size=300)
-    per_trial = _run_blocks(cfg)
+    constructions = HARNESS_CONSTRUCTIONS[estimand]
+    per_trial = _run_blocks(cfg, experiments._combine_block, constructions, estimand == "mean_variance")
     spec = TransformSpec(kernel=scenario.kernel)
     nu = scenario.s_dist.mean_vector()
     for trial in (0, 1, 299, 300, 650, 699):
@@ -379,6 +426,17 @@ def test_target_oracle_examples():
     )
     assert res.analytic_reference == pytest.approx(1.25)
     assert abs(res.z_score) <= 3.0
+
+
+def test_target_oracle_reads_only_the_scenario():
+    # any Monte Carlo config with a scenario gives the same oracle estimate
+    kw = dict(trials=1_000, scenario=mult_standard(), master_seed=4)
+    own = estimate_target_variance_oracle(ExperimentConfig(estimand="target_variance_oracle", **kw))
+    other = estimate_target_variance_oracle(ExperimentConfig(estimand="vardiff_reldiff", **kw))
+    assert json.dumps(own.to_json_dict()) == json.dumps(other.to_json_dict())
+    lemma = ExperimentConfig(estimand="lemma_check", trials=100, lemma_id=1)
+    with pytest.raises(DomainError, match="requires a scenario"):
+        estimate_target_variance_oracle(lemma)
 
 
 def test_mean_variance_additive_no_gap():
@@ -431,11 +489,12 @@ def test_rounding_noise_points_are_exactly_zero():
 )
 def test_real_differences_are_not_rounded_to_zero(scenario):
     cfg = ExperimentConfig(estimand="vardiff_reldiff", trials=2_000, scenario=scenario, master_seed=5)
-    s2c, s2a = _run_blocks(cfg)
+    both = (experiments._combine_block, ("current", "alternative"))
+    s2c, s2a = _run_blocks(cfg, *both, False)
     vc, va = s2c.var(ddof=1), s2a.var(ddof=1)
     assert estimate_vardiff(cfg).point == pytest.approx((vc - va) / (vc + va), rel=1e-12, abs=0.0)
     cfg = replace(cfg, estimand="mean_variance")
-    a, b = _run_blocks(cfg)
+    a, b = _run_blocks(cfg, *both, True)
     want = a.var(ddof=1) - b.var(ddof=1)
     assert estimate_mean_variance(cfg).point == pytest.approx(want, rel=1e-12, abs=0.0)
 

@@ -108,6 +108,17 @@ def test_normal_requires_symmetric_cov():
         Normal(mean=[0.0, 0.0], cov=[[1.0, 0.5], [0.2, 1.0]])
 
 
+@pytest.mark.parametrize("cov", [[[-1.0]], [[1.0, 2.0], [2.0, 1.0]]], ids=["negative", "indefinite"])
+def test_normal_requires_psd_cov(cov):
+    with pytest.raises(DomainError, match="not positive semidefinite"):
+        Normal(mean=np.zeros(len(cov)), cov=cov)
+
+
+def test_normal_point_mass_is_valid():
+    point = Normal(mean=[2.5], cov=[[0.0]])
+    assert np.all(sample(point, 5, RngStream(1)) == 2.5)
+
+
 def test_uniform_allows_degenerate_but_not_reversed():
     u = Uniform(lo=[1.0], hi=[1.0])
     assert u.k == 1
