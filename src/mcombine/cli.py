@@ -322,12 +322,9 @@ def _run_map(ns, estimand: str) -> int:
         }
         _write_json(out, payload)
     else:
-        # the rows of grid.rows(), with each grid coordinate formatted once
-        a_text = [_fmt(a) for a in grid.a_values]
-        b_text = [_fmt(b) for b in grid.b_values]
-        values = grid.values.tolist()
-        upper = np.argwhere(grid.a_values[:, None] <= grid.b_values[None, :]).tolist()
-        rows = [(a_text[i], b_text[k], _fmt(values[i][k])) for i, k in upper]
+        # each grid coordinate is formatted once, not once per cell
+        text = {x: _fmt(x) for x in grid.a_values.tolist() + grid.b_values.tolist()}
+        rows = [(text[a], text[b], _fmt(v)) for a, b, v in grid.rows()]
         _write_csv(out, ("a", "b", column), rows)
     cells = n * (n + 1) // 2
     print(f"{estimand.replace('_', '-')} {model}: {n}x{n} grid ({cells} cells) -> {out}")

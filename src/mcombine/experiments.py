@@ -87,6 +87,7 @@ ESTIMANDS = (
     "psi_map",
     "relbias_map",
 )
+_MAP_ESTIMANDS = ("psi_map", "relbias_map")
 
 _ROLE_Y, _ROLE_S, _ROLE_Z = 0, 1, 2
 _STAGE_MAIN, _STAGE_ORACLE = 0, 1
@@ -163,7 +164,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.estimand not in ESTIMANDS:
             raise DomainError(f"unknown estimand {self.estimand!r}; expected one of {ESTIMANDS}")
-        if self.estimand in ("psi_map", "relbias_map"):
+        if self.estimand in _MAP_ESTIMANDS:
             if self.map is None:
                 raise DomainError(f"{self.estimand} requires a MapSpec")
             return
@@ -506,6 +507,8 @@ def estimate_target_variance_oracle(cfg: ExperimentConfig) -> EstimateResult:
     """
     if cfg.scenario is None:
         raise DomainError("target_variance_oracle requires a scenario")
+    if cfg.estimand in _MAP_ESTIMANDS:
+        raise DomainError(f"not a Monte Carlo config: {cfg.estimand}")
     (fbar,) = _run_blocks(cfg, _oracle_block, _STAGE_MAIN)
     point, se = map(float, _mean_with_se(_covariance_values(fbar, fbar)))
     return EstimateResult(
@@ -659,10 +662,12 @@ class MapResult:
     values: NDArray[np.float64]
 
     def rows(self) -> Iterator[tuple[float, float, float]]:
-        for i, a in enumerate(self.a_values):
-            for jdx, b in enumerate(self.b_values):
+        values = self.values.tolist()
+        b_values = self.b_values.tolist()
+        for i, a in enumerate(self.a_values.tolist()):
+            for k, b in enumerate(b_values):
                 if a <= b:
-                    yield float(a), float(b), float(self.values[i, jdx])
+                    yield a, b, values[i][k]
 
 
 def _map_error_dist(spec: MapSpec) -> DistSpec:
@@ -686,7 +691,7 @@ def run_map(cfg: ExperimentConfig) -> MapResult:
     where that call raises: exponential supports with a < 0 or a = b = 0,
     and relative biases over a target variance <= 0.
     """
-    if cfg.estimand not in ("psi_map", "relbias_map"):
+    if cfg.estimand not in _MAP_ESTIMANDS:
         raise DomainError(f"not a map estimand: {cfg.estimand}")
     spec = cfg.map
     grid = np.linspace(spec.lo, spec.hi, spec.n)

@@ -403,17 +403,6 @@ def test_relbias_map_json_uses_null_for_undefined(tmp_path):
     assert isinstance(grid[1][2], float)
 
 
-@pytest.mark.parametrize("command", ["psi-map", "relbias-map"])
-@pytest.mark.parametrize("model", ["exponential", "phase"])
-def test_map_csv_rows_are_the_result_rows(command, model, tmp_path):
-    out = tmp_path / "m.csv"
-    assert main([command, "--model", model, "--grid", "0:8:21", "--out", str(out)]) == 0
-    spec = cli.MapSpec(kernel=cli.models.kernel_from_json(model), lo=0.0, hi=8.0, n=21)
-    grid = cli.experiments.run_map(cli.ExperimentConfig(estimand=command.replace("-", "_"), map=spec))
-    want = [",".join(map(_fmt, row)) for row in grid.rows()]
-    assert out.read_text().splitlines()[1:] == want
-
-
 def test_map_rejects_bad_grid(tmp_path):
     assert main(["psi-map", "--model", "phase", "--grid", "0:8", "--out", str(tmp_path / "x.csv")]) == 1
 

@@ -439,6 +439,15 @@ def test_target_oracle_reads_only_the_scenario():
         estimate_target_variance_oracle(lemma)
 
 
+@pytest.mark.parametrize("field, value", [("trials", 5), ("block_size", 0), ("workers", 0)])
+def test_target_oracle_rejects_a_map_config(field, value):
+    # map configs skip the Monte Carlo checks, so the oracle must refuse them
+    spec = MapSpec(kernel=EXPONENTIAL, lo=0.0, hi=8.0, n=5)
+    cfg = ExperimentConfig(estimand="psi_map", map=spec, scenario=mult_standard(), **{field: value})
+    with pytest.raises(DomainError, match="not a Monte Carlo config"):
+        estimate_target_variance_oracle(cfg)
+
+
 def test_mean_variance_additive_no_gap():
     res = estimate_mean_variance(
         ExperimentConfig(estimand="mean_variance", trials=20_000, scenario=additive_standard(), master_seed=5)
