@@ -273,9 +273,9 @@ def _run_sweep(ns, cmd: str) -> int:
     trials, seed, workers, block_size, fmt = _common_mc(ns, default_trials)
     j = int(_resolve(ns, "j", 4))
     qs = _q_values(_resolve(ns, "q", "10"))
-    results = []
-    for idx, q in enumerate(qs):
-        cfg = ExperimentConfig(
+    # every Q value's config is checked before the first estimate runs
+    cfgs = [
+        ExperimentConfig(
             estimand=estimand,
             trials=trials,
             scenario=_build_scenario(ns, j, q),
@@ -284,7 +284,9 @@ def _run_sweep(ns, cmd: str) -> int:
             block_size=block_size,
             workers=workers,
         )
-        results.append((q, getattr(experiments, estimator)(cfg)))
+        for idx, q in enumerate(qs)
+    ]
+    results = [(cfg.scenario.q, getattr(experiments, estimator)(cfg)) for cfg in cfgs]
     out = _require_out(ns)
     if fmt == "json":
         _write_json(out, [{"q": q, **res.to_json_dict()} for q, res in results])
@@ -437,6 +439,7 @@ def _run_pipeline(ns) -> int:
     q = int(_resolve(ns, "q", 100))
     rows = _read_data_csv(str(ns.data))
     k = rows.shape[1]
+    pipeline._require_size(q, rows.shape[0], k)
     nu_flag = getattr(ns, "nu", None)
     s_dist_flag = getattr(ns, "s_dist", None)
     if s_dist_flag is not None:

@@ -96,9 +96,6 @@ _STAGE_MAIN, _STAGE_ORACLE = 0, 1
 #: is rounding noise: it is reported as exactly 0.0, so its z-score is 0.
 _ROUNDING = 1e-12
 
-#: Row-chunk threshold for the (trials, J, Q) kernel tensor, in elements.
-_TENSOR_ELEMS = 8_000_000
-
 
 @dataclass(frozen=True)
 class MapSpec:
@@ -146,6 +143,9 @@ class ExperimentConfig:
     (the lemma 1 check, an identity that holds exactly, exceeds |z| = 5 in
     one run in ten at 4 trials; lemmas 1–4 never did at 100).
     ``workers`` bounds the process pool; the results do not depend on it.
+    A scenario's block draws (``block_size``·J and ``block_size``·Q values)
+    and one trial's J·Q kernel tensor must each fit in 1 GiB of float64;
+    a larger run is refused here, before anything is allocated.
     """
 
     estimand: str
@@ -184,6 +184,7 @@ class ExperimentConfig:
             return
         if self.scenario is None:
             raise DomainError(f"{self.estimand} requires a scenario")
+        pipeline._require_size(self.scenario.q, self.scenario.j, block_size=self.block_size)
         if self.estimand != "target_variance_oracle" and self.scenario.q < 2:
             raise DomainError("combine estimands need Q >= 2 (sample variance over replicates)")
 
@@ -256,9 +257,8 @@ def _stream(cfg: ExperimentConfig, stage: int, block: int, role: int) -> RngStre
     return RngStream(cfg.master_seed).substream(cfg.salt, stage, block, role)
 
 
-def _draw_y_s_z(cfg: ExperimentConfig, stage: int, block: int, *, with_z: bool,
-                s_cols: int | None = None):
-    """Draw one block's worth of data/error/noise arrays (full block, then slice)."""
+def _draw_y_s(cfg: ExperimentConfig, stage: int, block: int, s_cols: int | None = None):
+    """Draw one block's data and error arrays (full block, then slice)."""
     sc = cfg.scenario
     rows = _block_rows(cfg, block)
     bs = cfg.block_size
@@ -267,12 +267,20 @@ def _draw_y_s_z(cfg: ExperimentConfig, stage: int, block: int, *, with_z: bool,
                       reject_zero=reject)
     q = sc.q if s_cols is None else s_cols
     s = models.sample(sc.s_dist, bs * q, _stream(cfg, stage, block, _ROLE_S))
-    y = y.reshape(bs, sc.j)[:rows]
-    s = s.reshape(bs, q)[:rows]
-    if not with_z:
-        return y, s, None
-    z = _stream(cfg, stage, block, _ROLE_Z).gen.standard_normal((bs, q))[:rows]
-    return y, s, z
+    return y.reshape(bs, sc.j)[:rows], s.reshape(bs, q)[:rows]
+
+
+def _draw_z(cfg: ExperimentConfig, block: int) -> NDArray:
+    """Draw one block's synthesis noise (full block, then slice)."""
+    gen = _stream(cfg, _STAGE_MAIN, block, _ROLE_Z).gen
+    return gen.standard_normal((cfg.block_size, cfg.scenario.q))[: _block_rows(cfg, block)]
+
+
+def _sample_variance_in_place(m: NDArray) -> NDArray:
+    """``m.var(axis=1, ddof=1)`` by numpy's own operations, in ``m``'s memory."""
+    m -= m.mean(axis=1, keepdims=True)
+    np.square(m, out=m)
+    return m.sum(axis=1) / (m.shape[1] - 1)
 
 
 def _combine_block(
@@ -281,42 +289,37 @@ def _combine_block(
     """Per-trial statistics for one block, one array per construction.
 
     Each trial is one K = 1 pipeline run: the block's trials form the
-    leading axis of one :func:`~mcombine.pipeline.transform_stage` and one
-    :func:`~mcombine.pipeline.combine_with_noise` call per construction
-    (per row chunk, to bound the (trials, J, Q) kernel tensor).  The
-    statistic is the sample variance of the synthesized replicates, or
-    their mean when ``mean`` is set.
+    leading axis of one :func:`~mcombine.pipeline.transform_stage` call and
+    one :func:`~mcombine.pipeline.combine_with_noise` call per
+    construction.  The statistic is the sample variance of the synthesized
+    replicates, or their mean when ``mean`` is set.
     """
     sc = cfg.scenario
-    y, s, z = _draw_y_s_z(cfg, _STAGE_MAIN, block, with_z=True)
+    y, s = _draw_y_s(cfg, _STAGE_MAIN, block)
     spec = TransformSpec(kernel=sc.kernel)
-    nu = sc.s_dist.mean_vector()
-    stats: list[list[NDArray]] = [[] for _ in constructions]
-    rows = y.shape[0]
-    step = max(1, _TENSOR_ELEMS // (sc.j * sc.q))
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        data, errors = DataBatch(y[lo:hi, :, None]), ErrorBatch(s[lo:hi, :, None])
-        t = pipeline.transform_stage(data, errors, spec, nu)
-        # Arrays are dropped as soon as they are dead: the error draws after
-        # the last transform, each construction's replicates once reduced.
-        # Holding them raised a block's peak memory past the point where the
-        # allocator hands the heap back to the OS after every block, and the
-        # next block faulted it back in: about 3,000 page faults a block at
-        # J = 4, Q = 300, a third of the block's time.
-        if hi == rows:
-            del s, errors
-        for out, construction in zip(stats, constructions):
-            m = pipeline.combine_with_noise(t, z[lo:hi, :, None], construction).replicates[..., 0]
-            out.append(m.mean(axis=1) if mean else m.var(axis=1, ddof=1))
-            del m
-    return tuple(np.concatenate(out) for out in stats)
+    t = pipeline.transform_stage(DataBatch(y[..., None]), ErrorBatch(s[..., None]), spec,
+                                 sc.s_dist.mean_vector())
+    # Each block-sized array lives only while it is needed: the error draws
+    # until the transform, the noise from the first combine on, and one
+    # construction's replicates at a time, whose variance is taken in their
+    # own memory.  Holding more raised a block's peak memory past the point
+    # where the allocator hands the heap back to the OS after every block,
+    # and the next block faulted it back in: about 3,000 page faults a block
+    # at J = 4, Q = 300, a third of the block's time.
+    del s
+    z = _draw_z(cfg, block)[..., None]
+    stats = []
+    for construction in constructions:
+        m = pipeline.combine_with_noise(t, z, construction).replicates[..., 0]
+        stats.append(m.mean(axis=1) if mean else _sample_variance_in_place(m))
+        del m
+    return tuple(stats)
 
 
 def _oracle_block(cfg: ExperimentConfig, block: int, stage: int) -> tuple[NDArray]:
     """Each trial's batch mean of f over J data draws sharing one error
     draw, from the given stage's streams."""
-    y, s, _ = _draw_y_s_z(cfg, stage, block, with_z=False, s_cols=1)
+    y, s = _draw_y_s(cfg, stage, block, s_cols=1)
     return (kernel_eval(cfg.scenario.kernel, y, s).mean(axis=1),)
 
 

@@ -99,6 +99,17 @@ def kernel_eval(kernel: ScalarKernel, y, s) -> np.ndarray:
     return np.asarray(kernel.fn(y, s), dtype=float)
 
 
+#: Separable forms f(y, s) = sum_r g_r(y) * h_r(s) of the named kernels that
+#: have one, one (g_r, h_r) pair per rank r.  Each factor returns a fresh
+#: array of its argument's shape, which its caller may overwrite.  Kernels
+#: missing here (exponential y ** s, custom) have no such form.
+_SEPARABLE: dict[str, tuple[tuple[Callable, Callable], ...]] = {
+    "additive": ((np.positive, np.ones_like), (np.ones_like, np.positive)),
+    "multiplicative": ((np.positive, np.positive),),
+    "phase": ((np.sin, np.cos), (np.cos, np.sin)),
+}
+
+
 @dataclass(frozen=True)
 class TransformSpec:
     """Kernel plus optional K×K linear pre-maps of data and error inputs."""

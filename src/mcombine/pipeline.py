@@ -2,16 +2,24 @@
 
 The Transform stage evaluates the measurement transformation once at the
 nominal error value for each data vector (the "nominals") and once per
-Monte Carlo error draw (the "replicates").  The Combine stage merges the
-per-vector results into a single nominal plus a synthesized replicate
-sample whose spread has two parts: the across-``q`` spread of the
-averaged replicates, plus injected normal noise scaled by a factor of
-the across-``j`` covariance — of the nominals ("current" construction)
-or of the per-``j`` replicate means ("alternative" construction).
+Monte Carlo error draw (the "replicates").  Combine reads the replicates
+only through two means, so Transform returns those instead of the
+(J, Q) replicate table: the mean over j at each draw q (the replicate
+"centres") and the mean over q for each vector j (the "replicate
+means").  For the additive, multiplicative and phase kernels with shared
+errors both come from the means of the kernel's separable factors,
+without building the table.
+
+The Combine stage merges the per-vector results into a single nominal
+plus a synthesized replicate sample: the replicate centres, plus
+injected normal noise scaled by a factor of the across-``j`` covariance
+— of the nominals ("current" construction) or of the replicate means
+("alternative" construction).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +27,7 @@ from numpy.typing import NDArray
 
 from .exceptions import DomainError
 from .linalg import sample_covariance, scaled_rotation_factor
-from .models import ScalarKernel, TransformSpec, kernel_eval
+from .models import _SEPARABLE, ScalarKernel, TransformSpec, kernel_eval
 from .rng import RngStream
 
 __all__ = [
@@ -33,6 +41,15 @@ __all__ = [
     "combine_alternative",
     "combine_with_noise",
 ]
+
+#: Bound, in elements, on the part of a (..., J, Q, K) kernel tensor built at
+#: once; a row of the first leading axis is the smallest part.
+_TENSOR_ELEMS = 8_000_000
+
+#: Largest array, in float64 values (1 GiB), that one batch or Monte Carlo
+#: block may need: a block's data or error draws, or one batch's J·Q·K
+#: kernel tensor.  Larger runs are refused before anything is allocated.
+_MAX_ELEMS = 1 << 27
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +109,18 @@ class ErrorBatch:
 
 @dataclass(frozen=True, eq=False)
 class TransformOutput:
-    """Per-vector nominals (..., J, K) and replicates (..., J, Q, K)."""
+    """The three reductions of the transformed batch that Combine reads.
+
+    ``nominals`` (..., J, K) holds F(Y_j, nu); ``centres`` (..., Q, K) the
+    mean over j of F(Y_j, S_q), the centre of replicate q; and
+    ``replicate_means`` (..., J, K) the mean over q of F(Y_j, S_q), the
+    replicate mean of vector j.  The (J, Q) table of F(Y_j, S_q) is not
+    kept: kernels with a separable form never build it.
+    """
 
     nominals: NDArray[np.float64]
-    replicates: NDArray[np.float64]
+    centres: NDArray[np.float64]
+    replicate_means: NDArray[np.float64]
 
     @property
     def j(self) -> int:
@@ -103,7 +128,7 @@ class TransformOutput:
 
     @property
     def q(self) -> int:
-        return self.replicates.shape[-2]
+        return self.centres.shape[-2]
 
     @property
     def k(self) -> int:
@@ -128,12 +153,26 @@ class CombineOutput:
         }
 
 
-def _kernel_output(kernel: ScalarKernel, y, s, shape: tuple[int, ...], row_axis: int, what: str):
-    """Kernel values at (y, s) as an array of ``shape``, data rows on ``row_axis``.
+def _require_size(q: int, j: int, k: int = 1, block_size: int = 1) -> None:
+    """Refuse a run whose draws or kernel tensor would exceed ``_MAX_ELEMS``.
+
+    A block of ``block_size`` batches draws ``block_size``·J data and
+    ``block_size``·Q error vectors of length K, and one batch of a kernel
+    without a separable form builds a J·Q·K tensor.
+    """
+    need = max(block_size * j, block_size * q, j * q) * k
+    if need > _MAX_ELEMS:
+        raise DomainError(
+            f"Q = {q} with J = {j}, K = {k} and block size {block_size} needs an array of "
+            f"{need} values, more than the limit of {_MAX_ELEMS} (1 GiB of float64)"
+        )
+
+
+def _kernel_values(kernel: ScalarKernel, y, s, shape: tuple[int, ...]):
+    """Kernel values at (y, s) as an array of ``shape``.
 
     A kernel that ignores an argument may return a smaller array; it is
-    broadcast and copied only then.  Non-finite values are rejected here,
-    where the kernel and the data row that produced them are still known.
+    broadcast and copied only then.
     """
     out = kernel_eval(kernel, y, s)
     if out.shape != shape:
@@ -141,30 +180,79 @@ def _kernel_output(kernel: ScalarKernel, y, s, shape: tuple[int, ...], row_axis:
             out = np.broadcast_to(out, shape).copy()
         except ValueError:
             raise DomainError(
-                f"{kernel.kind} kernel returned {what} of shape {out.shape}, expected {shape}"
+                f"{kernel.kind} kernel returned shape {out.shape}, expected {shape}"
             ) from None
-    # Any non-finite value makes the sum non-finite, and so can overflow:
-    # the sum only screens, and the exact per-row test, which needs a
-    # tensor-sized mask, runs only when it fires.
-    with np.errstate(over="ignore"):
-        total = out.sum()
-    if not np.isfinite(total):
-        rows_ok = np.isfinite(out).reshape(shape[: row_axis + 1] + (-1,)).all(axis=-1)
-        if not rows_ok.all():
-            row = tuple(int(i) for i in np.argwhere(~rows_ok)[0])
-            where = f"data row {row[-1]}" + (f" of batch {row[:-1]}" if len(row) > 1 else "")
-            raise DomainError(f"{kernel.kind} kernel returned non-finite {what} at {where}")
     return out
+
+
+def _separable_means(ranks, y, s):
+    """Centres and replicate means of f(y, s) = sum_r g_r(y)·h_r(s) from the
+    means of its factors: O((J + Q)·R) work per batch and no (J, Q) table.
+
+    ``y`` is (..., J, K) and ``s`` the shared errors (..., Q, K).
+    """
+    centres = replicate_means = None
+    for g, h in ranks:
+        gy, hs = g(y), h(s)
+        term = gy * hs.mean(axis=-2, keepdims=True)
+        # a factor is a fresh array, so it is scaled in place: one (..., Q, K)
+        # array per rank at a time besides the centres
+        hs *= gy.mean(axis=-2, keepdims=True)
+        if centres is None:
+            centres, replicate_means = hs, term
+        else:
+            centres += hs
+            replicate_means += term
+    return centres, replicate_means
+
+
+def _tensor_means(kernel: ScalarKernel, y, s):
+    """Centres and replicate means through the (..., J, Q, K) kernel tensor.
+
+    ``y`` is (..., J, 1, K) and ``s`` (..., 1, Q, K) or (..., J, Q, K).  The
+    tensor is built for a run of rows of the first leading axis at a time,
+    at most ``_TENSOR_ELEMS`` elements (but at least one row), and reduced
+    at once.
+    """
+    lead, j, q, k = y.shape[:-3], y.shape[-3], s.shape[-2], y.shape[-1]
+    centres = np.empty((*lead, q, k))
+    replicate_means = np.empty((*lead, j, k))
+    rows = lead[0] if lead else 1
+    step = max(1, _TENSOR_ELEMS // (math.prod(lead[1:]) * j * q * k))
+    for lo in range(0, rows, step):
+        part = np.s_[lo:lo + step] if lead else ()
+        shape = (*centres[part].shape[:-2], j, q, k)
+        tensor = _kernel_values(kernel, y[part], s[part], shape)
+        centres[part] = tensor.mean(axis=-3)
+        replicate_means[part] = tensor.mean(axis=-2)
+    return centres, replicate_means
+
+
+def _require_finite(kernel: ScalarKernel, what: str, values, rows: str) -> None:
+    """Refuse non-finite ``values`` (..., N, K), naming the kernel, the output
+    and the first index along axis -2 that holds one (``rows`` says what
+    that axis counts)."""
+    ok = np.isfinite(values).all(axis=-1)
+    if not ok.all():
+        bad = [int(i) for i in np.argwhere(~ok)[0]]
+        where = f"{rows} {bad[-1]}" + (f" of batch {tuple(bad[:-1])}" if len(bad) > 1 else "")
+        raise DomainError(f"{kernel.kind} kernel gave non-finite {what} at {where}")
 
 
 def transform_stage(
     data: DataBatch, errors: ErrorBatch, spec: TransformSpec, nu
 ) -> TransformOutput:
-    """Evaluate the transformation at the nominal error and at each MC draw.
+    """Evaluate the transformation at the nominal error and at each MC draw,
+    and reduce the replicates to the means Combine reads.
 
     ``nu`` must be the mean of the error distribution the batch was drawn
     from; the nominal for vector j is F(Y_j, nu) and replicate (j, q) is
-    F(Y_j, S_q) (shared) or F(Y_j, S_{jQ+q}) (unshared).
+    F(Y_j, S_q) (shared) or F(Y_j, S_{jQ+q}) (unshared).  With shared
+    errors, a kernel with a separable form gets both means from the means
+    of its factors; any other kernel, and unshared errors, build the
+    replicate tensor and reduce it.  Every output is checked exactly, so a
+    non-finite kernel value or an overflowing mean is refused here, with
+    the kernel and the output named.
     """
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     k = data.k
@@ -180,36 +268,44 @@ def transform_stage(
             f"error batch leading shape {errors.rows.shape[:-2]} does not match data's {lead}"
         )
     j = data.j
+    s = errors.rows
     if errors.shared:
-        q = errors.rows.shape[-2]
-        s = errors.rows[..., np.newaxis, :, :]  # (..., 1, Q, K) broadcast over j
+        q = s.shape[-2]
     else:
-        total = errors.rows.shape[-2]
+        total = s.shape[-2]
         if total % j != 0:
             raise DomainError(
                 f"unshared errors need J*Q rows; {total} rows do not divide by J={j}"
             )
         q = total // j
-        s = errors.rows.reshape(*lead, j, q, k)
+        s = s.reshape(*lead, j, q, k)
 
     y = data.rows
     if spec.t_y is not None:
         if spec.t_y.shape[0] != k:
             raise DomainError("t_y dimension does not match K")
         y = y @ spec.t_y.T
-    sv = s
     nu_t = nu
     if spec.t_s is not None:
         if spec.t_s.shape[0] != k:
             raise DomainError("t_s dimension does not match K")
-        sv = s @ spec.t_s.T
+        s = s @ spec.t_s.T
         nu_t = spec.t_s @ nu
 
-    nominals = _kernel_output(spec.kernel, y, nu_t, (*lead, j, k), len(lead), "nominals")
-    replicates = _kernel_output(
-        spec.kernel, y[..., np.newaxis, :], sv, (*lead, j, q, k), len(lead), "replicates"
-    )
-    return TransformOutput(nominals=nominals, replicates=replicates)
+    ranks = _SEPARABLE.get(spec.kernel.kind) if errors.shared else None
+    # Every non-finite value is refused below; the warnings that made it
+    # would only say so twice.
+    with np.errstate(all="ignore"):
+        nominals = _kernel_values(spec.kernel, y, nu_t, (*lead, j, k))
+        if ranks is not None:
+            centres, replicate_means = _separable_means(ranks, y, s)
+        else:
+            s = s[..., np.newaxis, :, :] if errors.shared else s
+            centres, replicate_means = _tensor_means(spec.kernel, y[..., np.newaxis, :], s)
+    _require_finite(spec.kernel, "nominals", nominals, "data row")
+    _require_finite(spec.kernel, "replicate means", replicate_means, "data row")
+    _require_finite(spec.kernel, "replicate centres", centres, "error draw")
+    return TransformOutput(nominals=nominals, centres=centres, replicate_means=replicate_means)
 
 
 def combine_nominal(t: TransformOutput) -> NDArray[np.float64]:
@@ -235,14 +331,13 @@ def combine_with_noise(t: TransformOutput, z, construction: str) -> CombineOutpu
     elif construction == "alternative":
         if t.q < 2:
             raise DomainError("alternative construction requires Q >= 2")
-        input_cov = sample_covariance(t.replicates.mean(axis=-2))
+        input_cov = sample_covariance(t.replicate_means)
     else:
         raise DomainError(f"unknown construction {construction!r}")
     factor = scaled_rotation_factor(input_cov)
-    mbar = t.replicates.mean(axis=-3)  # (..., Q, K): mean over j at fixed q
     # factor @ z_q for every q; over a stack of tiny matrices einsum is
     # several times faster than matmul, which makes one BLAS call per matrix
-    replicates = mbar + np.einsum("...qk,...lk->...ql", z, factor, optimize=False) / np.sqrt(jj)
+    replicates = t.centres + np.einsum("...qk,...lk->...ql", z, factor, optimize=False) / np.sqrt(jj)
     return CombineOutput(
         nominal=combine_nominal(t),
         replicates=replicates,

@@ -137,6 +137,21 @@ def test_non_finite_q_exits_one_without_artifact(q, tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("q", ["1e9", "1e300"])
+def test_oversized_q_exits_one_before_any_allocation(q, tmp_path, monkeypatch, capsys):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled before the size check")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.experiments.models, "sample", no_draws)
+    rc = main(["bias-sweep", "--model", "additive", "--q", f"10,{q}", "--trials", "100", "--out", "o.csv"])
+    assert rc == 1
+    line = _only_error_line(capsys.readouterr().err)
+    for part in (f"Q = {int(float(q))}", "J = 4", "block size 1024"):
+        assert part in line
+    assert list(tmp_path.iterdir()) == []
+
+
 NOT_PSD = '{"kind":"normal","mean":[0],"cov":[[-1]]}'
 
 
@@ -497,6 +512,33 @@ def test_pipeline_non_psd_s_dist_exits_one(data_csv, tmp_path, capsys):
     out = tmp_path / "x.json"
     assert main(pipeline_args(data_csv, out, ("--s-dist", s))) == 1
     assert "not positive semidefinite" in _only_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_pipeline_oversized_q_exits_one_before_any_allocation(data_csv, tmp_path, monkeypatch, capsys):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled before the size check")
+
+    monkeypatch.setattr(cli.models, "sample", no_draws)
+    out = tmp_path / "x.json"
+    assert main(["pipeline", "--data", str(data_csv), "--model", "additive", "--q", "10000000000",
+                 "--out", str(out)]) == 1
+    line = _only_error_line(capsys.readouterr().err)
+    assert "Q = 10000000000 with J = 4, K = 2" in line
+    assert not out.exists()
+
+
+def test_pipeline_overflowing_mean_exits_one_without_artifact(tmp_path, capsys):
+    # every kernel value is 1e308, but their mean over the three rows overflows
+    data = tmp_path / "big.csv"
+    data.write_text("y_1\n1e308\n1e308\n1e308\n")
+    out = tmp_path / "o.json"
+    point_mass = '{"kind":"uniform","lo":[1],"hi":[1]}'
+    argv = ["pipeline", "--data", str(data), "--model", "multiplicative", "--s-dist", point_mass]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert _only_error_line(capsys.readouterr().err) == (
+        "error: multiplicative kernel gave non-finite replicate centres at error draw 0"
+    )
     assert not out.exists()
 
 

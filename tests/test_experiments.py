@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mcombine import experiments
+from mcombine import experiments, pipeline
 from mcombine.analytics import (
     ScalarScenario,
     bias_factor_current,
@@ -19,7 +19,8 @@ from mcombine.experiments import (
     EstimateResult,
     ExperimentConfig,
     MapSpec,
-    _draw_y_s_z,
+    _draw_y_s,
+    _draw_z,
     _run_blocks,
     bias_factor_current_oracle,
     estimate_combine_bias,
@@ -110,6 +111,24 @@ def test_config_rejects_tiny_trials():
         with pytest.raises(DomainError, match="at least 100 trials"):
             ExperimentConfig(estimand="combine_bias_current", trials=trials, scenario=mult_standard())
     ExperimentConfig(estimand="combine_bias_current", trials=100, scenario=mult_standard())
+
+
+@pytest.mark.parametrize(
+    "estimand, j, q, block_size",
+    [
+        ("combine_bias_current", 4, 10**9, 1024),  # block_size * Q draws
+        ("mean_variance", 2**16, 2**12, 1),  # one trial's J * Q tensor
+        ("target_variance_oracle", 10**9, 10, 1024),  # block_size * J draws
+    ],
+)
+def test_config_refuses_arrays_over_the_size_bound(estimand, j, q, block_size):
+    # refused when built, before anything is drawn or allocated
+    scenario = additive_standard(j=j, q=q)
+    with pytest.raises(DomainError) as info:
+        ExperimentConfig(estimand=estimand, trials=100, scenario=scenario, block_size=block_size)
+    message = str(info.value)
+    for part in (f"Q = {q}", f"J = {j}", f"block size {block_size}", "1 GiB"):
+        assert part in message
 
 
 def test_config_lemma_id_bounds():
@@ -373,8 +392,8 @@ def test_embedded_oracle_runs_on_the_pool(recording_pool, monkeypatch):
     serial = estimate_combine_bias(replace(cfg, workers=1))
     assert json.dumps(pooled.to_json_dict()) == json.dumps(serial.to_json_dict())
     # the oracle's target is the variance of the oracle stage's batch means
-    draws = [_draw_y_s_z(cfg, experiments._STAGE_ORACLE, b, with_z=False, s_cols=1) for b in range(4)]
-    fbar = np.concatenate([(y + s).mean(axis=1) for y, s, _ in draws])
+    draws = [_draw_y_s(cfg, experiments._STAGE_ORACLE, b, s_cols=1) for b in range(4)]
+    fbar = np.concatenate([(y + s).mean(axis=1) for y, s in draws])
     assert pooled.extras["target_variance"] == pytest.approx(fbar.var(ddof=1), rel=1e-12)
 
 
@@ -385,13 +404,18 @@ HARNESS_CONSTRUCTIONS = {
 }
 
 
-@pytest.mark.parametrize("scenario", [phase_extremal(j=3, q=7), mult_standard(j=5, q=4)], ids=["phase", "mult"])
+@pytest.mark.parametrize(
+    "scenario",
+    [phase_extremal(j=3, q=7), mult_standard(j=5, q=4), exponential_scenario(j=3, q=6)],
+    ids=["phase", "mult", "exponential"],
+)
 @pytest.mark.parametrize("estimand", sorted(HARNESS_CONSTRUCTIONS))
 @pytest.mark.parametrize("tensor_elems", [None, 50], ids=["one_chunk", "row_chunks"])
 def test_harness_statistic_is_the_pipeline_combine(scenario, estimand, tensor_elems, monkeypatch):
-    # one trial of the harness == one 2-D pipeline run on that trial's draws
+    # one trial of the harness == one 2-D pipeline run on that trial's draws;
+    # the exponential kernel's row chunks run through the replicate tensor
     if tensor_elems is not None:
-        monkeypatch.setattr(experiments, "_TENSOR_ELEMS", tensor_elems)
+        monkeypatch.setattr(pipeline, "_TENSOR_ELEMS", tensor_elems)
     cfg = ExperimentConfig(estimand=estimand, trials=700, scenario=scenario, master_seed=3, block_size=300)
     constructions = HARNESS_CONSTRUCTIONS[estimand]
     per_trial = _run_blocks(cfg, experiments._combine_block, constructions, estimand == "mean_variance")
@@ -399,7 +423,8 @@ def test_harness_statistic_is_the_pipeline_combine(scenario, estimand, tensor_el
     nu = scenario.s_dist.mean_vector()
     for trial in (0, 1, 299, 300, 650, 699):
         block, row = divmod(trial, cfg.block_size)
-        y, s, z = _draw_y_s_z(cfg, 0, block, with_z=True)
+        y, s = _draw_y_s(cfg, 0, block)
+        z = _draw_z(cfg, block)
         t = transform_stage(DataBatch(y[row][:, None]), ErrorBatch(s[row][:, None]), spec, nu)
         assert len(per_trial) == len(HARNESS_CONSTRUCTIONS[estimand])
         for construction, stat in zip(HARNESS_CONSTRUCTIONS[estimand], per_trial):
@@ -717,6 +742,21 @@ def test_map_memory_stays_one_row_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
+
+
+def test_separable_block_builds_no_replicate_tensor():
+    # One (1024, 4, 300) float tensor is 9.8 MB; the phase kernel's block
+    # holds a few (1024, 300) arrays at a time instead (about 7.6 MB).
+    cfg = ExperimentConfig(
+        estimand="vardiff_reldiff", trials=1024, scenario=phase_extremal(j=4, q=300), block_size=1024
+    )
+    tracemalloc.start()
+    try:
+        experiments._combine_block(cfg, 0, ("current", "alternative"), False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 4 * 300 * 8, peak
 
 
 # --------------------------------------------------------------------------

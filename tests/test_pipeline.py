@@ -5,6 +5,7 @@ from mcombine.exceptions import DomainError
 from mcombine.linalg import sample_covariance
 from mcombine.models import (
     ADDITIVE,
+    EXPONENTIAL,
     MULTIPLICATIVE,
     PHASE,
     Normal,
@@ -37,6 +38,17 @@ def _shared_errors(q=7, k=2, seed=1):
     return ErrorBatch(rng.standard_normal((q, k)), shared=True)
 
 
+EPS = np.finfo(float).eps
+
+#: Custom kernels with the formulas of the separable named kernels: they take
+#: the replicate-tensor path, the independent check on the factored one.
+TWIN = {
+    "additive": ScalarKernel("custom", fn=lambda y, s: y + s),
+    "multiplicative": ScalarKernel("custom", fn=lambda y, s: y * s),
+    "phase": ScalarKernel("custom", fn=lambda y, s: np.sin(y + s)),
+}
+
+
 # --------------------------------------------------------------------------
 # batches
 
@@ -62,6 +74,17 @@ def test_batch_shape_properties():
 # transform stage
 
 
+def _loop_table(kernel, y, s):
+    """F(y_j, s_q) for every (j, q), one scalar kernel call at a time."""
+    (j, k), q = y.shape, s.shape[0]
+    table = np.empty((j, q, k))
+    for a in range(j):
+        for b in range(q):
+            for c in range(k):
+                table[a, b, c] = kernel_eval(kernel, y[a, c], s[b, c])
+    return table
+
+
 def test_transform_matches_scalar_loop():
     data = _batch(j=4, k=2, seed=2)
     errors = _shared_errors(q=5, k=2, seed=3)
@@ -69,14 +92,17 @@ def test_transform_matches_scalar_loop():
     spec = TransformSpec(kernel=PHASE)
     t = transform_stage(data, errors, spec, nu)
     assert t.nominals.shape == (4, 2)
-    assert t.replicates.shape == (4, 5, 2)
+    assert t.centres.shape == (5, 2)
+    assert t.replicate_means.shape == (4, 2)
     for j in range(4):
         for k in range(2):
             assert t.nominals[j, k] == kernel_eval(PHASE, data.rows[j, k], nu[k])
-            for q in range(5):
-                assert t.replicates[j, q, k] == kernel_eval(
-                    PHASE, data.rows[j, k], errors.rows[q, k]
-                )
+    # the factored phase kernel rounds differently from sin(y + s): a few eps
+    # per unit of argument
+    table = _loop_table(PHASE, data.rows, errors.rows)
+    tol = 4 * EPS * (np.abs(data.rows).max() + np.abs(errors.rows).max() + 1.0)
+    assert np.abs(t.centres - table.mean(axis=0)).max() <= tol
+    assert np.abs(t.replicate_means - table.mean(axis=1)).max() <= tol
 
 
 def test_transform_shared_errors_reused_across_vectors():
@@ -84,8 +110,11 @@ def test_transform_shared_errors_reused_across_vectors():
     errors = _shared_errors(q=6, k=1, seed=5)
     t = transform_stage(data, errors, TransformSpec(kernel=ADDITIVE), np.zeros(1))
     # same error column added to every data vector
+    table = data.rows[:, None, :] + errors.rows[None, :, :]
+    assert np.allclose(t.centres, table.mean(axis=0))
+    assert np.allclose(t.replicate_means, table.mean(axis=1))
     for j in range(3):
-        assert np.allclose(t.replicates[j, :, 0], data.rows[j, 0] + errors.rows[:, 0])
+        assert np.allclose(t.replicate_means[j, 0], data.rows[j, 0] + errors.rows[:, 0].mean())
 
 
 def test_transform_unshared_errors_split_per_vector():
@@ -93,9 +122,57 @@ def test_transform_unshared_errors_split_per_vector():
     rows = np.arange(12, dtype=float).reshape(12, 1)
     errors = ErrorBatch(rows, shared=False)
     t = transform_stage(data, errors, TransformSpec(kernel=ADDITIVE), np.zeros(1))
-    assert t.replicates.shape == (3, 4, 1)
-    for j in range(3):
-        assert np.allclose(t.replicates[j, :, 0], data.rows[j, 0] + rows[4 * j : 4 * j + 4, 0])
+    assert t.centres.shape == (4, 1)
+    assert t.replicate_means.shape == (3, 1)
+    table = np.stack([data.rows[j, 0] + rows[4 * j : 4 * j + 4, 0] for j in range(3)])
+    assert np.allclose(t.centres[:, 0], table.mean(axis=0))
+    assert np.allclose(t.replicate_means[:, 0], table.mean(axis=1))
+
+
+@pytest.mark.parametrize("kernel", [ADDITIVE, MULTIPLICATIVE, PHASE], ids=lambda kernel: kernel.kind)
+@pytest.mark.parametrize("construction", ["current", "alternative"])
+def test_factored_kernels_match_the_replicate_tensor(kernel, construction):
+    # K = 3, both pre-maps and two leading axes; the custom twin builds the
+    # (..., J, Q, K) tensor and reduces it.  The pre-maps stay near the
+    # identity: a nearly singular input covariance would magnify rounding
+    # in its square-root factor.
+    rng = np.random.default_rng(31)
+    lead, j, q, k = (2, 3), 5, 7, 3
+    rows = rng.standard_normal((*lead, j, k))
+    errors = ErrorBatch(rng.standard_normal((*lead, q, k)))
+    z = rng.standard_normal((*lead, q, k))
+    nu = np.array([0.2, -0.1, 0.4])
+    t_y, t_s = np.eye(k) + 0.3 * rng.standard_normal((2, k, k))
+    fast = transform_stage(DataBatch(rows), errors, TransformSpec(kernel, t_y, t_s), nu)
+    slow = transform_stage(DataBatch(rows), errors, TransformSpec(TWIN[kernel.kind], t_y, t_s), nu)
+    assert np.array_equal(fast.nominals, slow.nominals)
+    y, s = rows @ t_y.T, errors.rows @ t_s.T
+    if kernel is PHASE:  # sin y cos s + cos y sin s against sin(y + s)
+        tol = 4 * EPS * (np.abs(y).max() + np.abs(s).max() + 1.0)
+    else:
+        tol = 1e-14 * np.abs(kernel_eval(kernel, y[..., None, :], s[..., None, :, :])).max()
+    assert np.abs(fast.centres - slow.centres).max() <= tol
+    assert np.abs(fast.replicate_means - slow.replicate_means).max() <= tol
+    a = combine_with_noise(fast, z, construction)
+    b = combine_with_noise(slow, z, construction)
+    assert np.array_equal(a.nominal, b.nominal)
+    for name in ("input_cov", "replicates"):
+        want = getattr(b, name)
+        assert np.abs(getattr(a, name) - want).max() <= 1e-14 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("kernel", [ADDITIVE, MULTIPLICATIVE, PHASE, EXPONENTIAL], ids=lambda kernel: kernel.kind)
+def test_unshared_errors_match_the_shared_error_loop(kernel):
+    # each vector gets its own copy of the same Q draws, through the tensor
+    rng = np.random.default_rng(32)
+    j, q, k = 4, 6, 2
+    y, s = rng.uniform(0.5, 2.0, (j, k)), rng.uniform(0.5, 1.5, (q, k))
+    errors = ErrorBatch(np.tile(s, (j, 1)), shared=False)
+    t = transform_stage(DataBatch(y), errors, TransformSpec(kernel), np.ones(k))
+    table = _loop_table(kernel, y, s)
+    tol = 1e-14 * np.abs(table).max()
+    assert np.abs(t.centres - table.mean(axis=0)).max() <= tol
+    assert np.abs(t.replicate_means - table.mean(axis=1)).max() <= tol
 
 
 def test_transform_unshared_requires_divisible_rows():
@@ -111,15 +188,18 @@ def test_transform_applies_linear_premaps():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     spec = TransformSpec(kernel=ADDITIVE, t_y=swap)
     t = transform_stage(data, errors, spec, np.zeros(2))
-    assert np.allclose(t.replicates[0, 0], [3.0, 2.0])
-    assert np.allclose(t.replicates[1, 0], [5.0, 4.0])
+    # replicates (0, 0) and (1, 0) are [3, 2] and [5, 4]
+    assert np.allclose(t.replicate_means, [[3.0, 2.0], [5.0, 4.0]])
+    assert np.allclose(t.centres, [[4.0, 3.0]])
     # error pre-map: replicate (j, q) is T_y y_j + T_s s_q, nominal T_y y_j + T_s nu
     t_s = np.array([[2.0, 0.0], [1.0, 1.0]])
     spec = TransformSpec(kernel=ADDITIVE, t_y=swap, t_s=t_s)
     errors = ErrorBatch(np.array([[1.0, 2.0], [0.5, -1.0]]), shared=True)
     t = transform_stage(data, errors, spec, np.array([1.0, -1.0]))
-    # T_s s = [2, 3] and [1, -0.5]; T_s nu = [2, 0]; T_y y = [2, 1] and [4, 3]
-    assert np.array_equal(t.replicates, [[[4.0, 4.0], [3.0, 0.5]], [[6.0, 6.0], [5.0, 2.5]]])
+    # T_s s = [2, 3] and [1, -0.5]; T_s nu = [2, 0]; T_y y = [2, 1] and [4, 3];
+    # replicates [[[4, 4], [3, 0.5]], [[6, 6], [5, 2.5]]]
+    assert np.array_equal(t.centres, [[5.0, 5.0], [4.0, 1.5]])
+    assert np.array_equal(t.replicate_means, [[3.5, 2.25], [5.5, 4.25]])
     assert np.array_equal(t.nominals, [[4.0, 1.0], [6.0, 3.0]])
     with pytest.raises(DomainError, match="t_s dimension"):
         transform_stage(data, errors, TransformSpec(kernel=ADDITIVE, t_s=np.eye(3)), np.zeros(2))
@@ -132,15 +212,16 @@ def test_transform_nu_length_must_match():
 
 def test_transform_broadcasts_kernel_that_ignores_data():
     # f(y, s) = s returns one row for all J data vectors; the stage still
-    # reports J nominals and J replicate rows, so the combine sees J > 1
+    # reports J nominals and J replicate means, so the combine sees J > 1
     spec = TransformSpec(kernel=ScalarKernel("custom", fn=lambda y, s: s))
     data = DataBatch(np.array([[1.0], [2.0], [4.0]]))
     errors = _shared_errors(q=4, k=1, seed=12)
     t = transform_stage(data, errors, spec, np.ones(1))
     assert t.nominals.shape == (3, 1)
-    assert t.replicates.shape == (3, 4, 1)
-    assert np.array_equal(t.replicates[2], errors.rows)
-    t.replicates[0, 0, 0] = 0.0  # a real array, not a read-only broadcast view
+    assert t.replicate_means.shape == (3, 1)
+    assert np.allclose(t.centres, errors.rows)
+    assert np.allclose(t.replicate_means, errors.rows.mean())
+    t.nominals[0, 0] = 1.0  # a real array, not a read-only broadcast view
     out = combine_current(t, RngStream(1))
     assert np.array_equal(out.input_cov, np.zeros((1, 1)))
 
@@ -162,9 +243,28 @@ def test_transform_rejects_non_finite_kernel_output(stacked):
 
 
 def test_transform_accepts_finite_output_whose_sum_overflows():
+    # the 3 x 4 replicate table sums to 4.8e308, but every mean is finite,
+    # on the factored path and on the tensor path
+    data = DataBatch(np.full((3, 1), 4e307))
+    for kernel in (MULTIPLICATIVE, TWIN[MULTIPLICATIVE.kind]):
+        t = transform_stage(data, ErrorBatch(np.ones((4, 1))), TransformSpec(kernel=kernel), np.ones(1))
+        assert np.all(t.nominals == 4e307)
+        assert np.allclose(t.centres, 4e307, rtol=1e-15)
+        assert np.allclose(t.replicate_means, 4e307, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "kernel, what",
+    [(MULTIPLICATIVE, "replicate centres at error draw 0"),
+     (TWIN[MULTIPLICATIVE.kind], "replicate means at data row 0")],
+    ids=["factored", "tensor"],
+)
+def test_transform_rejects_an_overflowing_mean(kernel, what):
+    # every kernel value is 1e308, but a mean of three or four overflows
     data = DataBatch(np.full((3, 1), 1e308))
-    t = transform_stage(data, ErrorBatch(np.ones((4, 1))), TransformSpec(kernel=MULTIPLICATIVE), np.ones(1))
-    assert np.all(t.replicates == 1e308)
+    with pytest.raises(DomainError) as info:
+        transform_stage(data, ErrorBatch(np.ones((4, 1))), TransformSpec(kernel=kernel), np.ones(1))
+    assert str(info.value) == f"{kernel.kind} kernel gave non-finite {what}"
 
 
 def test_transform_rejects_mismatched_leading_axes():
@@ -189,7 +289,9 @@ def test_combine_with_zero_noise_returns_replicate_means():
     t = transform_stage(data, _shared_errors(q=6, seed=10), TransformSpec(kernel=MULTIPLICATIVE), np.zeros(2))
     z = np.zeros((6, 2))
     out = combine_with_noise(t, z, "current")
-    assert np.allclose(out.replicates, t.replicates.mean(axis=0))
+    assert np.array_equal(out.replicates, t.centres)
+    table = data.rows[:, None, :] * _shared_errors(q=6, seed=10).rows[None, :, :]
+    assert np.allclose(out.replicates, table.mean(axis=0))
 
 
 def test_combine_current_covariance_identity():
@@ -199,7 +301,7 @@ def test_combine_current_covariance_identity():
     t = transform_stage(data, _shared_errors(q=4, seed=12), TransformSpec(kernel=ADDITIVE), np.zeros(2))
     z = np.eye(4, 2)
     out = combine_with_noise(t, z, "current")
-    spread = out.replicates - t.replicates.mean(axis=0)
+    spread = out.replicates - t.centres
     cov = sample_covariance(t.nominals)
     # rows of spread are rows of factor.T / sqrt(J); their gram recovers cov/J
     gram = spread[:2].T @ spread[:2]
@@ -210,7 +312,9 @@ def test_combine_alternative_uses_replicate_means():
     data = _batch(j=5, k=2, seed=13)
     t = transform_stage(data, _shared_errors(q=5, seed=14), TransformSpec(kernel=MULTIPLICATIVE), np.zeros(2))
     out = combine_with_noise(t, np.zeros((5, 2)), "alternative")
-    assert np.allclose(out.input_cov, sample_covariance(t.replicates.mean(axis=1)))
+    table = data.rows[:, None, :] * _shared_errors(q=5, seed=14).rows[None, :, :]
+    assert np.allclose(out.input_cov, sample_covariance(table.mean(axis=1)))
+    assert np.array_equal(out.input_cov, sample_covariance(t.replicate_means))
 
 
 def test_combine_current_input_cov_is_nominal_cov():
@@ -308,7 +412,8 @@ def test_stacked_combine_equals_per_batch_loop(shared, construction):
         one_t = transform_stage(DataBatch(rows[i]), ErrorBatch(errors[i], shared=shared), spec, nu)
         one = combine_with_noise(one_t, z[i], construction)
         assert np.array_equal(t.nominals[i], one_t.nominals)
-        assert np.array_equal(t.replicates[i], one_t.replicates)
+        assert np.array_equal(t.centres[i], one_t.centres)
+        assert np.array_equal(t.replicate_means[i], one_t.replicate_means)
         assert np.array_equal(out.nominal[i], one.nominal)
         assert np.array_equal(out.input_cov[i], one.input_cov)
         assert np.array_equal(out.replicates[i], one.replicates)
