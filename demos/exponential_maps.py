@@ -4,7 +4,9 @@ Here the error enters through the exponent, f(y, s) = y**s with
 S ~ Unif[1-alpha, 1+alpha], and the data are uniform on [a, b].  The bias
 factor and the relative bias are computed in closed quadrature on a grid
 of supports 0 <= a <= b <= 8, the same landscape a measurement planner
-would scan to see where the reported uncertainty can be trusted.
+would scan to see where the reported uncertainty can be trusted.  A map
+is described by its grid alone (a ``MapSpec``): it samples nothing, so
+it needs no seed, trial count or worker pool.
 
 Expected picture: the factor is negative almost everywhere (variance is
 understated), with a small positive pocket at narrow low supports, and
@@ -14,7 +16,7 @@ magnitude, realized with both signs.
 
 import numpy as np
 
-from mcombine.experiments import ExperimentConfig, MapSpec, run_map
+from mcombine.experiments import MapSpec, run_map
 from mcombine.models import EXPONENTIAL
 
 GRID = MapSpec(kernel=EXPONENTIAL, alpha=0.95, lo=0.0, hi=8.0, n=81, j=2)
@@ -52,8 +54,8 @@ def maybe_plot(psi, rel) -> None:
 
 
 def main():
-    psi = run_map(ExperimentConfig(estimand="psi_map", map=GRID))
-    rel = run_map(ExperimentConfig(estimand="relbias_map", map=GRID))
+    psi = run_map(GRID)
+    rel = run_map(GRID, relative=True)
     print(f"exponent-error maps, alpha={GRID.alpha}, {GRID.n}x{GRID.n} grid over [0, 8]\n")
     describe("bias factor", psi)
     describe("relative bias (J=2)", rel)

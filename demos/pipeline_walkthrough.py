@@ -48,7 +48,8 @@ def main():
     s_law = Normal(mean=[1.0, 1.0], cov=[[0.050, 0.015], [0.015, 0.030]])
 
     data = DataBatch(sample(y_law, J, root.substream(0)))
-    errors = ErrorBatch(sample(s_law, Q, root.substream(1)), shared=True)
+    # each error draw is shared by all J vectors: one systematic error per draw
+    errors = ErrorBatch(sample(s_law, Q, root.substream(1)))
     print(f"data batch: J={J} vectors of width K={K}; Q={Q} shared error draws\n")
 
     spec = TransformSpec(kernel=kernel_from_json("multiplicative"))

@@ -48,7 +48,6 @@ from .linalg import (
     EigenPair,
     cross_covariance,
     sample_covariance,
-    sample_mean,
     scaled_rotation_factor,
     sym_eigendecompose,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "run_map",
     "sample",
     "sample_covariance",
-    "sample_mean",
     "scaled_rotation_factor",
     "sym_eigendecompose",
     "synthesis_input_variance_gap",

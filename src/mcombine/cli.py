@@ -304,7 +304,11 @@ def _run_sweep(ns, cmd: str) -> int:
     return 0
 
 
-def _run_map(ns, estimand: str) -> int:
+#: Map subcommands: the bias factor and the current construction's relative bias.
+_MAPS = ("psi-map", "relbias-map")
+
+
+def _run_map(ns, cmd: str) -> int:
     model = getattr(ns, "model", None)
     if model is None:
         raise DomainError("missing --model")
@@ -313,9 +317,10 @@ def _run_map(ns, estimand: str) -> int:
     j = int(_resolve(ns, "j", 2))
     fmt = _check_choice("format", _resolve(ns, "format", "csv"), ("csv", "json"))
     spec = MapSpec(kernel=models.kernel_from_json(model), alpha=alpha, lo=lo, hi=hi, n=n, j=j)
-    grid = experiments.run_map(ExperimentConfig(estimand=estimand, map=spec))
+    relative = cmd == "relbias-map"
+    grid = experiments.run_map(spec, relative=relative)
     out = _require_out(ns)
-    column = "psi" if estimand == "psi_map" else "relbias"
+    column = "relbias" if relative else "psi"
     if fmt == "json":
         payload = {
             "a_values": grid.a_values.tolist(),
@@ -329,7 +334,7 @@ def _run_map(ns, estimand: str) -> int:
         rows = [(text[a], text[b], _fmt(v)) for a, b, v in grid.rows()]
         _write_csv(out, ("a", "b", column), rows)
     cells = n * (n + 1) // 2
-    print(f"{estimand.replace('_', '-')} {model}: {n}x{n} grid ({cells} cells) -> {out}")
+    print(f"{cmd} {model}: {n}x{n} grid ({cells} cells) -> {out}")
     return 0
 
 
@@ -345,11 +350,13 @@ def _run_lemmas(ns) -> int:
             ids = [int(tok) for tok in str(raw).split(",") if tok.strip()]
         except ValueError:
             raise DomainError(f"bad --id {raw!r}; expected 'all' or a comma list") from None
+    if not ids:
+        raise DomainError(f"bad --id {raw!r}; it names no lemma")
     u2 = float(_resolve(ns, "u2", 0.0))
     n_obs = int(_resolve(ns, "n", 2))
-    results = {}
-    for lid in ids:
-        cfg = ExperimentConfig(
+    # every lemma's config is checked before the first check runs
+    cfgs = [
+        ExperimentConfig(
             estimand="lemma_check",
             trials=trials,
             master_seed=seed,
@@ -360,7 +367,9 @@ def _run_lemmas(ns) -> int:
             lemma_u2=u2,
             lemma_n=n_obs,
         )
-        results[lid] = experiments.verify_lemma(lid, cfg)
+        for lid in ids
+    ]
+    results = {cfg.lemma_id: experiments.verify_lemma(cfg) for cfg in cfgs}
     out = _require_out(ns)
     if fmt == "json":
         _write_json(out, {str(lid): res.to_json_dict() for lid, res in results.items()})
@@ -457,7 +466,7 @@ def _run_pipeline(ns) -> int:
     spec = models.TransformSpec(kernel=models.kernel_from_json(model))
     root = RngStream(seed)
     s_rows = models.sample(s_dist, q, root.substream(0))
-    errors = pipeline.ErrorBatch(s_rows, shared=True)
+    errors = pipeline.ErrorBatch(s_rows)
     t = pipeline.transform_stage(data, errors, spec, nu)
     if construction == "current":
         combined = pipeline.combine_current(t, root.substream(1))
@@ -533,8 +542,8 @@ def build_parser() -> _Parser:
     _add_scenario_flags(b)
     b.add_argument("--construction", help="current or alternative (default current)")
 
-    for name, estimand in (("psi-map", "psi_map"), ("relbias-map", "relbias_map")):
-        m = subs.add_parser(name, help=f"analytic {estimand.replace('_', ' ')} over (a,b) grid")
+    for name in _MAPS:
+        m = subs.add_parser(name, help=f"analytic {name.replace('-', ' ')} over (a,b) grid")
         m.add_argument("--config", help="JSON config file; explicit flags override its keys")
         m.add_argument("--model", help="error kernel name")
         m.add_argument("--alpha", type=float, help="error half-width (default 0.95)")
@@ -563,8 +572,7 @@ def build_parser() -> _Parser:
 _DISPATCH: dict[str, Callable[[argparse.Namespace], int]] = {
     "pipeline": _run_pipeline,
     **{cmd: functools.partial(_run_sweep, cmd=cmd) for cmd in _SWEEPS},
-    "psi-map": lambda ns: _run_map(ns, "psi_map"),
-    "relbias-map": lambda ns: _run_map(ns, "relbias_map"),
+    **{cmd: functools.partial(_run_map, cmd=cmd) for cmd in _MAPS},
     "lemmas": _run_lemmas,
 }
 

@@ -3,7 +3,10 @@
 Estimates every quantity the analytics module predicts — construction
 biases, the target variance, grand-mean variances, and the variability
 of the two constructions' sample variances — plus empirical checks of
-the five supporting lemmas, and pure-quadrature parameter maps.
+the five supporting lemmas.  An :class:`ExperimentConfig` describes one
+such seeded run, and its estimand names the one estimator that accepts
+it.  The pure-quadrature parameter maps sample nothing: :func:`run_map`
+takes only the grid's :class:`MapSpec`.
 
 Reproducibility protocol
 ------------------------
@@ -43,7 +46,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterator
 
@@ -84,16 +87,14 @@ ESTIMANDS = (
     "vardiff_reldiff",
     "target_variance_oracle",
     "lemma_check",
-    "psi_map",
-    "relbias_map",
 )
-_MAP_ESTIMANDS = ("psi_map", "relbias_map")
 
 _ROLE_Y, _ROLE_S, _ROLE_Z = 0, 1, 2
 _STAGE_MAIN, _STAGE_ORACLE = 0, 1
 
 #: Relative size below which a difference of two estimates that coincide
-#: is rounding noise: it is reported as exactly 0.0, so its z-score is 0.
+#: is rounding noise: it and its standard error are reported as exactly 0.0,
+#: so its z-score is 0.
 _ROUNDING = 1e-12
 
 
@@ -136,12 +137,12 @@ class MapSpec:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """A complete, seeded description of one experiment.
+    """A complete, seeded description of one Monte Carlo experiment.
 
-    Monte Carlo estimands need ``trials >= 100``: below that the
-    standard errors are too noisy for their z-scores to be read as normal
-    (the lemma 1 check, an identity that holds exactly, exceeds |z| = 5 in
-    one run in ten at 4 trials; lemmas 1–4 never did at 100).
+    Every estimand needs ``trials >= 100``: below that the standard errors
+    are too noisy for their z-scores to be read as normal (the lemma 1
+    check, an identity that holds exactly, exceeds |z| = 5 in one run in
+    ten at 4 trials; lemmas 1–4 never did at 100).
     ``workers`` bounds the process pool; the results do not depend on it.
     A scenario's block draws (``block_size``·J and ``block_size``·Q values)
     and one trial's J·Q kernel tensor must each fit in 1 GiB of float64;
@@ -158,16 +159,10 @@ class ExperimentConfig:
     lemma_id: int | None = None
     lemma_u2: float = 0.0
     lemma_n: int = 2
-    lemma_common: bool = True
-    map: MapSpec | None = None
 
     def __post_init__(self):
         if self.estimand not in ESTIMANDS:
             raise DomainError(f"unknown estimand {self.estimand!r}; expected one of {ESTIMANDS}")
-        if self.estimand in _MAP_ESTIMANDS:
-            if self.map is None:
-                raise DomainError(f"{self.estimand} requires a MapSpec")
-            return
         if self.trials < 100:
             raise DomainError(f"need at least 100 trials, got {self.trials}")
         if self.block_size < 1:
@@ -342,25 +337,24 @@ def _lemma_plan(cfg: ExperimentConfig) -> dict[str, Any]:
         w = Normal(mean=np.zeros(k), cov=_random_covariance(gen, k))
         # Sample covariance of J vectors sharing a common additive term is
         # unbiased for the marginal covariance *minus* the cross-covariance,
-        # so the common part drops out of the expectation either way.
-        common = _random_covariance(gen, k) if cfg.lemma_common else np.zeros((k, k))
-        return {"j": 4, "w": w, "c": Normal(mean=np.zeros(k), cov=common), "reference": w.cov}
+        # so the common part drops out of the expectation.
+        common = Normal(mean=np.zeros(k), cov=_random_covariance(gen, k))
+        return {"j": 4, "w": w, "c": common, "reference": w.cov}
     if lid in (2, 3):
         return {"k": k, "c0": 1.0, "c1": 0.5}
     if lid == 4:
         y = Normal(mean=[0.3, -0.2], cov=_random_covariance(gen, k))
         return {"y": y, "s": Normal(mean=[0.7, -1.1], cov=_random_covariance(gen, k))}
-    if lid == 5:
-        n = cfg.lemma_n
-        if cfg.lemma_u2 == 0.0:
-            mu = np.zeros(n)
-        else:
-            base = np.linspace(-1.0, 1.0, n)
-            base -= base.mean()
-            raw = float(base @ base) / (n - 1)
-            mu = base * math.sqrt(cfg.lemma_u2 / raw)
-        return {"n": n, "sigma": 1.0, "mu": mu}
-    raise DomainError(f"lemma_id must be 1..5, got {lid}")
+    # lemma 5: the config admits only ids 1..5
+    n = cfg.lemma_n
+    if cfg.lemma_u2 == 0.0:
+        mu = np.zeros(n)
+    else:
+        base = np.linspace(-1.0, 1.0, n)
+        base -= base.mean()
+        raw = float(base @ base) / (n - 1)
+        mu = base * math.sqrt(cfg.lemma_u2 / raw)
+    return {"n": n, "sigma": 1.0, "mu": mu}
 
 
 def _lemma_block(cfg: ExperimentConfig, block: int, plan: dict[str, Any]) -> tuple[NDArray, ...]:
@@ -397,11 +391,9 @@ def _lemma_block(cfg: ExperimentConfig, block: int, plan: dict[str, Any]) -> tup
         s1 = models.sample(plan["s"], bs, st[1])[:rows]
         s2 = models.sample(plan["s"], bs, st[2])[:rows]
         return (y * s1, y * s2, y * plan["s"].mean)
-    if lid == 5:
-        n = plan["n"]
-        x = plan["mu"] + plan["sigma"] * st[0].gen.standard_normal((bs, n))[:rows]
-        return (x.var(axis=1, ddof=1),)
-    raise DomainError(f"lemma_id must be 1..5, got {lid}")
+    # lemma 5
+    x = plan["mu"] + plan["sigma"] * st[0].gen.standard_normal((bs, plan["n"]))[:rows]
+    return (x.var(axis=1, ddof=1),)
 
 
 # --------------------------------------------------------------------------
@@ -438,6 +430,13 @@ def _mean_with_se(values: NDArray) -> tuple[Any, Any]:
     """Mean of per-trial influence values over the trial axis (axis 0),
     with its standard error."""
     return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
+
+
+def _zero_rounding_noise(point: float, se: float, scale: float) -> tuple[float, float]:
+    """``point`` and ``se``, each written as exactly 0.0 where it is within
+    ``_ROUNDING`` of zero on the point's ``scale``."""
+    limit = _ROUNDING * scale
+    return tuple(0.0 if abs(v) <= limit else v for v in (point, se))
 
 
 def _covariance_values(x: NDArray, y: NDArray) -> NDArray:
@@ -510,8 +509,6 @@ def estimate_target_variance_oracle(cfg: ExperimentConfig) -> EstimateResult:
     """
     if cfg.scenario is None:
         raise DomainError("target_variance_oracle requires a scenario")
-    if cfg.estimand in _MAP_ESTIMANDS:
-        raise DomainError(f"not a Monte Carlo config: {cfg.estimand}")
     (fbar,) = _run_blocks(cfg, _oracle_block, _STAGE_MAIN)
     point, se = map(float, _mean_with_se(_covariance_values(fbar, fbar)))
     return EstimateResult(
@@ -529,7 +526,7 @@ def estimate_mean_variance(cfg: ExperimentConfig) -> EstimateResult:
     Per trial, both constructions are built from common data, error, and
     noise draws (paired design); the point estimate is
     V[grand mean, current] − V[grand mean, alternative] with an
-    influence-based SE that respects the pairing.  A point within
+    influence-based SE that respects the pairing.  A point or SE within
     rounding of zero (1e-12 of the sum of the two variances) is reported
     as exactly 0.0, as for the additive kernel, where the two grand means
     coincide.
@@ -541,9 +538,7 @@ def estimate_mean_variance(cfg: ExperimentConfig) -> EstimateResult:
     ga = _covariance_values(a, a)
     gb = _covariance_values(b, b)
     var_a, var_b = float(ga.mean()), float(gb.mean())
-    point, se = map(float, _mean_with_se(ga - gb))
-    if abs(point) <= _ROUNDING * (var_a + var_b):
-        point = 0.0
+    point, se = _zero_rounding_noise(*map(float, _mean_with_se(ga - gb)), var_a + var_b)
     return EstimateResult(
         point=point,
         std_error=se,
@@ -566,9 +561,9 @@ def estimate_vardiff(cfg: ExperimentConfig) -> EstimateResult:
 
     estimated across trials.  Its SE comes from the per-trial influence
     values 2(V_a·g_c − V_c·g_a)/(V_c + V_a)², where g_c and g_a are the
-    two sample variances' own influence values.  A point within 1e-12 of
-    zero is reported as exactly 0.0, as for the additive kernel, where
-    the two constructions coincide.
+    two sample variances' own influence values.  A point or SE within
+    1e-12 of zero is reported as exactly 0.0, as for the additive kernel,
+    where the two constructions coincide.
     """
     if cfg.estimand != "vardiff_reldiff":
         raise DomainError(f"not a vardiff config: {cfg.estimand}")
@@ -581,10 +576,8 @@ def estimate_vardiff(cfg: ExperimentConfig) -> EstimateResult:
     if denom == 0.0:  # both statistics constant across trials
         point, se = 0.0, 0.0
     else:
-        point = (vc - va) / denom
         se = float(_mean_with_se(2.0 * (va * gc - vc * ga) / denom**2)[1])
-        if abs(point) <= _ROUNDING:
-            point = 0.0
+        point, se = _zero_rounding_noise((vc - va) / denom, se, 1.0)
     # raw variability difference (alternative minus current) with its own SE,
     # comparable to the closed large-Q form for the multiplicative kernel
     diff, diff_se = map(float, _mean_with_se(ga - gc))
@@ -605,8 +598,8 @@ def estimate_vardiff(cfg: ExperimentConfig) -> EstimateResult:
     )
 
 
-def verify_lemma(lemma_id: int, cfg: ExperimentConfig) -> EstimateResult:
-    """Empirical two-sided check of one supporting lemma.
+def verify_lemma(cfg: ExperimentConfig) -> EstimateResult:
+    """Empirical two-sided check of supporting lemma ``cfg.lemma_id``.
 
     Builds randomized instances satisfying the lemma's hypotheses,
     estimates both sides, and reports the difference with z-scores
@@ -615,8 +608,9 @@ def verify_lemma(lemma_id: int, cfg: ExperimentConfig) -> EstimateResult:
     whole-run (cross-)covariances and their SE from the per-trial
     influence values of the same difference.
     """
-    if cfg.estimand != "lemma_check" or cfg.lemma_id != lemma_id:
-        cfg = replace(cfg, estimand="lemma_check", lemma_id=lemma_id)
+    if cfg.estimand != "lemma_check":
+        raise DomainError(f"not a lemma_check config: {cfg.estimand}")
+    lemma_id = cfg.lemma_id
     plan = _lemma_plan(cfg)
     arrays = _run_blocks(cfg, _lemma_block, plan)
     n = arrays[0].shape[0]
@@ -658,8 +652,6 @@ def verify_lemma(lemma_id: int, cfg: ExperimentConfig) -> EstimateResult:
 class MapResult:
     """Grid of analytic values over data-support cells (a, b), a <= b."""
 
-    estimand: str
-    spec: MapSpec
     a_values: NDArray[np.float64]
     b_values: NDArray[np.float64]
     values: NDArray[np.float64]
@@ -682,9 +674,10 @@ def _map_error_dist(spec: MapSpec) -> DistSpec:
     return Normal(mean=[0.0], cov=[[1.0]])
 
 
-def run_map(cfg: ExperimentConfig) -> MapResult:
-    """Evaluate the analytic bias factor (psi_map) or current-construction
-    relative bias (relbias_map) over a (a, b) grid of uniform data laws.
+def run_map(spec: MapSpec, *, relative: bool = False) -> MapResult:
+    """Evaluate the analytic bias factor, or with ``relative`` the
+    current-construction relative bias, over the (a, b) grid of uniform
+    data laws that ``spec`` describes.
 
     Pure quadrature, no sampling.  Row a is one array evaluation over its
     cells b >= a, through the code the scenario functions run on a single
@@ -694,20 +687,14 @@ def run_map(cfg: ExperimentConfig) -> MapResult:
     where that call raises: exponential supports with a < 0 or a = b = 0,
     and relative biases over a target variance <= 0.
     """
-    if cfg.estimand not in _MAP_ESTIMANDS:
-        raise DomainError(f"not a map estimand: {cfg.estimand}")
-    spec = cfg.map
     grid = np.linspace(spec.lo, spec.hi, spec.n)
     s_dist = _map_error_dist(spec)
-    relative = cfg.estimand == "relbias_map"
     values = np.full((spec.n, spec.n), np.nan)
     for i, a in enumerate(grid):
         values[i, i:] = analytics._current_on_uniform_data(
             spec.kernel, s_dist, spec.j, a, grid[i:], relative=relative
         )
-    return MapResult(
-        estimand=cfg.estimand, spec=spec, a_values=grid, b_values=grid.copy(), values=values
-    )
+    return MapResult(a_values=grid, b_values=grid.copy(), values=values)
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .exceptions import DomainError, NumericalError
 
 __all__ = [
     "EigenPair",
-    "sample_mean",
     "sample_covariance",
     "cross_covariance",
     "sym_eigendecompose",
@@ -54,14 +53,6 @@ def _as_rows(x, name: str) -> NDArray[np.float64]:
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{name} contains non-finite entries")
     return a
-
-
-def sample_mean(rows) -> NDArray[np.float64]:
-    """Componentwise arithmetic mean of ``n >= 1`` row observations."""
-    a = _as_rows(rows, "rows")
-    if a.shape[-2] < 1:
-        raise DomainError("sample_mean needs at least one row")
-    return a.mean(axis=-2)
 
 
 def sample_covariance(rows) -> NDArray[np.float64]:

@@ -45,8 +45,6 @@ __all__ = [
     "kernel_from_json",
     "dist_from_json",
     "dist_to_json",
-    "transform_spec_from_json",
-    "transform_spec_to_json",
 ]
 
 _KERNEL_NAMES = ("additive", "multiplicative", "phase", "exponential")
@@ -391,23 +389,3 @@ def dist_to_json(dist: DistSpec) -> dict:
     if isinstance(dist, TwoPoint):
         return {"kind": "two_point", "a": dist.a.tolist(), "b": dist.b.tolist(), "p": dist.p}
     raise DomainError(f"unknown distribution spec {type(dist).__name__}")
-
-
-def transform_spec_from_json(obj: Any) -> TransformSpec:
-    if not isinstance(obj, dict) or "kernel" not in obj:
-        raise DomainError("transform spec must be an object with a 'kernel'")
-    t_y = obj.get("t_y")
-    t_s = obj.get("t_s")
-    return TransformSpec(
-        kernel=kernel_from_json(obj["kernel"]),
-        t_y=None if t_y is None else np.asarray(t_y, dtype=float),
-        t_s=None if t_s is None else np.asarray(t_s, dtype=float),
-    )
-
-
-def transform_spec_to_json(spec: TransformSpec) -> dict:
-    return {
-        "kernel": kernel_to_json(spec.kernel),
-        "t_y": None if spec.t_y is None else spec.t_y.tolist(),
-        "t_s": None if spec.t_s is None else spec.t_s.tolist(),
-    }

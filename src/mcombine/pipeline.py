@@ -2,13 +2,14 @@
 
 The Transform stage evaluates the measurement transformation once at the
 nominal error value for each data vector (the "nominals") and once per
-Monte Carlo error draw (the "replicates").  Combine reads the replicates
-only through two means, so Transform returns those instead of the
-(J, Q) replicate table: the mean over j at each draw q (the replicate
-"centres") and the mean over q for each vector j (the "replicate
-means").  For the additive, multiplicative and phase kernels with shared
-errors both come from the means of the kernel's separable factors,
-without building the table.
+Monte Carlo error draw (the "replicates").  Every error draw is shared by
+all the data vectors of a batch: it models one systematic error common
+to the whole batch.  Combine reads the replicates only through two
+means, so Transform returns those instead of the (J, Q) replicate table:
+the mean over j at each draw q (the replicate "centres") and the mean
+over q for each vector j (the "replicate means").  For the additive,
+multiplicative and phase kernels both come from the means of the
+kernel's separable factors, without building the table.
 
 The Combine stage merges the per-vector results into a single nominal
 plus a synthesized replicate sample: the replicate centres, plus
@@ -84,17 +85,14 @@ class DataBatch:
 
 @dataclass(frozen=True, eq=False)
 class ErrorBatch:
-    """Error draws, one per row.
+    """Q error draws, one per row, each shared by every data vector of the
+    batch: a common systematic error.
 
-    With ``shared=True`` (the usual case) the same Q rows are reused for
-    every data vector, modeling a common systematic error.  With
-    ``shared=False`` the batch holds J·Q rows and each data vector
-    consumes its own contiguous Q-row block.  Leading axes, if any, must
-    match those of the data batch.
+    ``rows`` is (Q, K), or (..., Q, K) with the leading axes of the data
+    batch.
     """
 
     rows: NDArray[np.float64]
-    shared: bool = True
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -209,10 +207,9 @@ def _separable_means(ranks, y, s):
 def _tensor_means(kernel: ScalarKernel, y, s):
     """Centres and replicate means through the (..., J, Q, K) kernel tensor.
 
-    ``y`` is (..., J, 1, K) and ``s`` (..., 1, Q, K) or (..., J, Q, K).  The
-    tensor is built for a run of rows of the first leading axis at a time,
-    at most ``_TENSOR_ELEMS`` elements (but at least one row), and reduced
-    at once.
+    ``y`` is (..., J, 1, K) and ``s`` (..., 1, Q, K).  The tensor is built
+    for a run of rows of the first leading axis at a time, at most
+    ``_TENSOR_ELEMS`` elements (but at least one row), and reduced at once.
     """
     lead, j, q, k = y.shape[:-3], y.shape[-3], s.shape[-2], y.shape[-1]
     centres = np.empty((*lead, q, k))
@@ -247,12 +244,11 @@ def transform_stage(
 
     ``nu`` must be the mean of the error distribution the batch was drawn
     from; the nominal for vector j is F(Y_j, nu) and replicate (j, q) is
-    F(Y_j, S_q) (shared) or F(Y_j, S_{jQ+q}) (unshared).  With shared
-    errors, a kernel with a separable form gets both means from the means
-    of its factors; any other kernel, and unshared errors, build the
-    replicate tensor and reduce it.  Every output is checked exactly, so a
-    non-finite kernel value or an overflowing mean is refused here, with
-    the kernel and the output named.
+    F(Y_j, S_q).  A kernel with a separable form gets both means from the
+    means of its factors; any other kernel builds the replicate tensor and
+    reduces it.  Every output is checked exactly, so a non-finite kernel
+    value or an overflowing mean is refused here, with the kernel and the
+    output named.
     """
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     k = data.k
@@ -267,20 +263,7 @@ def transform_stage(
         raise DomainError(
             f"error batch leading shape {errors.rows.shape[:-2]} does not match data's {lead}"
         )
-    j = data.j
-    s = errors.rows
-    if errors.shared:
-        q = s.shape[-2]
-    else:
-        total = s.shape[-2]
-        if total % j != 0:
-            raise DomainError(
-                f"unshared errors need J*Q rows; {total} rows do not divide by J={j}"
-            )
-        q = total // j
-        s = s.reshape(*lead, j, q, k)
-
-    y = data.rows
+    j, y, s = data.j, data.rows, errors.rows
     if spec.t_y is not None:
         if spec.t_y.shape[0] != k:
             raise DomainError("t_y dimension does not match K")
@@ -292,7 +275,7 @@ def transform_stage(
         s = s @ spec.t_s.T
         nu_t = spec.t_s @ nu
 
-    ranks = _SEPARABLE.get(spec.kernel.kind) if errors.shared else None
+    ranks = _SEPARABLE.get(spec.kernel.kind)
     # Every non-finite value is refused below; the warnings that made it
     # would only say so twice.
     with np.errstate(all="ignore"):
@@ -300,8 +283,9 @@ def transform_stage(
         if ranks is not None:
             centres, replicate_means = _separable_means(ranks, y, s)
         else:
-            s = s[..., np.newaxis, :, :] if errors.shared else s
-            centres, replicate_means = _tensor_means(spec.kernel, y[..., np.newaxis, :], s)
+            centres, replicate_means = _tensor_means(
+                spec.kernel, y[..., np.newaxis, :], s[..., np.newaxis, :, :]
+            )
     _require_finite(spec.kernel, "nominals", nominals, "data row")
     _require_finite(spec.kernel, "replicate means", replicate_means, "data row")
     _require_finite(spec.kernel, "replicate centres", centres, "error draw")

@@ -199,13 +199,13 @@ def test_criterion_05_exponential_bias_maps():
     # at half-width 0.95: the bias factor is negative over at least 95%
     # of the region but positive somewhere; the worst relative bias at
     # J=2 is about -20%; ten random cells agree with 1e7-draw MC oracles.
-    psi_grid = run_map(ExperimentConfig(estimand="psi_map", map=MapSpec(kernel=EXPONENTIAL)))
+    psi_grid = run_map(MapSpec(kernel=EXPONENTIAL))
     vals = np.array([v for _, _, v in psi_grid.rows()])
     finite = vals[np.isfinite(vals)]
     assert (finite < 0.0).mean() >= 0.95
     assert (finite > 0.0).any()
 
-    rel_grid = run_map(ExperimentConfig(estimand="relbias_map", map=MapSpec(kernel=EXPONENTIAL, j=2)))
+    rel_grid = run_map(MapSpec(kernel=EXPONENTIAL, j=2), relative=True)
     worst = float(np.nanmax(np.abs(rel_grid.values)))
     assert 0.15 <= worst <= 0.25
 
@@ -261,16 +261,14 @@ def test_criterion_07_supporting_identities():
     # unit noise with mean dispersion 0 or 2 at N = 2 and 11.
     for lid in (1, 2, 3, 4):
         res = verify_lemma(
-            lid,
             ExperimentConfig(
                 estimand="lemma_check", trials=100_000, master_seed=108, salt=lid, lemma_id=lid
-            ),
+            )
         )
         assert res.trials >= 100_000
         assert res.max_abs_z() <= 3.0, f"identity {lid}: max|z|={res.max_abs_z():.2f}"
     for salt, (u2, n) in enumerate(((0.0, 2), (0.0, 11), (2.0, 2), (2.0, 11))):
         res = verify_lemma(
-            5,
             ExperimentConfig(
                 estimand="lemma_check",
                 trials=100_000,
@@ -279,7 +277,7 @@ def test_criterion_07_supporting_identities():
                 lemma_id=5,
                 lemma_u2=u2,
                 lemma_n=n,
-            ),
+            )
         )
         assert res.max_abs_z() <= 3.0, f"u2={u2} N={n}: z={res.max_abs_z():.2f}"
 

@@ -2,11 +2,13 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
 import mcombine
+import mcombine.cli
 
 SUBMODULES = [f"mcombine.{m.name}" for m in pkgutil.iter_modules(mcombine.__path__)]
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
@@ -19,20 +21,38 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    if not path.is_file():
+        pytest.skip("perfbench/ is not part of this checkout")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_finds_every_wrapped_name():
     # the benchmark's tracer wraps functions by module attribute name; a
     # renamed or removed one fails here instead of in a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    if not path.is_file():
-        pytest.skip("perfbench/ is not part of this checkout")
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    tracer = spans.Tracer()
+    tracer = _perfbench_module("spans").Tracer()
     try:
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_workloads_build_and_run_against_this_api(tmp_path):
+    # the benchmark imports names from mcombine, passes the CLI flags of its
+    # ops and builds ExperimentConfig objects in its pool probe; a removed
+    # name, flag or keyword fails here instead of in a benchmark run
+    workloads = _perfbench_module("workloads")
+    parser = mcombine.cli.build_parser()
+    for name in workloads.WORKLOADS:
+        for op in workloads.build(name, 0, tmp_path / name).ops:
+            parser.parse_args(op.argv)
+    _perfbench_module("spans").pool_overhead_ms(0, repeats=1)
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])

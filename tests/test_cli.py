@@ -390,6 +390,23 @@ def test_lemmas_bad_id(tmp_path):
     assert main(["lemmas", "--id", "7", "--trials", "2000", "--out", str(tmp_path / "x.csv")]) == 1
 
 
+def test_lemmas_id_list_naming_no_lemma_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["lemmas", "--id", ",", "--out", "l.csv"]) == 1
+    assert "names no lemma" in _only_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lemmas_check_every_id_before_the_first_runs(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.experiments, "verify_lemma", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    assert main(["lemmas", "--id", "1,6", "--out", "l.csv"]) == 1
+    assert "lemma_id must be 1..5, got 6" in _only_error_line(capsys.readouterr().err)
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------------------
 # analytic maps
 

@@ -136,11 +136,6 @@ def test_config_lemma_id_bounds():
         ExperimentConfig(estimand="lemma_check", trials=100, lemma_id=6)
 
 
-def test_config_map_required_for_map_estimands():
-    with pytest.raises(DomainError):
-        ExperimentConfig(estimand="psi_map")
-
-
 def test_result_zscore_definition():
     r = EstimateResult(point=1.5, std_error=0.25, trials=10, analytic_reference=1.0)
     assert r.z_score == (r.point - r.analytic_reference) / r.std_error
@@ -184,8 +179,8 @@ def test_worker_count_does_not_change_results():
 
 def test_worker_count_invariance_for_lemmas_and_vardiff():
     lemma_kw = dict(estimand="lemma_check", trials=4_000, master_seed=5, lemma_id=2)
-    a = verify_lemma(2, ExperimentConfig(**lemma_kw, workers=1))
-    b = verify_lemma(2, ExperimentConfig(**lemma_kw, workers=3))
+    a = verify_lemma(ExperimentConfig(**lemma_kw, workers=1))
+    b = verify_lemma(ExperimentConfig(**lemma_kw, workers=3))
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
     vd = dict(estimand="vardiff_reldiff", trials=4_000, scenario=mult_standard(), master_seed=6)
     c = estimate_vardiff(ExperimentConfig(**vd, workers=1))
@@ -464,15 +459,6 @@ def test_target_oracle_reads_only_the_scenario():
         estimate_target_variance_oracle(lemma)
 
 
-@pytest.mark.parametrize("field, value", [("trials", 5), ("block_size", 0), ("workers", 0)])
-def test_target_oracle_rejects_a_map_config(field, value):
-    # map configs skip the Monte Carlo checks, so the oracle must refuse them
-    spec = MapSpec(kernel=EXPONENTIAL, lo=0.0, hi=8.0, n=5)
-    cfg = ExperimentConfig(estimand="psi_map", map=spec, scenario=mult_standard(), **{field: value})
-    with pytest.raises(DomainError, match="not a Monte Carlo config"):
-        estimate_target_variance_oracle(cfg)
-
-
 def test_mean_variance_additive_no_gap():
     res = estimate_mean_variance(
         ExperimentConfig(estimand="mean_variance", trials=20_000, scenario=additive_standard(), master_seed=5)
@@ -511,9 +497,9 @@ def test_rounding_noise_points_are_exactly_zero():
     # a reldiff of -1.33e-16 with SE 5.97e-18, z = -22, from rounding alone
     cfg = ExperimentConfig(estimand="vardiff_reldiff", trials=20_000, scenario=additive_standard(q=5), master_seed=5)
     res = estimate_vardiff(cfg)
-    assert (res.point, res.z_score) == (0.0, 0.0)
+    assert (res.point, res.std_error, res.z_score) == (0.0, 0.0, 0.0)
     res = estimate_mean_variance(replace(cfg, estimand="mean_variance"))
-    assert (res.point, res.z_score) == (0.0, 0.0)
+    assert (res.point, res.std_error, res.z_score) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -526,11 +512,15 @@ def test_real_differences_are_not_rounded_to_zero(scenario):
     both = (experiments._combine_block, ("current", "alternative"))
     s2c, s2a = _run_blocks(cfg, *both, False)
     vc, va = s2c.var(ddof=1), s2a.var(ddof=1)
-    assert estimate_vardiff(cfg).point == pytest.approx((vc - va) / (vc + va), rel=1e-12, abs=0.0)
+    res = estimate_vardiff(cfg)
+    assert res.point == pytest.approx((vc - va) / (vc + va), rel=1e-12, abs=0.0)
+    assert res.std_error > 0.0
     cfg = replace(cfg, estimand="mean_variance")
     a, b = _run_blocks(cfg, *both, True)
     want = a.var(ddof=1) - b.var(ddof=1)
-    assert estimate_mean_variance(cfg).point == pytest.approx(want, rel=1e-12, abs=0.0)
+    res = estimate_mean_variance(cfg)
+    assert res.point == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert res.std_error > 0.0
 
 
 def test_vardiff_standard_errors_are_calibrated():
@@ -587,33 +577,30 @@ def test_vardiff_exponential_current_less_variable():
 # lemma suite
 
 
-def test_lemma1_with_and_without_common_term():
-    for common in (True, False):
-        res = verify_lemma(
-            1,
-            ExperimentConfig(
-                estimand="lemma_check", trials=40_000, master_seed=11, lemma_id=1, lemma_common=common
-            ),
-        )
-        assert res.max_abs_z() <= 3.5
-        assert np.asarray(res.point).shape == (2, 2)
+def test_lemma1_with_common_term():
+    res = verify_lemma(ExperimentConfig(estimand="lemma_check", trials=40_000, master_seed=11, lemma_id=1))
+    assert res.max_abs_z() <= 3.5
+    assert np.asarray(res.point).shape == (2, 2)
 
 
 def test_lemmas_2_to_4_difference_near_zero():
     for lid in (2, 3, 4):
-        res = verify_lemma(
-            lid, ExperimentConfig(estimand="lemma_check", trials=40_000, master_seed=12, lemma_id=lid)
-        )
+        res = verify_lemma(ExperimentConfig(estimand="lemma_check", trials=40_000, master_seed=12, lemma_id=lid))
         assert res.max_abs_z() <= 3.5, f"lemma {lid}"
+
+
+def test_verify_lemma_refuses_a_config_of_another_estimand():
+    cfg = ExperimentConfig(estimand="vardiff_reldiff", trials=100, scenario=mult_standard(), lemma_id=1)
+    with pytest.raises(DomainError, match="not a lemma_check config"):
+        verify_lemma(cfg)
 
 
 def test_lemma5_formula_for_dispersed_means():
     for u2, n in ((0.0, 2), (2.0, 11), (0.5, 4)):
         res = verify_lemma(
-            5,
             ExperimentConfig(
                 estimand="lemma_check", trials=60_000, master_seed=13, lemma_id=5, lemma_u2=u2, lemma_n=n
-            ),
+            )
         )
         assert res.max_abs_z() <= 3.5, (u2, n)
 
@@ -624,14 +611,14 @@ def test_lemma5_formula_for_dispersed_means():
 
 def test_additive_map_is_identically_zero():
     spec = MapSpec(kernel=ADDITIVE, lo=0.0, hi=4.0, n=9)
-    grid = run_map(ExperimentConfig(estimand="psi_map", map=spec))
+    grid = run_map(spec)
     tri = [v for _, _, v in grid.rows()]
     assert np.allclose(tri, 0.0)
 
 
 def test_map_single_cell_equals_direct_call():
     spec = MapSpec(kernel=EXPONENTIAL, alpha=0.95, lo=2.0, hi=2.0, n=1)
-    grid = run_map(ExperimentConfig(estimand="psi_map", map=spec))
+    grid = run_map(spec)
     direct = bias_factor_current(
         ScalarScenario(
             kernel=EXPONENTIAL,
@@ -646,7 +633,7 @@ def test_map_single_cell_equals_direct_call():
 
 def test_map_cells_match_direct_calls():
     spec = MapSpec(kernel=EXPONENTIAL, alpha=0.95, lo=0.0, hi=8.0, n=5, j=2)
-    grid = run_map(ExperimentConfig(estimand="relbias_map", map=spec))
+    grid = run_map(spec, relative=True)
     for i, a in enumerate(grid.a_values):
         for jdx, b in enumerate(grid.b_values):
             if a > b:
@@ -669,24 +656,24 @@ def test_map_cells_match_direct_calls():
 
 def test_map_undefined_cells_are_nan():
     spec = MapSpec(kernel=EXPONENTIAL, alpha=0.95, lo=0.0, hi=1.0, n=2)
-    grid = run_map(ExperimentConfig(estimand="psi_map", map=spec))
+    grid = run_map(spec)
     assert math.isnan(grid.values[0, 0])  # Unif[0,0] puts data at zero
     assert math.isnan(grid.values[1, 0])  # below the diagonal
 
 
-@pytest.mark.parametrize("estimand", ["psi_map", "relbias_map"])
+@pytest.mark.parametrize("relative", [False, True], ids=["psi_map", "relbias_map"])
 @pytest.mark.parametrize("kernel", [PHASE, EXPONENTIAL], ids=["phase", "exponential"])
-def test_map_cells_are_the_direct_calls_bitwise(kernel, estimand):
+def test_map_cells_are_the_direct_calls_bitwise(kernel, relative):
     # a < 0, a = 0, the diagonal, a = b = 0 and (1, 1) (zero exponential
     # target) all sit on this grid; a map row is one array evaluation
     alpha = 0.95
     spec = MapSpec(kernel=kernel, alpha=alpha, lo=-0.5, hi=2.0, n=6, j=3)
-    grid = run_map(ExperimentConfig(estimand=estimand, map=spec))
+    grid = run_map(spec, relative=relative)
     if kernel is EXPONENTIAL:
         s_dist = Uniform(lo=[1.0 - alpha], hi=[1.0 + alpha])
     else:
         s_dist = Uniform(lo=[-alpha], hi=[alpha])
-    direct = bias_factor_current if estimand == "psi_map" else relbias_current
+    direct = relbias_current if relative else bias_factor_current
     raised = 0
     for i, a in enumerate(grid.a_values):
         for jdx, b in enumerate(grid.b_values):
@@ -702,7 +689,7 @@ def test_map_cells_are_the_direct_calls_bitwise(kernel, estimand):
                 assert math.isnan(got), (a, b)
                 continue
             assert got == want, (a, b, got, want)
-    assert raised == {PHASE: 0, EXPONENTIAL: 7 if estimand == "psi_map" else 8}[kernel]
+    assert raised == {PHASE: 0, EXPONENTIAL: 8 if relative else 7}[kernel]
 
 
 @pytest.mark.parametrize(
@@ -734,10 +721,10 @@ def test_map_spec_alpha_ranges_and_kernels():
 def test_map_memory_stays_one_row_at_a_time():
     # A full-grid (13,041 cells x 256 nodes) float tensor is 26.7 MB; one
     # row of the default exponential relbias map peaks at about 1.9 MB.
-    cfg = ExperimentConfig(estimand="relbias_map", map=MapSpec(kernel=EXPONENTIAL))
+    spec = MapSpec(kernel=EXPONENTIAL)
     tracemalloc.start()
     try:
-        run_map(cfg)
+        run_map(spec, relative=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -847,7 +834,7 @@ def test_regression_sweep_z_scores():
     worst = 0.0
     for cfg in configs:
         if cfg.estimand == "lemma_check":
-            res = verify_lemma(cfg.lemma_id, cfg)
+            res = verify_lemma(cfg)
         elif cfg.estimand == "target_variance_oracle":
             res = estimate_target_variance_oracle(cfg)
         elif cfg.estimand == "mean_variance":

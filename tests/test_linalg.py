@@ -7,7 +7,6 @@ from mcombine.exceptions import DomainError, NumericalError
 from mcombine.linalg import (
     cross_covariance,
     sample_covariance,
-    sample_mean,
     scaled_rotation_factor,
     sym_eigendecompose,
 )
@@ -32,12 +31,6 @@ def _two_pass_covariance(rows):
 
 # --------------------------------------------------------------------------
 # sample statistics
-
-
-def test_sample_mean_matches_numpy():
-    rng = np.random.default_rng(0)
-    rows = rng.standard_normal((7, 3))
-    assert np.allclose(sample_mean(rows), rows.mean(axis=0))
 
 
 def test_sample_covariance_matches_two_pass_oracle():
@@ -225,11 +218,9 @@ def test_stacked_moments_and_factor_equal_per_matrix_loop():
     for i, m in enumerate(stack):
         assert np.array_equal(factors[i], scaled_rotation_factor(m))
     cross = cross_covariance(rows, rows[::-1])
-    means = sample_mean(rows)
     for i, r in enumerate(rows):
         assert np.array_equal(covs[i], sample_covariance(r))
         assert np.array_equal(cross[i], cross_covariance(r, rows[::-1][i]))
-        assert np.array_equal(means[i], sample_mean(r))
 
 
 def test_stacked_factor_names_a_negative_matrix():

@@ -23,8 +23,6 @@ from mcombine.models import (
     kernel_to_json,
     moments,
     sample,
-    transform_spec_from_json,
-    transform_spec_to_json,
 )
 from mcombine.rng import RngStream
 
@@ -281,11 +279,3 @@ def test_dist_json_round_trip():
 def test_dist_json_rejects_unknown_family():
     with pytest.raises(DomainError):
         dist_from_json({"family": "cauchy", "loc": 0.0})
-
-
-def test_transform_spec_json_round_trip():
-    spec = TransformSpec(kernel=PHASE, t_y=np.eye(2), t_s=2.0 * np.eye(2))
-    back = transform_spec_from_json(transform_spec_to_json(spec))
-    assert back.kernel == spec.kernel
-    assert np.array_equal(back.t_y, spec.t_y)
-    assert np.array_equal(back.t_s, spec.t_s)

@@ -35,7 +35,7 @@ def _batch(j=5, k=2, seed=0):
 
 def _shared_errors(q=7, k=2, seed=1):
     rng = np.random.default_rng(seed)
-    return ErrorBatch(rng.standard_normal((q, k)), shared=True)
+    return ErrorBatch(rng.standard_normal((q, k)))
 
 
 EPS = np.finfo(float).eps
@@ -117,18 +117,6 @@ def test_transform_shared_errors_reused_across_vectors():
         assert np.allclose(t.replicate_means[j, 0], data.rows[j, 0] + errors.rows[:, 0].mean())
 
 
-def test_transform_unshared_errors_split_per_vector():
-    data = _batch(j=3, k=1, seed=6)
-    rows = np.arange(12, dtype=float).reshape(12, 1)
-    errors = ErrorBatch(rows, shared=False)
-    t = transform_stage(data, errors, TransformSpec(kernel=ADDITIVE), np.zeros(1))
-    assert t.centres.shape == (4, 1)
-    assert t.replicate_means.shape == (3, 1)
-    table = np.stack([data.rows[j, 0] + rows[4 * j : 4 * j + 4, 0] for j in range(3)])
-    assert np.allclose(t.centres[:, 0], table.mean(axis=0))
-    assert np.allclose(t.replicate_means[:, 0], table.mean(axis=1))
-
-
 @pytest.mark.parametrize("kernel", [ADDITIVE, MULTIPLICATIVE, PHASE], ids=lambda kernel: kernel.kind)
 @pytest.mark.parametrize("construction", ["current", "alternative"])
 def test_factored_kernels_match_the_replicate_tensor(kernel, construction):
@@ -162,29 +150,22 @@ def test_factored_kernels_match_the_replicate_tensor(kernel, construction):
 
 
 @pytest.mark.parametrize("kernel", [ADDITIVE, MULTIPLICATIVE, PHASE, EXPONENTIAL], ids=lambda kernel: kernel.kind)
-def test_unshared_errors_match_the_shared_error_loop(kernel):
-    # each vector gets its own copy of the same Q draws, through the tensor
+def test_shared_errors_match_the_scalar_loop(kernel):
+    # the exponential kernel takes the replicate-tensor path, the others the
+    # factored one
     rng = np.random.default_rng(32)
     j, q, k = 4, 6, 2
     y, s = rng.uniform(0.5, 2.0, (j, k)), rng.uniform(0.5, 1.5, (q, k))
-    errors = ErrorBatch(np.tile(s, (j, 1)), shared=False)
-    t = transform_stage(DataBatch(y), errors, TransformSpec(kernel), np.ones(k))
+    t = transform_stage(DataBatch(y), ErrorBatch(s), TransformSpec(kernel), np.ones(k))
     table = _loop_table(kernel, y, s)
     tol = 1e-14 * np.abs(table).max()
     assert np.abs(t.centres - table.mean(axis=0)).max() <= tol
     assert np.abs(t.replicate_means - table.mean(axis=1)).max() <= tol
 
 
-def test_transform_unshared_requires_divisible_rows():
-    data = _batch(j=3, k=1)
-    errors = ErrorBatch(np.ones((10, 1)), shared=False)
-    with pytest.raises(DomainError):
-        transform_stage(data, errors, TransformSpec(kernel=ADDITIVE), np.zeros(1))
-
-
 def test_transform_applies_linear_premaps():
     data = DataBatch(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    errors = ErrorBatch(np.array([[1.0, 1.0]]), shared=True)
+    errors = ErrorBatch(np.array([[1.0, 1.0]]))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     spec = TransformSpec(kernel=ADDITIVE, t_y=swap)
     t = transform_stage(data, errors, spec, np.zeros(2))
@@ -194,7 +175,7 @@ def test_transform_applies_linear_premaps():
     # error pre-map: replicate (j, q) is T_y y_j + T_s s_q, nominal T_y y_j + T_s nu
     t_s = np.array([[2.0, 0.0], [1.0, 1.0]])
     spec = TransformSpec(kernel=ADDITIVE, t_y=swap, t_s=t_s)
-    errors = ErrorBatch(np.array([[1.0, 2.0], [0.5, -1.0]]), shared=True)
+    errors = ErrorBatch(np.array([[1.0, 2.0], [0.5, -1.0]]))
     t = transform_stage(data, errors, spec, np.array([1.0, -1.0]))
     # T_s s = [2, 3] and [1, -0.5]; T_s nu = [2, 0]; T_y y = [2, 1] and [4, 3];
     # replicates [[[4, 4], [3, 0.5]], [[6, 6], [5, 2.5]]]
@@ -327,7 +308,7 @@ def test_combine_current_input_cov_is_nominal_cov():
 
 def test_combine_alternative_needs_two_error_draws():
     data = _batch(j=3, k=1, seed=17)
-    errors = ErrorBatch(np.ones((1, 1)), shared=True)
+    errors = ErrorBatch(np.ones((1, 1)))
     t = transform_stage(data, errors, TransformSpec(kernel=ADDITIVE), np.zeros(1))
     with pytest.raises(DomainError):
         combine_alternative(t, RngStream(0))
@@ -365,7 +346,7 @@ def test_additive_mean_of_sample_variances_tracks_target():
     for t_idx in range(trials):
         sub = root.substream(t_idx)
         data = DataBatch(sample(y_dist, j, sub.substream(0)))
-        errors = ErrorBatch(sample(s_dist, q, sub.substream(1)), shared=True)
+        errors = ErrorBatch(sample(s_dist, q, sub.substream(1)))
         t = transform_stage(data, errors, spec, np.zeros(1))
         out = combine_current(t, sub.substream(2))
         acc[t_idx] = out.replicates[:, 0].var(ddof=1)
@@ -385,7 +366,7 @@ def test_k2_grand_mean_is_unbiased():
     for t_idx in range(trials):
         sub = root.substream(t_idx)
         data = DataBatch(sample(y_dist, j, sub.substream(0)))
-        errors = ErrorBatch(sample(s_dist, q, sub.substream(1)), shared=True)
+        errors = ErrorBatch(sample(s_dist, q, sub.substream(1)))
         t = transform_stage(data, errors, spec, s_dist.mean_vector())
         out = combine_alternative(t, sub.substream(2))
         grand[t_idx] = out.replicates.mean(axis=0)
@@ -394,22 +375,23 @@ def test_k2_grand_mean_is_unbiased():
     assert np.all(np.abs(grand.mean(axis=0) - expected) < 3.0 * se)
 
 
-@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("kernel", [PHASE, TWIN["phase"]], ids=lambda kernel: kernel.kind)
 @pytest.mark.parametrize("construction", ["current", "alternative"])
-def test_stacked_combine_equals_per_batch_loop(shared, construction):
-    # K = 3 with pre-maps: every leading index is an independent pipeline run
+def test_stacked_combine_equals_per_batch_loop(kernel, construction):
+    # K = 3 with pre-maps: every leading index is an independent pipeline run,
+    # through the factored path (phase) and the replicate tensor (its twin)
     rng = np.random.default_rng(20)
     t_count, j, q, k = 5, 4, 6, 3
     rows = rng.standard_normal((t_count, j, k))
-    errors = rng.standard_normal((t_count, q if shared else j * q, k))
+    errors = rng.standard_normal((t_count, q, k))
     z = rng.standard_normal((t_count, q, k))
     nu = np.array([0.1, 0.0, -0.3])
-    spec = TransformSpec(kernel=PHASE, t_y=rng.standard_normal((k, k)), t_s=np.eye(k) * 0.5)
-    t = transform_stage(DataBatch(rows), ErrorBatch(errors, shared=shared), spec, nu)
+    spec = TransformSpec(kernel=kernel, t_y=rng.standard_normal((k, k)), t_s=np.eye(k) * 0.5)
+    t = transform_stage(DataBatch(rows), ErrorBatch(errors), spec, nu)
     out = combine_with_noise(t, z, construction)
     assert out.replicates.shape == (t_count, q, k)
     for i in range(t_count):
-        one_t = transform_stage(DataBatch(rows[i]), ErrorBatch(errors[i], shared=shared), spec, nu)
+        one_t = transform_stage(DataBatch(rows[i]), ErrorBatch(errors[i]), spec, nu)
         one = combine_with_noise(one_t, z[i], construction)
         assert np.array_equal(t.nominals[i], one_t.nominals)
         assert np.array_equal(t.centres[i], one_t.centres)
