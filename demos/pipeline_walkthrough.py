@@ -22,7 +22,6 @@ from mcombine import (
     ErrorBatch,
     Normal,
     RngStream,
-    TransformSpec,
     combine_alternative,
     combine_current,
     kernel_from_json,
@@ -52,8 +51,7 @@ def main():
     errors = ErrorBatch(sample(s_law, Q, root.substream(1)))
     print(f"data batch: J={J} vectors of width K={K}; Q={Q} shared error draws\n")
 
-    spec = TransformSpec(kernel=kernel_from_json("multiplicative"))
-    transformed = transform_stage(data, errors, spec, nu=s_law.mean_vector())
+    transformed = transform_stage(data, errors, kernel_from_json("multiplicative"), nu=s_law.mean_vector())
     print(f"nominal values (per vector):\n{np.array2string(transformed.nominals, precision=4)}\n")
 
     report("current", combine_current(transformed, root.substream(2)))

@@ -20,9 +20,7 @@ Layout
 from .analytics import (
     ScalarScenario,
     bias_factor_alternative,
-    bias_factor_alternative_mc,
     bias_factor_current,
-    exponential_conditional_mean,
     gauss_legendre,
     mean_variance_gap,
     relbias_alternative,
@@ -45,7 +43,6 @@ from .experiments import (
     verify_lemma,
 )
 from .linalg import (
-    EigenPair,
     cross_covariance,
     sample_covariance,
     scaled_rotation_factor,
@@ -56,10 +53,8 @@ from .models import (
     EXPONENTIAL,
     MULTIPLICATIVE,
     PHASE,
-    CentralMoments,
     Normal,
     ScalarKernel,
-    TransformSpec,
     TwoPoint,
     Uniform,
     dist_from_json,
@@ -88,11 +83,9 @@ __all__ = [
     "MULTIPLICATIVE",
     "PHASE",
     "EXPONENTIAL",
-    "CentralMoments",
     "CombineOutput",
     "DataBatch",
     "DomainError",
-    "EigenPair",
     "ErrorBatch",
     "EstimateResult",
     "ExperimentConfig",
@@ -104,11 +97,9 @@ __all__ = [
     "ScalarKernel",
     "ScalarScenario",
     "TransformOutput",
-    "TransformSpec",
     "TwoPoint",
     "Uniform",
     "bias_factor_alternative",
-    "bias_factor_alternative_mc",
     "bias_factor_current",
     "combine_alternative",
     "combine_current",
@@ -120,7 +111,6 @@ __all__ = [
     "estimate_mean_variance",
     "estimate_target_variance_oracle",
     "estimate_vardiff",
-    "exponential_conditional_mean",
     "gauss_legendre",
     "kernel_from_json",
     "kernel_to_json",

@@ -169,7 +169,32 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) 
 # Config-file merging
 
 
-def _merge_config(ns: argparse.Namespace, parser_dests: set[str]) -> None:
+def _flag_types(parser: argparse.ArgumentParser, cmd: str) -> dict[str, Callable | None]:
+    """The ``type`` converter of each flag of subcommand ``cmd``, by dest."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.type for a in subs.choices[cmd]._actions if a.dest != "help"}
+
+
+def _convert(key: str, value, convert: Callable | None):
+    """A config value through its flag's converter, as if typed as the flag.
+
+    Booleans and other JSON types are refused where a number is meant, and
+    so is a non-integral number where an integer is meant.
+    """
+    if convert is None:
+        return value
+    fraction = convert is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool) and not fraction:
+        try:
+            return convert(value)
+        except (ValueError, OverflowError):
+            pass
+    raise DomainError(
+        f"config key {key!r} needs a value of type {convert.__name__}, got {json.dumps(value)}"
+    )
+
+
+def _merge_config(ns: argparse.Namespace, flag_types: dict[str, Callable | None]) -> None:
     if getattr(ns, "config", None) is None:
         return
     try:
@@ -182,8 +207,9 @@ def _merge_config(ns: argparse.Namespace, parser_dests: set[str]) -> None:
     if not isinstance(data, dict):
         raise DomainError("config file must hold a JSON object")
     for key, value in data.items():
-        if key == "config" or key not in parser_dests:
+        if key == "config" or key not in flag_types:
             raise DomainError(f"unknown config key {key!r} for this subcommand")
+        value = _convert(key, value, flag_types[key])
         if getattr(ns, key) is None:
             setattr(ns, key, value)
 
@@ -463,11 +489,11 @@ def _run_pipeline(ns) -> int:
         nu = np.full(k, nu_scalar)
         s_dist = Normal(mean=nu, cov=np.eye(k))
     data = pipeline.DataBatch(rows)
-    spec = models.TransformSpec(kernel=models.kernel_from_json(model))
+    kernel = models.kernel_from_json(model)
     root = RngStream(seed)
     s_rows = models.sample(s_dist, q, root.substream(0))
     errors = pipeline.ErrorBatch(s_rows)
-    t = pipeline.transform_stage(data, errors, spec, nu)
+    t = pipeline.transform_stage(data, errors, kernel, nu)
     if construction == "current":
         combined = pipeline.combine_current(t, root.substream(1))
     else:
@@ -585,7 +611,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             print("error: a subcommand is required", file=sys.stderr)
             return 1
-        _merge_config(ns, set(vars(ns)) - {"cmd"})
+        _merge_config(ns, _flag_types(parser, ns.cmd))
         return _DISPATCH[ns.cmd](ns)
     except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,7 +60,7 @@ from . import analytics, models, pipeline
 from .analytics import ScalarScenario
 from .exceptions import DomainError
 from .linalg import cross_covariance, sample_covariance
-from .models import DistSpec, Normal, ScalarKernel, TransformSpec, Uniform, kernel_eval
+from .models import DistSpec, Normal, ScalarKernel, Uniform, kernel_eval
 from .pipeline import DataBatch, ErrorBatch
 from .rng import RngStream
 
@@ -107,7 +107,8 @@ class MapSpec:
     Unif(−alpha, alpha) for phase (alpha > 0, finite), standard normal for
     additive and multiplicative (alpha unused; the factor is identically
     zero).  ``j`` only affects relative-bias maps.  The grid's ends must be
-    finite.  Custom kernels have no analytic map.
+    finite, and its n × n values must fit in 1 GiB of float64.  Custom
+    kernels have no analytic map.
     """
 
     kernel: ScalarKernel
@@ -120,6 +121,11 @@ class MapSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("map grid needs at least one point per axis")
+        if self.n * self.n > pipeline._MAX_ELEMS:
+            raise DomainError(
+                f"a {self.n}x{self.n} map grid holds {self.n * self.n} values, more than the "
+                f"limit of {pipeline._MAX_ELEMS} (1 GiB of float64)"
+            )
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DomainError(f"map grid ends must be finite, got {self.lo}:{self.hi}")
         if self.hi < self.lo:
@@ -144,8 +150,9 @@ class ExperimentConfig:
     check, an identity that holds exactly, exceeds |z| = 5 in one run in
     ten at 4 trials; lemmas 1–4 never did at 100).
     ``workers`` bounds the process pool; the results do not depend on it.
-    A scenario's block draws (``block_size``·J and ``block_size``·Q values)
-    and one trial's J·Q kernel tensor must each fit in 1 GiB of float64;
+    A scenario's block draws (``block_size``·J and ``block_size``·Q values),
+    one trial's J·Q kernel tensor and the run's per-trial values (at most
+    eight a trial, in lemmas 2 and 3) must each fit in 1 GiB of float64;
     a larger run is refused here, before anything is allocated.
     """
 
@@ -165,6 +172,11 @@ class ExperimentConfig:
             raise DomainError(f"unknown estimand {self.estimand!r}; expected one of {ESTIMANDS}")
         if self.trials < 100:
             raise DomainError(f"need at least 100 trials, got {self.trials}")
+        if self.trials > pipeline._MAX_ELEMS // 8:
+            raise DomainError(
+                f"{self.trials} trials keep up to {8 * self.trials} per-trial values, more than "
+                f"the limit of {pipeline._MAX_ELEMS} (1 GiB of float64)"
+            )
         if self.block_size < 1:
             raise DomainError("block_size must be positive")
         if self.workers < 1:
@@ -291,8 +303,7 @@ def _combine_block(
     """
     sc = cfg.scenario
     y, s = _draw_y_s(cfg, _STAGE_MAIN, block)
-    spec = TransformSpec(kernel=sc.kernel)
-    t = pipeline.transform_stage(DataBatch(y[..., None]), ErrorBatch(s[..., None]), spec,
+    t = pipeline.transform_stage(DataBatch(y[..., None]), ErrorBatch(s[..., None]), sc.kernel,
                                  sc.s_dist.mean_vector())
     # Each block-sized array lives only while it is needed: the error draws
     # until the transform, the noise from the first combine on, and one
@@ -563,7 +574,8 @@ def estimate_vardiff(cfg: ExperimentConfig) -> EstimateResult:
     values 2(V_a·g_c − V_c·g_a)/(V_c + V_a)², where g_c and g_a are the
     two sample variances' own influence values.  A point or SE within
     1e-12 of zero is reported as exactly 0.0, as for the additive kernel,
-    where the two constructions coincide.
+    where the two constructions coincide; so are the raw difference
+    V_a − V_c in ``extras`` and its SE, on the scale V_c + V_a.
     """
     if cfg.estimand != "vardiff_reldiff":
         raise DomainError(f"not a vardiff config: {cfg.estimand}")
@@ -580,7 +592,7 @@ def estimate_vardiff(cfg: ExperimentConfig) -> EstimateResult:
         point, se = _zero_rounding_noise((vc - va) / denom, se, 1.0)
     # raw variability difference (alternative minus current) with its own SE,
     # comparable to the closed large-Q form for the multiplicative kernel
-    diff, diff_se = map(float, _mean_with_se(ga - gc))
+    diff, diff_se = _zero_rounding_noise(*map(float, _mean_with_se(ga - gc)), vc + va)
     # Only the additive kernel makes the two constructions' variabilities
     # agree at finite Q; elsewhere the difference merely decays with Q.
     reference = 0.0 if cfg.scenario.kernel.kind == "additive" else None
@@ -726,24 +738,28 @@ def bias_factor_current_oracle(
     return point, se
 
 
+#: Chunks the relative-bias oracle splits its draws into; its SE is their spread.
+_ORACLE_CHUNKS = 10
+
+
 def relbias_current_oracle(
-    scenario: ScalarScenario, trials: int, stream: RngStream, chunks: int = 10
+    scenario: ScalarScenario, trials: int, stream: RngStream
 ) -> tuple[float, float]:
     """MC estimate (value, SE) of the current construction's relative bias.
 
-    Each chunk draws (Y, Y', S) triples sharing the error draw, estimates
-    the target variance from the variance/cross-covariance split and the
-    bias factor from independent data draws, and forms the ratio; the
-    point is the chunk mean and the SE the chunk spread.
+    Each of ``_ORACLE_CHUNKS`` chunks draws (Y, Y', S) triples sharing the
+    error draw, estimates the target variance from the variance/cross-
+    covariance split and the bias factor from independent data draws, and
+    forms the ratio; the point is the chunk mean and the SE the chunk spread.
     """
-    if chunks < 2 or trials < 2 * chunks:
-        raise DomainError("oracle needs at least two chunks of two draws")
+    if trials < 2 * _ORACLE_CHUNKS:
+        raise DomainError("oracle needs at least two draws per chunk")
     reject = scenario.kernel.kind == "exponential"
     jj = float(scenario.j)
     nu = float(scenario.s_dist.mean_vector()[0])
-    per = trials // chunks
+    per = trials // _ORACLE_CHUNKS
     vals = []
-    for c in range(chunks):
+    for c in range(_ORACLE_CHUNKS):
         gy = stream.substream(c, 0)
         gs = stream.substream(c, 1)
         y1, y2, y3 = (
@@ -762,4 +778,4 @@ def relbias_current_oracle(
         psi_hat = float(f_nom.var(ddof=1)) - float(m.var(ddof=1))
         vals.append(psi_hat / jj / target)
     arr = np.array(vals)
-    return float(arr.mean()), float(arr.std(ddof=1)) / math.sqrt(chunks)
+    return float(arr.mean()), float(arr.std(ddof=1)) / math.sqrt(_ORACLE_CHUNKS)

@@ -13,15 +13,12 @@ that every result seeded from an eigenbasis is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
-    "EigenPair",
     "sample_covariance",
     "cross_covariance",
     "sym_eigendecompose",
@@ -31,17 +28,6 @@ __all__ = [
 #: Eigenvalues of a covariance matrix below -EIG_CLAMP_REL * max|eig|
 #: indicate a corrupt (non-PSD beyond rounding) input.
 EIG_CLAMP_REL = 1e-10
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns.
-
-    For a stack of matrices ``values`` is (..., K) and ``vectors`` (..., K, K).
-    """
-
-    values: NDArray[np.float64]
-    vectors: NDArray[np.float64]
 
 
 def _as_rows(x, name: str) -> NDArray[np.float64]:
@@ -104,16 +90,17 @@ def _check_symmetric(m, name: str) -> NDArray[np.float64]:
     return 0.5 * (a + at)
 
 
-def sym_eigendecompose(m) -> EigenPair:
+def sym_eigendecompose(m) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Eigendecomposition of a symmetric matrix, or of a stack of them.
 
     ``m`` has shape (..., K, K); the decomposition is LAPACK's, through
     ``numpy.linalg.eigh``, which solves a whole stack in one call.  A
     LAPACK convergence failure raises :class:`NumericalError`.
 
-    Returns eigenvalues sorted descending with matching eigenvector
-    columns; each column is sign-normalized so its largest-magnitude
-    component is positive.
+    Returns ``(values, vectors)`` as ``numpy.linalg.eigh`` does, (..., K)
+    and (..., K, K), but with the eigenvalues sorted descending and their
+    eigenvector columns to match; each column is sign-normalized so its
+    largest-magnitude component is positive.
     """
     a = _check_symmetric(m, "matrix")
     try:
@@ -126,7 +113,7 @@ def sym_eigendecompose(m) -> EigenPair:
     # positive so the decomposition (and everything seeded from it) is unique.
     lead = np.abs(vectors).argmax(axis=-2)[..., np.newaxis, :]
     flip = np.take_along_axis(vectors, lead, axis=-2) < 0.0
-    return EigenPair(values=values, vectors=np.where(flip, -vectors, vectors))
+    return values, np.where(flip, -vectors, vectors)
 
 
 def scaled_rotation_factor(cov) -> NDArray[np.float64]:
@@ -137,8 +124,7 @@ def scaled_rotation_factor(cov) -> NDArray[np.float64]:
     noise and clamped to zero; anything more negative means the input is
     not a covariance matrix and raises :class:`NumericalError`.
     """
-    pair = sym_eigendecompose(cov)
-    d = pair.values
+    d, vectors = sym_eigendecompose(cov)
     floor = -EIG_CLAMP_REL * np.abs(d).max(axis=-1, initial=0.0, keepdims=True)
     below = d < floor
     if below.any():
@@ -148,4 +134,4 @@ def scaled_rotation_factor(cov) -> NDArray[np.float64]:
             f"below the clamp threshold {floor[i][0]:.3e}"
         )
     np.clip(d, 0.0, None, out=d)
-    return pair.vectors * np.sqrt(d)[..., np.newaxis, :]
+    return vectors * np.sqrt(d)[..., np.newaxis, :]

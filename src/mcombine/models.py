@@ -1,10 +1,9 @@
 """Measurement transformations and the random inputs they consume.
 
 A transformation maps a data vector ``y`` and an error vector ``s`` to a
-result vector, componentwise through a scalar kernel ``f`` after optional
-linear pre-maps of each input:
+result vector, componentwise through a scalar kernel ``f``:
 
-    F(y, s)[k] = f((T_y @ y)[k], (T_s @ s)[k])
+    F(y, s)[k] = f(y[k], s[k])
 
 Four named kernels cover the standard error mechanisms — additive
 ``y + s``, multiplicative ``y * s``, phase ``sin(y + s)``, and
@@ -33,7 +32,6 @@ __all__ = [
     "MULTIPLICATIVE",
     "PHASE",
     "EXPONENTIAL",
-    "TransformSpec",
     "Normal",
     "Uniform",
     "TwoPoint",
@@ -106,27 +104,6 @@ _SEPARABLE: dict[str, tuple[tuple[Callable, Callable], ...]] = {
     "multiplicative": ((np.positive, np.positive),),
     "phase": ((np.sin, np.cos), (np.cos, np.sin)),
 }
-
-
-@dataclass(frozen=True)
-class TransformSpec:
-    """Kernel plus optional K×K linear pre-maps of data and error inputs."""
-
-    kernel: ScalarKernel
-    t_y: NDArray[np.float64] | None = None
-    t_s: NDArray[np.float64] | None = None
-
-    def __post_init__(self):
-        for name in ("t_y", "t_s"):
-            m = getattr(self, name)
-            if m is None:
-                continue
-            m = np.asarray(m, dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise DomainError(f"{name} must be a square matrix")
-            if not np.all(np.isfinite(m)):
-                raise DomainError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, m)
 
 
 # --------------------------------------------------------------------------
@@ -347,7 +324,6 @@ def moments(dist: DistSpec) -> CentralMoments:
 #                 {"kind": "uniform", "lo": [...], "hi": [...]}
 #                 {"kind": "two_point", "a": [...], "b": [...], "p": 0.5}
 #                 (scalars accepted anywhere a length-1 vector is expected)
-# TransformSpec:  {"kernel": <kernel>, "t_y": [[...]] | null, "t_s": [[...]] | null}
 #
 # Custom kernels are API-only: they hold arbitrary callables and have no
 # JSON form.

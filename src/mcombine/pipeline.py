@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 
 from .exceptions import DomainError
 from .linalg import sample_covariance, scaled_rotation_factor
-from .models import _SEPARABLE, ScalarKernel, TransformSpec, kernel_eval
+from .models import _SEPARABLE, ScalarKernel, kernel_eval
 from .rng import RngStream
 
 __all__ = [
@@ -237,14 +237,14 @@ def _require_finite(kernel: ScalarKernel, what: str, values, rows: str) -> None:
 
 
 def transform_stage(
-    data: DataBatch, errors: ErrorBatch, spec: TransformSpec, nu
+    data: DataBatch, errors: ErrorBatch, kernel: ScalarKernel, nu
 ) -> TransformOutput:
     """Evaluate the transformation at the nominal error and at each MC draw,
     and reduce the replicates to the means Combine reads.
 
     ``nu`` must be the mean of the error distribution the batch was drawn
     from; the nominal for vector j is F(Y_j, nu) and replicate (j, q) is
-    F(Y_j, S_q).  A kernel with a separable form gets both means from the
+    F(Y_j, S_q), where F applies ``kernel`` componentwise.  A kernel with a separable form gets both means from the
     means of its factors; any other kernel builds the replicate tensor and
     reduces it.  Every output is checked exactly, so a non-finite kernel
     value or an overflowing mean is refused here, with the kernel and the
@@ -264,31 +264,20 @@ def transform_stage(
             f"error batch leading shape {errors.rows.shape[:-2]} does not match data's {lead}"
         )
     j, y, s = data.j, data.rows, errors.rows
-    if spec.t_y is not None:
-        if spec.t_y.shape[0] != k:
-            raise DomainError("t_y dimension does not match K")
-        y = y @ spec.t_y.T
-    nu_t = nu
-    if spec.t_s is not None:
-        if spec.t_s.shape[0] != k:
-            raise DomainError("t_s dimension does not match K")
-        s = s @ spec.t_s.T
-        nu_t = spec.t_s @ nu
-
-    ranks = _SEPARABLE.get(spec.kernel.kind)
+    ranks = _SEPARABLE.get(kernel.kind)
     # Every non-finite value is refused below; the warnings that made it
     # would only say so twice.
     with np.errstate(all="ignore"):
-        nominals = _kernel_values(spec.kernel, y, nu_t, (*lead, j, k))
+        nominals = _kernel_values(kernel, y, nu, (*lead, j, k))
         if ranks is not None:
             centres, replicate_means = _separable_means(ranks, y, s)
         else:
             centres, replicate_means = _tensor_means(
-                spec.kernel, y[..., np.newaxis, :], s[..., np.newaxis, :, :]
+                kernel, y[..., np.newaxis, :], s[..., np.newaxis, :, :]
             )
-    _require_finite(spec.kernel, "nominals", nominals, "data row")
-    _require_finite(spec.kernel, "replicate means", replicate_means, "data row")
-    _require_finite(spec.kernel, "replicate centres", centres, "error draw")
+    _require_finite(kernel, "nominals", nominals, "data row")
+    _require_finite(kernel, "replicate means", replicate_means, "data row")
+    _require_finite(kernel, "replicate centres", centres, "error draw")
     return TransformOutput(nominals=nominals, centres=centres, replicate_means=replicate_means)
 
 

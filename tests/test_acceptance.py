@@ -340,11 +340,11 @@ def test_criterion_09_kernel_numerics():
         r = int(rng.integers(1, k + 1))
         f = rng.normal(size=(k, r))
         m = f @ f.T
-        pair = sym_eigendecompose(m)
+        values, vectors = sym_eigendecompose(m)
         scale = max(1.0, float(np.abs(m).max()))
-        recon = pair.vectors @ np.diag(pair.values) @ pair.vectors.T
+        recon = vectors @ np.diag(values) @ vectors.T
         assert float(np.abs(recon - m).max()) <= 1e-10 * scale
-        gram = pair.vectors.T @ pair.vectors
+        gram = vectors.T @ vectors
         assert float(np.abs(gram - np.eye(k)).max()) <= 1e-12
 
     for a, b, alpha in ((0.1, 8.0, 0.95), (1.0, 4.0, 0.5), (0.5, 2.0, 0.99)):

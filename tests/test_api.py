@@ -21,6 +21,29 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+#: The top-level API, pinned so that any name added to or dropped from
+#: ``mcombine.__all__`` shows up as a change to this list.
+TOP_LEVEL_API = [
+    "ADDITIVE", "MULTIPLICATIVE", "PHASE", "EXPONENTIAL",
+    "CombineOutput", "DataBatch", "DomainError", "ErrorBatch", "EstimateResult",
+    "ExperimentConfig", "MapResult", "MapSpec", "Normal", "NumericalError",
+    "RngStream", "ScalarKernel", "ScalarScenario", "TransformOutput", "TwoPoint",
+    "Uniform", "bias_factor_alternative", "bias_factor_current",
+    "combine_alternative", "combine_current", "combine_nominal",
+    "cross_covariance", "dist_from_json", "dist_to_json", "estimate_combine_bias",
+    "estimate_mean_variance", "estimate_target_variance_oracle", "estimate_vardiff",
+    "gauss_legendre", "kernel_from_json", "kernel_to_json", "mean_variance_gap",
+    "moments", "relbias_alternative", "relbias_current", "run_map", "sample",
+    "sample_covariance", "scaled_rotation_factor", "sym_eigendecompose",
+    "synthesis_input_variance_gap", "target_variance", "transform_stage",
+    "var_of_sample_variance_normal", "verify_lemma",
+]
+
+
+def test_top_level_api_is_the_pinned_list():
+    assert mcombine.__all__ == TOP_LEVEL_API
+
+
 def _perfbench_module(name):
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
     if not path.is_file():

@@ -237,6 +237,7 @@ def test_alpha_and_s_dist_are_exclusive(tmp_path, capsys):
 # runs too small or degenerate to give a finite result
 
 FEW_TRIALS = {
+    "bias-sweep": ["bias-sweep", "--model", "phase", "--q", "3", "--trials", "5", "--out", "b.csv"],
     "vardiff": ["vardiff", "--model", "phase", "--q", "3", "--trials", "3", "--out", "v.csv"],
     "lemmas": ["lemmas", "--trials", "99", "--out", "l.csv"],
     "mean-var": ["mean-var", "--model", "phase", "--q", "3", "--trials", "2", "--format", "json",
@@ -259,6 +260,35 @@ def test_too_few_trials_exit_one_before_any_work(cmd, tmp_path, monkeypatch, cap
     monkeypatch.chdir(tmp_path)
     assert main(FEW_TRIALS[cmd]) == 1
     assert "at least 100 trials" in _only_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", sorted(FEW_TRIALS))
+def test_too_many_trials_exit_one_before_any_work(cmd, tmp_path, monkeypatch, capsys):
+    # 1e11 trials ran on past a 15 s timeout; their per-trial values alone
+    # would pass the 1 GiB bound
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("sampled before validating --trials")
+
+    monkeypatch.setattr(cli.experiments, "_run_blocks", no_blocks)
+    monkeypatch.chdir(tmp_path)
+    argv = list(FEW_TRIALS[cmd])
+    argv[argv.index("--trials") + 1] = "100000000000"
+    assert main(argv) == 1
+    assert "100000000000 trials" in _only_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", cli._MAPS)
+def test_oversized_map_grid_exits_one_before_any_allocation(cmd, tmp_path, monkeypatch, capsys):
+    # a 100000 x 100000 grid ended in numpy's "Unable to allocate 74.5 GiB"
+    def no_map(*args, **kwargs):
+        raise AssertionError("mapped before the size check")
+
+    monkeypatch.setattr(cli.experiments, "run_map", no_map)
+    monkeypatch.chdir(tmp_path)
+    assert main([cmd, "--model", "exponential", "--grid", "0:8:100000", "--out", "m.csv"]) == 1
+    assert "100000x100000 map grid" in _only_error_line(capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -326,6 +356,29 @@ def test_explicit_flags_override_config(tmp_path):
     assert main(["bias-sweep", "--config", str(cfg), "--out", str(base)]) == 0
     assert main(["bias-sweep", "--config", str(cfg), "--seed", "4", "--out", str(override)]) == 0
     assert base.read_bytes() != override.read_bytes()
+
+
+@pytest.mark.parametrize("cmd, key, value", [("bias-sweep", "seed", 1), ("bias-sweep", "trials", 400),
+                                            ("pipeline", "q", 10)])
+def test_config_integers_go_through_the_flag_converter(cmd, key, value, data_csv, tmp_path, capsys):
+    # {"seed": 1.9} once wrote the bytes of --seed 1, and {"trials": 100.7} ran 100 trials
+    base = {
+        "bias-sweep": {"model": "multiplicative", "q": "3,5", "trials": 400, "seed": 1},
+        "pipeline": {"model": "additive", "data": str(data_csv), "q": 10},
+    }[cmd]
+
+    def run(tag, v):
+        cfg = tmp_path / f"{tag}.json"
+        cfg.write_text(json.dumps({**base, key: v, "out": str(tmp_path / f"{tag}.out")}))
+        return main([cmd, "--config", str(cfg)])
+
+    assert run("int", value) == 0 and run("float", float(value)) == 0
+    assert (tmp_path / "int.out").read_bytes() == (tmp_path / "float.out").read_bytes()
+    capsys.readouterr()
+    for tag, bad in (("fraction", value + 0.9), ("bool", True), ("list", [value])):
+        assert run(tag, bad) == 1
+        assert f"config key {key!r}" in _only_error_line(capsys.readouterr().err)
+        assert not (tmp_path / f"{tag}.out").exists()
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -38,7 +38,6 @@ from mcombine.models import (
     PHASE,
     Normal,
     ScalarKernel,
-    TransformSpec,
     TwoPoint,
     Uniform,
 )
@@ -129,6 +128,17 @@ def test_config_refuses_arrays_over_the_size_bound(estimand, j, q, block_size):
     message = str(info.value)
     for part in (f"Q = {q}", f"J = {j}", f"block size {block_size}", "1 GiB"):
         assert part in message
+
+
+@pytest.mark.parametrize("estimand", ["combine_bias_current", "lemma_check"])
+def test_config_refuses_more_trials_than_the_size_bound(estimand):
+    # up to eight per-trial values (lemmas 2 and 3) are held until the
+    # blocks are joined; the lemma config is checked before its early return
+    scenario = None if estimand == "lemma_check" else additive_standard()
+    most = pipeline._MAX_ELEMS // 8
+    ExperimentConfig(estimand=estimand, trials=most, scenario=scenario, lemma_id=2)
+    with pytest.raises(DomainError, match=f"{most + 1} trials .*1 GiB"):
+        ExperimentConfig(estimand=estimand, trials=most + 1, scenario=scenario, lemma_id=2)
 
 
 def test_config_lemma_id_bounds():
@@ -414,13 +424,12 @@ def test_harness_statistic_is_the_pipeline_combine(scenario, estimand, tensor_el
     cfg = ExperimentConfig(estimand=estimand, trials=700, scenario=scenario, master_seed=3, block_size=300)
     constructions = HARNESS_CONSTRUCTIONS[estimand]
     per_trial = _run_blocks(cfg, experiments._combine_block, constructions, estimand == "mean_variance")
-    spec = TransformSpec(kernel=scenario.kernel)
     nu = scenario.s_dist.mean_vector()
     for trial in (0, 1, 299, 300, 650, 699):
         block, row = divmod(trial, cfg.block_size)
         y, s = _draw_y_s(cfg, 0, block)
         z = _draw_z(cfg, block)
-        t = transform_stage(DataBatch(y[row][:, None]), ErrorBatch(s[row][:, None]), spec, nu)
+        t = transform_stage(DataBatch(y[row][:, None]), ErrorBatch(s[row][:, None]), scenario.kernel, nu)
         assert len(per_trial) == len(HARNESS_CONSTRUCTIONS[estimand])
         for construction, stat in zip(HARNESS_CONSTRUCTIONS[estimand], per_trial):
             m = combine_with_noise(t, z[row][:, None], construction).replicates[:, 0]
@@ -498,6 +507,7 @@ def test_rounding_noise_points_are_exactly_zero():
     cfg = ExperimentConfig(estimand="vardiff_reldiff", trials=20_000, scenario=additive_standard(q=5), master_seed=5)
     res = estimate_vardiff(cfg)
     assert (res.point, res.std_error, res.z_score) == (0.0, 0.0, 0.0)
+    assert (res.extras["var_diff_alternative_minus_current"], res.extras["var_diff_se"]) == (0.0, 0.0)
     res = estimate_mean_variance(replace(cfg, estimand="mean_variance"))
     assert (res.point, res.std_error, res.z_score) == (0.0, 0.0, 0.0)
 
@@ -515,6 +525,8 @@ def test_real_differences_are_not_rounded_to_zero(scenario):
     res = estimate_vardiff(cfg)
     assert res.point == pytest.approx((vc - va) / (vc + va), rel=1e-12, abs=0.0)
     assert res.std_error > 0.0
+    assert res.extras["var_diff_alternative_minus_current"] != 0.0
+    assert res.extras["var_diff_se"] > 0.0
     cfg = replace(cfg, estimand="mean_variance")
     a, b = _run_blocks(cfg, *both, True)
     want = a.var(ddof=1) - b.var(ddof=1)

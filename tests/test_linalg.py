@@ -87,30 +87,30 @@ def test_eigendecompose_matches_eigh_eigenvalues():
     rng = np.random.default_rng(6)
     for k in (1, 2, 5, 9):
         m = _random_psd(rng, k)
-        pair = sym_eigendecompose(m)
+        values, _ = sym_eigendecompose(m)
         expected = np.sort(np.linalg.eigvalsh(m))[::-1]
-        assert np.allclose(pair.values, expected, rtol=1e-10, atol=1e-10)
+        assert np.allclose(values, expected, rtol=1e-10, atol=1e-10)
 
 
 def test_eigendecompose_reconstructs():
     rng = np.random.default_rng(7)
     m = _random_psd(rng, 6)
-    pair = sym_eigendecompose(m)
-    rebuilt = pair.vectors @ np.diag(pair.values) @ pair.vectors.T
+    values, vectors = sym_eigendecompose(m)
+    rebuilt = vectors @ np.diag(values) @ vectors.T
     assert np.allclose(rebuilt, m, rtol=1e-12, atol=1e-12)
 
 
 def test_eigendecompose_orthonormal_vectors():
     rng = np.random.default_rng(8)
     m = _random_psd(rng, 8)
-    pair = sym_eigendecompose(m)
-    assert np.allclose(pair.vectors.T @ pair.vectors, np.eye(8), atol=1e-12)
+    _, vectors = sym_eigendecompose(m)
+    assert np.allclose(vectors.T @ vectors, np.eye(8), atol=1e-12)
 
 
 def test_eigendecompose_descending_order():
     rng = np.random.default_rng(9)
     m = _random_psd(rng, 7)
-    vals = sym_eigendecompose(m).values
+    vals, _ = sym_eigendecompose(m)
     assert np.all(np.diff(vals) <= 1e-12)
 
 
@@ -118,7 +118,7 @@ def test_eigendecompose_sign_convention():
     # largest-magnitude component of every eigenvector is positive
     rng = np.random.default_rng(10)
     m = _random_psd(rng, 5)
-    vecs = sym_eigendecompose(m).vectors
+    _, vecs = sym_eigendecompose(m)
     for col in vecs.T:
         assert col[np.argmax(np.abs(col))] > 0
 
@@ -126,14 +126,14 @@ def test_eigendecompose_sign_convention():
 def test_eigendecompose_indefinite_matrix():
     # works on any symmetric matrix, not just PSD
     m = np.array([[0.0, 2.0], [2.0, -3.0]])
-    pair = sym_eigendecompose(m)
+    values, _ = sym_eigendecompose(m)
     expected = np.sort(np.linalg.eigvalsh(m))[::-1]
-    assert np.allclose(pair.values, expected, rtol=1e-12, atol=1e-12)
+    assert np.allclose(values, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_eigendecompose_diagonal_is_exact():
-    pair = sym_eigendecompose(np.diag([3.0, 1.0, 2.0]))
-    assert np.array_equal(pair.values, np.array([3.0, 2.0, 1.0]))
+    values, _ = sym_eigendecompose(np.diag([3.0, 1.0, 2.0]))
+    assert np.array_equal(values, np.array([3.0, 2.0, 1.0]))
 
 
 def test_eigendecompose_rejects_asymmetric():
@@ -146,13 +146,13 @@ def test_eigendecompose_rejects_asymmetric():
 def test_eigendecompose_psd_properties(k, seed):
     rng = np.random.default_rng(seed)
     m = _random_psd(rng, k)
-    pair = sym_eigendecompose(m)
+    values, vectors = sym_eigendecompose(m)
     scale = max(1.0, float(np.abs(m).max()))
-    rebuilt = pair.vectors @ np.diag(pair.values) @ pair.vectors.T
+    rebuilt = vectors @ np.diag(values) @ vectors.T
     assert np.abs(rebuilt - m).max() <= 1e-10 * scale
-    assert np.abs(pair.vectors.T @ pair.vectors - np.eye(k)).max() <= 1e-12
+    assert np.abs(vectors.T @ vectors - np.eye(k)).max() <= 1e-12
     # PSD spectra stay nonnegative up to roundoff
-    assert pair.values.min() >= -1e-10 * max(scale, 1.0)
+    assert values.min() >= -1e-10 * max(scale, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -200,12 +200,11 @@ def _spd_stack():
 
 def test_stacked_eigendecompose_equals_per_matrix_loop():
     stack = _spd_stack()
-    pair = sym_eigendecompose(stack)
+    values, vecs = sym_eigendecompose(stack)
     for i, m in enumerate(stack):
-        one = sym_eigendecompose(m)
-        assert np.array_equal(pair.values[i], one.values)
-        assert np.array_equal(pair.vectors[i], one.vectors)
-    vecs = pair.vectors
+        one_values, one_vectors = sym_eigendecompose(m)
+        assert np.array_equal(values[i], one_values)
+        assert np.array_equal(vecs[i], one_vectors)
     lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=-2)[:, None, :], axis=-2)
     assert np.all(lead > 0.0)
 

@@ -13,7 +13,6 @@ from mcombine.models import (
     PHASE,
     Normal,
     ScalarKernel,
-    TransformSpec,
     TwoPoint,
     Uniform,
     dist_from_json,
@@ -86,15 +85,6 @@ def test_unknown_kernel_name_rejected():
         ScalarKernel("quadratic")
     with pytest.raises(DomainError):
         ScalarKernel("custom")  # custom requires fn
-
-
-# --------------------------------------------------------------------------
-# transform spec
-
-
-def test_transform_spec_rejects_nonsquare_map():
-    with pytest.raises(DomainError):
-        TransformSpec(kernel=ADDITIVE, t_y=np.ones((2, 3)))
 
 
 # --------------------------------------------------------------------------

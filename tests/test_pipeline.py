@@ -10,7 +10,6 @@ from mcombine.models import (
     PHASE,
     Normal,
     ScalarKernel,
-    TransformSpec,
     kernel_eval,
     sample,
 )
@@ -89,8 +88,7 @@ def test_transform_matches_scalar_loop():
     data = _batch(j=4, k=2, seed=2)
     errors = _shared_errors(q=5, k=2, seed=3)
     nu = np.array([0.1, -0.2])
-    spec = TransformSpec(kernel=PHASE)
-    t = transform_stage(data, errors, spec, nu)
+    t = transform_stage(data, errors, PHASE, nu)
     assert t.nominals.shape == (4, 2)
     assert t.centres.shape == (5, 2)
     assert t.replicate_means.shape == (4, 2)
@@ -108,7 +106,7 @@ def test_transform_matches_scalar_loop():
 def test_transform_shared_errors_reused_across_vectors():
     data = _batch(j=3, k=1, seed=4)
     errors = _shared_errors(q=6, k=1, seed=5)
-    t = transform_stage(data, errors, TransformSpec(kernel=ADDITIVE), np.zeros(1))
+    t = transform_stage(data, errors, ADDITIVE, np.zeros(1))
     # same error column added to every data vector
     table = data.rows[:, None, :] + errors.rows[None, :, :]
     assert np.allclose(t.centres, table.mean(axis=0))
@@ -120,21 +118,21 @@ def test_transform_shared_errors_reused_across_vectors():
 @pytest.mark.parametrize("kernel", [ADDITIVE, MULTIPLICATIVE, PHASE], ids=lambda kernel: kernel.kind)
 @pytest.mark.parametrize("construction", ["current", "alternative"])
 def test_factored_kernels_match_the_replicate_tensor(kernel, construction):
-    # K = 3, both pre-maps and two leading axes; the custom twin builds the
-    # (..., J, Q, K) tensor and reduces it.  The pre-maps stay near the
-    # identity: a nearly singular input covariance would magnify rounding
-    # in its square-root factor.
+    # K = 3, components correlated by a linear map of the draws, and two
+    # leading axes; the custom twin builds the (..., J, Q, K) tensor and
+    # reduces it.  The maps stay near the identity: a nearly singular input
+    # covariance would magnify rounding in its square-root factor.
     rng = np.random.default_rng(31)
     lead, j, q, k = (2, 3), 5, 7, 3
     rows = rng.standard_normal((*lead, j, k))
-    errors = ErrorBatch(rng.standard_normal((*lead, q, k)))
+    s = rng.standard_normal((*lead, q, k))
     z = rng.standard_normal((*lead, q, k))
     nu = np.array([0.2, -0.1, 0.4])
     t_y, t_s = np.eye(k) + 0.3 * rng.standard_normal((2, k, k))
-    fast = transform_stage(DataBatch(rows), errors, TransformSpec(kernel, t_y, t_s), nu)
-    slow = transform_stage(DataBatch(rows), errors, TransformSpec(TWIN[kernel.kind], t_y, t_s), nu)
+    y, s, nu = rows @ t_y.T, s @ t_s.T, t_s @ nu
+    fast = transform_stage(DataBatch(y), ErrorBatch(s), kernel, nu)
+    slow = transform_stage(DataBatch(y), ErrorBatch(s), TWIN[kernel.kind], nu)
     assert np.array_equal(fast.nominals, slow.nominals)
-    y, s = rows @ t_y.T, errors.rows @ t_s.T
     if kernel is PHASE:  # sin y cos s + cos y sin s against sin(y + s)
         tol = 4 * EPS * (np.abs(y).max() + np.abs(s).max() + 1.0)
     else:
@@ -156,48 +154,25 @@ def test_shared_errors_match_the_scalar_loop(kernel):
     rng = np.random.default_rng(32)
     j, q, k = 4, 6, 2
     y, s = rng.uniform(0.5, 2.0, (j, k)), rng.uniform(0.5, 1.5, (q, k))
-    t = transform_stage(DataBatch(y), ErrorBatch(s), TransformSpec(kernel), np.ones(k))
+    t = transform_stage(DataBatch(y), ErrorBatch(s), kernel, np.ones(k))
     table = _loop_table(kernel, y, s)
     tol = 1e-14 * np.abs(table).max()
     assert np.abs(t.centres - table.mean(axis=0)).max() <= tol
     assert np.abs(t.replicate_means - table.mean(axis=1)).max() <= tol
 
 
-def test_transform_applies_linear_premaps():
-    data = DataBatch(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    errors = ErrorBatch(np.array([[1.0, 1.0]]))
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    spec = TransformSpec(kernel=ADDITIVE, t_y=swap)
-    t = transform_stage(data, errors, spec, np.zeros(2))
-    # replicates (0, 0) and (1, 0) are [3, 2] and [5, 4]
-    assert np.allclose(t.replicate_means, [[3.0, 2.0], [5.0, 4.0]])
-    assert np.allclose(t.centres, [[4.0, 3.0]])
-    # error pre-map: replicate (j, q) is T_y y_j + T_s s_q, nominal T_y y_j + T_s nu
-    t_s = np.array([[2.0, 0.0], [1.0, 1.0]])
-    spec = TransformSpec(kernel=ADDITIVE, t_y=swap, t_s=t_s)
-    errors = ErrorBatch(np.array([[1.0, 2.0], [0.5, -1.0]]))
-    t = transform_stage(data, errors, spec, np.array([1.0, -1.0]))
-    # T_s s = [2, 3] and [1, -0.5]; T_s nu = [2, 0]; T_y y = [2, 1] and [4, 3];
-    # replicates [[[4, 4], [3, 0.5]], [[6, 6], [5, 2.5]]]
-    assert np.array_equal(t.centres, [[5.0, 5.0], [4.0, 1.5]])
-    assert np.array_equal(t.replicate_means, [[3.5, 2.25], [5.5, 4.25]])
-    assert np.array_equal(t.nominals, [[4.0, 1.0], [6.0, 3.0]])
-    with pytest.raises(DomainError, match="t_s dimension"):
-        transform_stage(data, errors, TransformSpec(kernel=ADDITIVE, t_s=np.eye(3)), np.zeros(2))
-
-
 def test_transform_nu_length_must_match():
     with pytest.raises(DomainError):
-        transform_stage(_batch(), _shared_errors(), TransformSpec(kernel=ADDITIVE), np.zeros(3))
+        transform_stage(_batch(), _shared_errors(), ADDITIVE, np.zeros(3))
 
 
 def test_transform_broadcasts_kernel_that_ignores_data():
     # f(y, s) = s returns one row for all J data vectors; the stage still
     # reports J nominals and J replicate means, so the combine sees J > 1
-    spec = TransformSpec(kernel=ScalarKernel("custom", fn=lambda y, s: s))
+    kernel = ScalarKernel("custom", fn=lambda y, s: s)
     data = DataBatch(np.array([[1.0], [2.0], [4.0]]))
     errors = _shared_errors(q=4, k=1, seed=12)
-    t = transform_stage(data, errors, spec, np.ones(1))
+    t = transform_stage(data, errors, kernel, np.ones(1))
     assert t.nominals.shape == (3, 1)
     assert t.replicate_means.shape == (3, 1)
     assert np.allclose(t.centres, errors.rows)
@@ -209,14 +184,14 @@ def test_transform_broadcasts_kernel_that_ignores_data():
 
 @pytest.mark.parametrize("stacked", [False, True])
 def test_transform_rejects_non_finite_kernel_output(stacked):
-    spec = TransformSpec(kernel=ScalarKernel("custom", fn=lambda y, s: np.log(y) * s))
+    kernel = ScalarKernel("custom", fn=lambda y, s: np.log(y) * s)
     rows = np.array([[1.0], [2.0], [-3.0], [-1.0]])
     errors = np.ones((2, 1))
     if stacked:
         rows = np.stack([rows[[0, 1, 1, 1]], rows])
         errors = np.stack([errors, errors])
     with np.errstate(invalid="ignore"), pytest.raises(DomainError) as info:
-        transform_stage(DataBatch(rows), ErrorBatch(errors), spec, np.ones(1))
+        transform_stage(DataBatch(rows), ErrorBatch(errors), kernel, np.ones(1))
     message = str(info.value)
     assert "custom kernel" in message
     assert "data row 2" in message
@@ -228,7 +203,7 @@ def test_transform_accepts_finite_output_whose_sum_overflows():
     # on the factored path and on the tensor path
     data = DataBatch(np.full((3, 1), 4e307))
     for kernel in (MULTIPLICATIVE, TWIN[MULTIPLICATIVE.kind]):
-        t = transform_stage(data, ErrorBatch(np.ones((4, 1))), TransformSpec(kernel=kernel), np.ones(1))
+        t = transform_stage(data, ErrorBatch(np.ones((4, 1))), kernel, np.ones(1))
         assert np.all(t.nominals == 4e307)
         assert np.allclose(t.centres, 4e307, rtol=1e-15)
         assert np.allclose(t.replicate_means, 4e307, rtol=1e-15)
@@ -244,7 +219,7 @@ def test_transform_rejects_an_overflowing_mean(kernel, what):
     # every kernel value is 1e308, but a mean of three or four overflows
     data = DataBatch(np.full((3, 1), 1e308))
     with pytest.raises(DomainError) as info:
-        transform_stage(data, ErrorBatch(np.ones((4, 1))), TransformSpec(kernel=kernel), np.ones(1))
+        transform_stage(data, ErrorBatch(np.ones((4, 1))), kernel, np.ones(1))
     assert str(info.value) == f"{kernel.kind} kernel gave non-finite {what}"
 
 
@@ -252,7 +227,7 @@ def test_transform_rejects_mismatched_leading_axes():
     data = DataBatch(np.ones((2, 3, 1)))
     errors = ErrorBatch(np.ones((3, 4, 1)))
     with pytest.raises(DomainError):
-        transform_stage(data, errors, TransformSpec(kernel=ADDITIVE), np.zeros(1))
+        transform_stage(data, errors, ADDITIVE, np.zeros(1))
 
 
 # --------------------------------------------------------------------------
@@ -261,13 +236,13 @@ def test_transform_rejects_mismatched_leading_axes():
 
 def test_combine_nominal_is_row_mean():
     data = _batch(j=5, k=2, seed=7)
-    t = transform_stage(data, _shared_errors(seed=8), TransformSpec(kernel=ADDITIVE), np.zeros(2))
+    t = transform_stage(data, _shared_errors(seed=8), ADDITIVE, np.zeros(2))
     assert np.allclose(combine_nominal(t), t.nominals.mean(axis=0))
 
 
 def test_combine_with_zero_noise_returns_replicate_means():
     data = _batch(j=4, k=2, seed=9)
-    t = transform_stage(data, _shared_errors(q=6, seed=10), TransformSpec(kernel=MULTIPLICATIVE), np.zeros(2))
+    t = transform_stage(data, _shared_errors(q=6, seed=10), MULTIPLICATIVE, np.zeros(2))
     z = np.zeros((6, 2))
     out = combine_with_noise(t, z, "current")
     assert np.array_equal(out.replicates, t.centres)
@@ -279,7 +254,7 @@ def test_combine_current_covariance_identity():
     # with unit noise rows the synthesized covariance contribution is known:
     # replicates = mean + z @ factor.T / sqrt(J) where factor factor^T = cov(nominals)
     data = _batch(j=6, k=2, seed=11)
-    t = transform_stage(data, _shared_errors(q=4, seed=12), TransformSpec(kernel=ADDITIVE), np.zeros(2))
+    t = transform_stage(data, _shared_errors(q=4, seed=12), ADDITIVE, np.zeros(2))
     z = np.eye(4, 2)
     out = combine_with_noise(t, z, "current")
     spread = out.replicates - t.centres
@@ -291,7 +266,7 @@ def test_combine_current_covariance_identity():
 
 def test_combine_alternative_uses_replicate_means():
     data = _batch(j=5, k=2, seed=13)
-    t = transform_stage(data, _shared_errors(q=5, seed=14), TransformSpec(kernel=MULTIPLICATIVE), np.zeros(2))
+    t = transform_stage(data, _shared_errors(q=5, seed=14), MULTIPLICATIVE, np.zeros(2))
     out = combine_with_noise(t, np.zeros((5, 2)), "alternative")
     table = data.rows[:, None, :] * _shared_errors(q=5, seed=14).rows[None, :, :]
     assert np.allclose(out.input_cov, sample_covariance(table.mean(axis=1)))
@@ -300,7 +275,7 @@ def test_combine_alternative_uses_replicate_means():
 
 def test_combine_current_input_cov_is_nominal_cov():
     data = _batch(j=5, k=3, seed=15)
-    t = transform_stage(data, _shared_errors(q=4, k=3, seed=16), TransformSpec(kernel=ADDITIVE), np.zeros(3))
+    t = transform_stage(data, _shared_errors(q=4, k=3, seed=16), ADDITIVE, np.zeros(3))
     out = combine_current(t, RngStream(0))
     assert np.allclose(out.input_cov, sample_covariance(t.nominals))
     assert out.construction == "current"
@@ -309,14 +284,14 @@ def test_combine_current_input_cov_is_nominal_cov():
 def test_combine_alternative_needs_two_error_draws():
     data = _batch(j=3, k=1, seed=17)
     errors = ErrorBatch(np.ones((1, 1)))
-    t = transform_stage(data, errors, TransformSpec(kernel=ADDITIVE), np.zeros(1))
+    t = transform_stage(data, errors, ADDITIVE, np.zeros(1))
     with pytest.raises(DomainError):
         combine_alternative(t, RngStream(0))
 
 
 def test_combine_is_deterministic_per_stream():
     data = _batch(j=4, k=2, seed=18)
-    t = transform_stage(data, _shared_errors(q=8, seed=19), TransformSpec(kernel=ADDITIVE), np.zeros(2))
+    t = transform_stage(data, _shared_errors(q=8, seed=19), ADDITIVE, np.zeros(2))
     a = combine_current(t, RngStream(21))
     b = combine_current(t, RngStream(21))
     assert np.array_equal(a.replicates, b.replicates)
@@ -324,7 +299,7 @@ def test_combine_is_deterministic_per_stream():
 
 def test_combine_json_dict_round_trips_through_lists():
     data = _batch(j=4, k=2, seed=20)
-    t = transform_stage(data, _shared_errors(q=3, seed=21), TransformSpec(kernel=ADDITIVE), np.zeros(2))
+    t = transform_stage(data, _shared_errors(q=3, seed=21), ADDITIVE, np.zeros(2))
     out = combine_current(t, RngStream(1))
     d = out.to_json_dict()
     assert np.allclose(np.asarray(d["replicates"]), out.replicates)
@@ -341,13 +316,12 @@ def test_additive_mean_of_sample_variances_tracks_target():
     y_dist = Normal(mean=[0.0], cov=[[1.0]])
     s_dist = Normal(mean=[0.0], cov=[[0.5]])
     root = RngStream(99)
-    spec = TransformSpec(kernel=ADDITIVE)
     acc = np.empty(trials)
     for t_idx in range(trials):
         sub = root.substream(t_idx)
         data = DataBatch(sample(y_dist, j, sub.substream(0)))
         errors = ErrorBatch(sample(s_dist, q, sub.substream(1)))
-        t = transform_stage(data, errors, spec, np.zeros(1))
+        t = transform_stage(data, errors, ADDITIVE, np.zeros(1))
         out = combine_current(t, sub.substream(2))
         acc[t_idx] = out.replicates[:, 0].var(ddof=1)
     target = 1.0 / j + 0.5
@@ -361,13 +335,12 @@ def test_k2_grand_mean_is_unbiased():
     y_dist = Normal(mean=[1.0, -2.0], cov=[[1.0, 0.3], [0.3, 2.0]])
     s_dist = Normal(mean=[0.5, 0.5], cov=np.eye(2) * 0.25)
     root = RngStream(123)
-    spec = TransformSpec(kernel=MULTIPLICATIVE)
     grand = np.empty((trials, 2))
     for t_idx in range(trials):
         sub = root.substream(t_idx)
         data = DataBatch(sample(y_dist, j, sub.substream(0)))
         errors = ErrorBatch(sample(s_dist, q, sub.substream(1)))
-        t = transform_stage(data, errors, spec, s_dist.mean_vector())
+        t = transform_stage(data, errors, MULTIPLICATIVE, s_dist.mean_vector())
         out = combine_alternative(t, sub.substream(2))
         grand[t_idx] = out.replicates.mean(axis=0)
     expected = y_dist.mean_vector() * s_dist.mean_vector()
@@ -378,20 +351,22 @@ def test_k2_grand_mean_is_unbiased():
 @pytest.mark.parametrize("kernel", [PHASE, TWIN["phase"]], ids=lambda kernel: kernel.kind)
 @pytest.mark.parametrize("construction", ["current", "alternative"])
 def test_stacked_combine_equals_per_batch_loop(kernel, construction):
-    # K = 3 with pre-maps: every leading index is an independent pipeline run,
-    # through the factored path (phase) and the replicate tensor (its twin)
+    # K = 3 with components correlated by a linear map of the draws: every
+    # leading index is an independent pipeline run, through the factored path
+    # (phase) and the replicate tensor (its twin)
     rng = np.random.default_rng(20)
     t_count, j, q, k = 5, 4, 6, 3
     rows = rng.standard_normal((t_count, j, k))
     errors = rng.standard_normal((t_count, q, k))
     z = rng.standard_normal((t_count, q, k))
     nu = np.array([0.1, 0.0, -0.3])
-    spec = TransformSpec(kernel=kernel, t_y=rng.standard_normal((k, k)), t_s=np.eye(k) * 0.5)
-    t = transform_stage(DataBatch(rows), ErrorBatch(errors), spec, nu)
+    t_y, t_s = rng.standard_normal((k, k)), np.eye(k) * 0.5
+    rows, errors, nu = rows @ t_y.T, errors @ t_s.T, t_s @ nu
+    t = transform_stage(DataBatch(rows), ErrorBatch(errors), kernel, nu)
     out = combine_with_noise(t, z, construction)
     assert out.replicates.shape == (t_count, q, k)
     for i in range(t_count):
-        one_t = transform_stage(DataBatch(rows[i]), ErrorBatch(errors[i]), spec, nu)
+        one_t = transform_stage(DataBatch(rows[i]), ErrorBatch(errors[i]), kernel, nu)
         one = combine_with_noise(one_t, z[i], construction)
         assert np.array_equal(t.nominals[i], one_t.nominals)
         assert np.array_equal(t.centres[i], one_t.centres)
