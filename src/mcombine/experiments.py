@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterator
@@ -410,6 +409,11 @@ def _lemma_block(cfg: ExperimentConfig, block: int, plan: dict[str, Any]) -> tup
 # --------------------------------------------------------------------------
 # Block scheduling
 
+#: The pool class :func:`_run_blocks` starts: ``concurrent.futures``'s,
+#: imported by the first run that needs a pool, since importing it (and
+#: with it ``multiprocessing``) would slow every start-up.
+ProcessPoolExecutor = None
+
 
 def _map_blocks(cfg: ExperimentConfig, fn: Callable, args: tuple, blocks: range) -> list[tuple]:
     return [fn(cfg, b, *args) for b in blocks]
@@ -424,6 +428,7 @@ def _run_blocks(cfg: ExperimentConfig, fn: Callable, *args) -> tuple[NDArray, ..
     ``map`` returns the runs in block order, so the results concatenate as
     they come and do not depend on the pool size.
     """
+    global ProcessPoolExecutor
     nb = _n_blocks(cfg)
     n_workers = min(cfg.workers, nb, os.cpu_count() or 1)
     edges = [nb * w // n_workers for w in range(n_workers + 1)]
@@ -432,6 +437,8 @@ def _run_blocks(cfg: ExperimentConfig, fn: Callable, *args) -> tuple[NDArray, ..
     if n_workers <= 1:
         pieces = work(runs[0])
     else:
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             pieces = [p for run in pool.map(work, runs) for p in run]
     return tuple(np.concatenate(arrays) for arrays in zip(*pieces))

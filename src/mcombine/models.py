@@ -95,14 +95,37 @@ def kernel_eval(kernel: ScalarKernel, y, s) -> np.ndarray:
     return np.asarray(kernel.fn(y, s), dtype=float)
 
 
+def _sin_cos(x) -> tuple[np.ndarray, np.ndarray]:
+    """(sin x, cos x) from one tangent of the half angle, t = tan(x/2):
+    sin x = 2t/(1 + t²) and cos x = 2/(1 + t²) − 1.
+
+    One vectorised tangent costs less than numpy's float64 sin and cos, which
+    can run as scalar code, and the two results take two arrays, filled in
+    place.  Each agrees with np.sin/np.cos to a few units of 2**-53.
+    """
+    sin = np.multiply(x, 0.5)
+    np.tan(sin, out=sin)
+    cos = np.square(sin)
+    cos += 1.0
+    np.divide(2.0, cos, out=cos)
+    sin *= cos
+    cos -= 1.0
+    return sin, cos
+
+
 #: Separable forms f(y, s) = sum_r g_r(y) * h_r(s) of the named kernels that
-#: have one, one (g_r, h_r) pair per rank r.  Each factor returns a fresh
-#: array of its argument's shape, which its caller may overwrite.  Kernels
-#: missing here (exponential y ** s, custom) have no such form.
-_SEPARABLE: dict[str, tuple[tuple[Callable, Callable], ...]] = {
-    "additive": ((np.positive, np.ones_like), (np.ones_like, np.positive)),
-    "multiplicative": ((np.positive, np.positive),),
-    "phase": ((np.sin, np.cos), (np.cos, np.sin)),
+#: have one, as one (g, h) pair per kernel: g(y) returns every rank's g_r(y)
+#: and h(s) every h_r(s), in rank order, so phase (sin y cos s + cos y sin s)
+#: gets its sin and cos from one tangent.  Each factor is a fresh array of
+#: its argument's shape, which its caller may overwrite.  Kernels missing
+#: here (exponential y ** s, custom) have no such form.
+_SEPARABLE: dict[str, tuple[Callable, Callable]] = {
+    "additive": (
+        lambda y: (np.positive(y), np.ones_like(y)),
+        lambda s: (np.ones_like(s), np.positive(s)),
+    ),
+    "multiplicative": (lambda y: (np.positive(y),), lambda s: (np.positive(s),)),
+    "phase": (_sin_cos, lambda s: _sin_cos(s)[::-1]),
 }
 
 
@@ -117,6 +140,15 @@ def _as_vec(x, name: str) -> NDArray[np.float64]:
     if not np.all(np.isfinite(v)):
         raise DomainError(f"{name} contains non-finite entries")
     return v
+
+
+def _require_finite_moments(law, kind: str) -> None:
+    """Refuse a law whose mean or covariance overflows float64: the
+    transform and both combines read them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(law.mean_vector()).all() and np.isfinite(law.covariance()).all()
+    if not finite:
+        raise DomainError(f"{kind} law has a mean or covariance beyond the float64 range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +210,7 @@ class Uniform:
             raise DomainError("uniform requires lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        _require_finite_moments(self, "uniform")
 
     @property
     def k(self) -> int:
@@ -208,6 +241,7 @@ class TwoPoint:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "p", float(self.p))
+        _require_finite_moments(self, "two_point")
 
     @property
     def k(self) -> int:

@@ -183,18 +183,19 @@ def _kernel_values(kernel: ScalarKernel, y, s, shape: tuple[int, ...]):
     return out
 
 
-def _separable_means(ranks, y, s):
+def _separable_means(factors, y, s):
     """Centres and replicate means of f(y, s) = sum_r g_r(y)·h_r(s) from the
     means of its factors: O((J + Q)·R) work per batch and no (J, Q) table.
 
+    ``factors`` is the kernel's (g, h) pair from ``models._SEPARABLE``;
     ``y`` is (..., J, K) and ``s`` the shared errors (..., Q, K).
     """
+    g, h = factors
     centres = replicate_means = None
-    for g, h in ranks:
-        gy, hs = g(y), h(s)
+    for gy, hs in zip(g(y), h(s)):
         term = gy * hs.mean(axis=-2, keepdims=True)
-        # a factor is a fresh array, so it is scaled in place: one (..., Q, K)
-        # array per rank at a time besides the centres
+        # a factor is a fresh array, so it is scaled in place: the centres
+        # reuse the first rank's (..., Q, K) factor and need no array of their own
         hs *= gy.mean(axis=-2, keepdims=True)
         if centres is None:
             centres, replicate_means = hs, term
@@ -244,11 +245,12 @@ def transform_stage(
 
     ``nu`` must be the mean of the error distribution the batch was drawn
     from; the nominal for vector j is F(Y_j, nu) and replicate (j, q) is
-    F(Y_j, S_q), where F applies ``kernel`` componentwise.  A kernel with a separable form gets both means from the
-    means of its factors; any other kernel builds the replicate tensor and
-    reduces it.  Every output is checked exactly, so a non-finite kernel
-    value or an overflowing mean is refused here, with the kernel and the
-    output named.
+    F(Y_j, S_q), where F applies ``kernel`` componentwise.  A kernel with a
+    separable form gets both means from the means of its factors; the phase
+    kernel's sin and cos factors come from one tangent of the half angle.
+    Any other kernel builds the replicate tensor and reduces it.  Every
+    output is checked exactly, so a non-finite kernel value or an
+    overflowing mean is refused here, with the kernel and the output named.
     """
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     k = data.k
@@ -264,13 +266,13 @@ def transform_stage(
             f"error batch leading shape {errors.rows.shape[:-2]} does not match data's {lead}"
         )
     j, y, s = data.j, data.rows, errors.rows
-    ranks = _SEPARABLE.get(kernel.kind)
+    factors = _SEPARABLE.get(kernel.kind)
     # Every non-finite value is refused below; the warnings that made it
     # would only say so twice.
     with np.errstate(all="ignore"):
         nominals = _kernel_values(kernel, y, nu, (*lead, j, k))
-        if ranks is not None:
-            centres, replicate_means = _separable_means(ranks, y, s)
+        if factors is not None:
+            centres, replicate_means = _separable_means(factors, y, s)
         else:
             centres, replicate_means = _tensor_means(
                 kernel, y[..., np.newaxis, :], s[..., np.newaxis, :, :]

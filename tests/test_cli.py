@@ -163,6 +163,26 @@ def test_non_psd_y_dist_exits_one(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "law, kind",
+    [('{"kind":"uniform","lo":[1e308],"hi":[1.7e308]}', "uniform"),
+     ('{"kind":"two_point","a":[-1e308],"b":[1e308]}', "two_point")],
+    ids=["uniform", "two_point"],
+)
+def test_law_with_overflowing_moments_exits_one_without_warning(law, kind, tmp_path, monkeypatch, capsys):
+    # finite bounds whose mean or variance overflows float64
+    monkeypatch.chdir(tmp_path)
+    argv = ["bias-sweep", "--model", "additive", "--y-dist", law, "--q", "3", "--trials", "100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*argv, "--out", "o.csv"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    assert _only_error_line(err) == f"error: {kind} law has a mean or covariance beyond the float64 range"
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------------------
 # bias-sweep artifacts
 

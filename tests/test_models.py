@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mcombine.exceptions import DomainError
 from mcombine.models import (
+    _SEPARABLE,
     ADDITIVE,
     EXPONENTIAL,
     MULTIPLICATIVE,
@@ -75,6 +76,23 @@ def test_kernel_eval_broadcasts_like_scalar_loop():
                 assert grid[i, j] == kernel_eval(kernel, float(y[i, 0]), float(s[0, j]))
 
 
+@pytest.mark.parametrize("bound", [math.pi, 1e6, 1e300], ids=["pi", "1e6", "1e300"])
+def test_phase_factors_match_numpy_sin_and_cos(bound):
+    # one half-angle tangent gives both factors; the absolute error stays a
+    # few units of 2**-53 over the whole float range, and ±0 stay exact
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.uniform(-bound, bound, 2_000_000), [0.0, -0.0, math.pi, -math.pi]])
+    g, h = _SEPARABLE["phase"]
+    sin, cos = g(x)
+    tol = 4 * 2.0**-53
+    assert np.abs(sin - np.sin(x)).max() <= tol
+    assert np.abs(cos - np.cos(x)).max() <= tol
+    assert [sin[-4], cos[-4], sin[-3], cos[-3]] == [0.0, 1.0, 0.0, 1.0]
+    assert not np.signbit(sin[-4]) and np.signbit(sin[-3])
+    cos_h, sin_h = h(x)
+    assert np.array_equal(sin_h, sin) and np.array_equal(cos_h, cos)
+
+
 def test_custom_kernel():
     k = ScalarKernel("custom", fn=lambda y, s: y - 2.0 * s)
     assert kernel_eval(k, 5.0, 1.0) == 3.0
@@ -112,6 +130,17 @@ def test_uniform_allows_degenerate_but_not_reversed():
     assert u.k == 1
     with pytest.raises(DomainError):
         Uniform(lo=[2.0], hi=[1.0])
+
+
+@pytest.mark.parametrize(
+    "law",
+    [lambda: Uniform(lo=[1e308], hi=[1.7e308]), lambda: Uniform(lo=[-1e308], hi=[1e308]),
+     lambda: TwoPoint(a=[-1e308], b=[1e308]), lambda: TwoPoint(a=[0.0, 1e200], b=[0.0, -1e200])],
+    ids=["uniform-mean", "uniform-width", "two_point-gap", "two_point-variance"],
+)
+def test_law_with_moments_beyond_float_range_is_refused(law):
+    with pytest.raises(DomainError, match="beyond the float64 range"):
+        law()
 
 
 def test_two_point_probability_bounds():

@@ -147,6 +147,27 @@ def test_factored_kernels_match_the_replicate_tensor(kernel, construction):
         assert np.abs(getattr(a, name) - want).max() <= 1e-14 * np.abs(want).max(), name
 
 
+def test_phase_transform_of_errors_near_the_float_limit():
+    # errors near 1e300: the half-angle factors stay finite and agree with
+    # numpy's own sin and cos of the same arguments.  The tensor path's
+    # sin(y + s) loses y beside such an s, so it agrees only within its
+    # argument-scaled tolerance.
+    rng = np.random.default_rng(32)
+    y = rng.standard_normal((2, 5, 2))
+    s = rng.uniform(-1e300, 1e300, (2, 7, 2))
+    nu = np.array([0.3, -0.2])
+    fast = transform_stage(DataBatch(y), ErrorBatch(s), PHASE, nu)
+    slow = transform_stage(DataBatch(y), ErrorBatch(s), TWIN["phase"], nu)
+    assert all(np.isfinite(a).all() for a in (fast.centres, fast.replicate_means))
+    tol = 4 * EPS * (np.abs(y).max() + np.abs(s).max() + 1.0)
+    assert np.abs(fast.centres - slow.centres).max() <= tol
+    assert np.abs(fast.replicate_means - slow.replicate_means).max() <= tol
+    yj, sq = y[..., :, None, :], s[..., None, :, :]
+    table = np.sin(yj) * np.cos(sq) + np.cos(yj) * np.sin(sq)
+    assert np.abs(fast.centres - table.mean(axis=-3)).max() <= 8 * EPS
+    assert np.abs(fast.replicate_means - table.mean(axis=-2)).max() <= 8 * EPS
+
+
 @pytest.mark.parametrize("kernel", [ADDITIVE, MULTIPLICATIVE, PHASE, EXPONENTIAL], ids=lambda kernel: kernel.kind)
 def test_shared_errors_match_the_scalar_loop(kernel):
     # the exponential kernel takes the replicate-tensor path, the others the
