@@ -20,14 +20,18 @@ Additive and multiplicative kernels have full closed forms.  The phase
 kernel (sin(y+s), S uniform on (−δ, δ), δ > 0) and the exponential kernel
 (y**s, Y uniform on [a, b] with a >= 0 and b > 0, S uniform on [1−α, 1+α]
 with 0 < α <= 1) use one-dimensional Gauss–Legendre quadrature over exact
-conditional moments.
+conditional moments, except the phase kernel's V[sin Y] on uniform data,
+which has a closed form.
 
 Uniform data laws go through array cores that take broadcastable arrays
 of supports (c, d) and evaluate cells × nodes at once, with every node
 sum in one row-independent form.  A scenario function calls them with
 one cell; the parameter maps call them once per grid row, where NaN
 marks the cells on which the scenario function raises :class:`DomainError`.
-Two-point phase data keep their own closed-form path.
+The transcendental terms of the conditional moments that depend on one
+support endpoint are taken once per endpoint: two for a scenario, one
+table over the grid values for a map.  Two-point phase data keep their
+own closed-form path.
 """
 
 from __future__ import annotations
@@ -213,23 +217,33 @@ def exponential_conditional_mean(y, alpha: float):
     return out
 
 
-def _uniform_moments_given_s(kind: str, c, d, x) -> tuple[np.ndarray, np.ndarray]:
+def _endpoint_terms(kind: str, e, x) -> tuple[np.ndarray, np.ndarray]:
+    """The transcendental terms of :func:`_uniform_moments_given_s` that
+    depend on one support endpoint e and the error nodes x: cos(e + x) and
+    sin(2(e + x)) for phase, e**(x + 1) and e**(2x + 1) for exponential;
+    e and x broadcast."""
+    if kind == "exponential":
+        return np.power(e, x + 1.0), np.power(e, 2.0 * x + 1.0)
+    return np.cos(e + x), np.sin(2.0 * (e + x))
+
+
+def _uniform_moments_given_s(kind: str, c, d, tc, td, x) -> tuple[np.ndarray, np.ndarray]:
     """(E[f(Y, S) | S = x], E[f(Y, S)² | S = x]) for Y ~ Unif[c, d], closed
-    form; c, d and x broadcast.  A cell with c = d is the point mass at c.
+    form, from the :func:`_endpoint_terms` tc of c and td of d; c, d, the
+    terms and x broadcast.  A cell with c = d is the point mass at c.
     Exponential needs c >= 0 and d > 0 on every cell."""
     same = c == d
     width = np.where(same, 1.0, d - c)
     if kind == "exponential":
 
-        def power_mean(p):
-            spread = (np.power(d, p + 1.0) - np.power(c, p + 1.0)) / ((p + 1.0) * width)
+        def power_mean(p, pc, pd):
+            spread = (pd - pc) / ((p + 1.0) * width)
             return np.where(same, np.power(c, p), spread)
 
-        return power_mean(x), power_mean(2.0 * x)
-    m1 = np.where(same, np.sin(c + x), (np.cos(c + x) - np.cos(d + x)) / width)
-    m2 = np.where(
-        same, m1**2, 0.5 - (np.sin(2.0 * (d + x)) - np.sin(2.0 * (c + x))) / (4.0 * width)
-    )
+        return power_mean(x, tc[0], td[0]), power_mean(2.0 * x, tc[1], td[1])
+    (cos_c, sin2_c), (cos_d, sin2_d) = tc, td
+    m1 = np.where(same, np.sin(c + x), (cos_c - cos_d) / width)
+    m2 = np.where(same, m1**2, 0.5 - (sin2_d - sin2_c) / (4.0 * width))
     return m1, m2
 
 
@@ -244,7 +258,10 @@ def _moments_given_s(s: ScalarScenario, x) -> tuple[np.ndarray, np.ndarray]:
         m1 = p * np.sin(a + x) + (1.0 - p) * np.sin(b + x)
         m2 = p * np.sin(a + x) ** 2 + (1.0 - p) * np.sin(b + x) ** 2
         return m1, m2
-    return _uniform_moments_given_s(s.kernel.kind, y_dist.lo[0], y_dist.hi[0], x)
+    kind, c, d = s.kernel.kind, y_dist.lo[0], y_dist.hi[0]
+    return _uniform_moments_given_s(
+        kind, c, d, _endpoint_terms(kind, c, x), _endpoint_terms(kind, d, x), x
+    )
 
 
 def conditional_mean_given_y(s: ScalarScenario, y):
@@ -292,11 +309,46 @@ def _phase_gain(delta: float) -> float:
     return (math.sin(delta) / delta) ** 2
 
 
-def _uniform_spread(kind: str, p: float, c, d, nodes: int) -> np.ndarray:
-    """V[sin Y] (phase) or V[k(Y)] (exponential, k the conditional mean at
-    half-width p) for Y ~ Unif[c, d], by quadrature over the support."""
+#: Below this half-width u the differences in :func:`_sin_variance` cancel
+#: (V[cos U] loses about 1.3e-14/u⁴ of its value), so their series take over.
+_SERIES_BELOW = 1.0
+#: 1 − sinc x = x²·Σ_k _ONE_MINUS_SINC[k]·x^(2k) and, for U ~ Unif(−u, u),
+#: V[cos U] = u⁴·Σ_k _VAR_COS[k]·u^(2k).  At x = 2u = 2 the first omitted
+#: terms are 2e-18 and 1.4e-19 of the sums.
+_ONE_MINUS_SINC = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(11))
+_VAR_COS = tuple((-4) ** k * 16 * (k + 1) / math.factorial(2 * k + 6) for k in range(11))
+
+
+def _sin_variance(c, d) -> np.ndarray:
+    """V[sin Y] for Y ~ Unif[c, d], closed form.
+
+    With m = (c + d)/2, u = (d − c)/2 and U ~ Unif(−u, u),
+    V[sin Y] = sin²m·V[cos U] + cos²m·E[sin²U], where E[sin²U] =
+    (1 − sinc 2u)/2 and V[cos U] = (1 + sinc 2u)/2 − sinc²u.  Both terms
+    are >= 0, so they never cancel each other.  Below u = _SERIES_BELOW,
+    1 − sinc and V[cos U] come from their Taylor series, which start x²/6
+    and u⁴/45.  A cell with c = d gives exactly 0.
+    """
+    m = 0.5 * c + 0.5 * d
+    u = 0.5 * d - 0.5 * c
+    small = u < _SERIES_BELOW
+    ul = np.where(small, 1.0, u)
+    sinc_u = np.sin(ul) / ul
+    sinc_2u = np.sin(2.0 * ul) / (2.0 * ul)
+    u2 = np.where(small, u, 0.0) ** 2
+    # Through the attribute, so numpy loads np.polynomial at the first call,
+    # not when this module is imported.
+    series = np.polynomial.polynomial.polyval
+    sin2_u = np.where(small, 2.0 * u2 * series(4.0 * u2, _ONE_MINUS_SINC), 0.5 - 0.5 * sinc_2u)
+    var_cos = np.where(small, u2 * u2 * series(u2, _VAR_COS), 0.5 + 0.5 * sinc_2u - sinc_u**2)
+    return np.sin(m) ** 2 * var_cos + np.cos(m) ** 2 * sin2_u
+
+
+def _uniform_spread(alpha: float, c, d, nodes: int) -> np.ndarray:
+    """V[k(Y)] for Y ~ Unif[c, d] and k the exponential conditional mean at
+    half-width alpha, by quadrature over the support."""
     x, w = _affine_nodes(c[..., None], d[..., None], nodes)
-    fy = np.sin(x) if kind == "phase" else _exp_mean(x, p)
+    fy = _exp_mean(x, alpha)
     same = c == d
     width = np.where(same, 1.0, d - c)
     mean = _integrate(w, fy) / width
@@ -306,10 +358,9 @@ def _uniform_spread(kind: str, p: float, c, d, nodes: int) -> np.ndarray:
 def _uniform_psi(kind: str, p: float, c, d, nodes: int) -> np.ndarray:
     """Current-construction factor for Y ~ Unif[c, d]: (1 − (sin δ/δ)²)·V[sin Y]
     for phase, V[Y] − V[k(Y)] for exponential."""
-    spread = _uniform_spread(kind, p, c, d, nodes)
     if kind == "phase":
-        return (1.0 - _phase_gain(p)) * spread
-    return (d - c) ** 2 / 12.0 - spread
+        return (1.0 - _phase_gain(p)) * _sin_variance(c, d)
+    return (d - c) ** 2 / 12.0 - _uniform_spread(p, c, d, nodes)
 
 
 def _target_from_moments(w, m1, m2, width: float, jj: float) -> np.ndarray:
@@ -320,13 +371,6 @@ def _target_from_moments(w, m1, m2, width: float, jj: float) -> np.ndarray:
     return var_f / jj + (jj - 1.0) / jj * cov
 
 
-def _uniform_target(kind: str, lo: float, hi: float, c, d, jj: float, nodes: int) -> np.ndarray:
-    """Target variance for Y ~ Unif[c, d] and errors uniform on [lo, hi]."""
-    x, w = gauss_legendre(lo, hi, nodes)
-    m1, m2 = _uniform_moments_given_s(kind, c[..., None], d[..., None], x)
-    return _target_from_moments(w, m1, m2, hi - lo, jj)
-
-
 def _closed_target(kind: str, var_y, mu, var_s: float, nu: float, jj: float):
     """Target variance of the additive or multiplicative kernel, from the
     moments of the data (scalars or arrays) and of the errors."""
@@ -335,44 +379,61 @@ def _closed_target(kind: str, var_y, mu, var_s: float, nu: float, jj: float):
     return (var_y / jj) * (var_s + nu**2) + var_s * mu**2
 
 
-def _current_on_uniform_data(
-    kernel: ScalarKernel, s_dist: DistSpec, j: int, c, d, *, relative: bool
+def _current_on_uniform_grid(
+    kernel: ScalarKernel, s_dist: DistSpec, j: int, grid: np.ndarray, *, relative: bool
 ) -> np.ndarray:
-    """The current construction's factor ψ, or with ``relative`` its relative
-    bias ψ/J/target, for data Unif[c, d] over arrays of supports c <= d.
+    """The (n, n) map of the current construction's factor ψ, or with
+    ``relative`` its relative bias ψ/J/target, over data Unif[grid[i],
+    grid[k]] for k >= i.
 
     The kernel, the error law and J are shared by every cell and validated
-    once.  NaN marks the undefined cells: exponential supports with c < 0
-    or c = d = 0, and relative biases over a target variance <= 0.
+    once; the target's :func:`_endpoint_terms` are taken once per grid
+    value, and row i reads its slices [i] and [i:].  Row i is one array
+    evaluation of the code the scenario functions run on one cell.  NaN
+    marks the cells below the diagonal and the undefined cells: exponential
+    supports with a < 0 or a = b = 0, and relative biases over a target
+    variance <= 0.
     """
     kind = kernel.kind
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
     jj = float(j)
-    undefined = np.zeros(np.broadcast_shapes(c.shape, d.shape), dtype=bool)
-    if kind in ("additive", "multiplicative"):
-        psi = np.zeros(undefined.shape)
-        if not relative:
-            return psi
-        target = _closed_target(kind, (d - c) ** 2 / 12.0, 0.5 * (c + d),
-                                _scalar_variance(s_dist), _scalar_mean(s_dist), jj)
-    elif kind in ("phase", "exponential"):
+    if kind in ("phase", "exponential"):
         lo, hi, p = _error_law(kind, s_dist)
-        if kind == "exponential":
-            # Stand-in supports keep log and power finite on undefined cells.
-            # c keeps its own shape: a row's shared c stays one value, so
-            # its powers are taken once per node, not once per cell.
-            undefined = (c < 0.0) | ((c == 0.0) & (d == 0.0))
-            d = np.where(undefined, 1.0, d)
-            c = np.where(c < 0.0, 1.0, c)
-        psi = _uniform_psi(kind, p, c, d, QUAD_NODES)
-        if not relative:
-            return np.where(undefined, np.nan, psi)
-        target = _uniform_target(kind, lo, hi, c, d, jj, QUAD_NODES)
-    else:
+        x, w = gauss_legendre(lo, hi, QUAD_NODES)
+        # Stand-in supports keep log and power finite on undefined cells:
+        # 1.0 for a < 0 here, and for every b of an undefined cell below.
+        ends = np.where(grid < 0.0, 1.0, grid) if kind == "exponential" else grid
+        if relative:
+            terms = _endpoint_terms(kind, ends[:, None], x)
+    elif kind not in ("additive", "multiplicative"):
         raise DomainError(f"no analytic bias factor for kernel {kind!r}")
-    undefined |= ~(target > 0.0)
-    return np.where(undefined, np.nan, psi / j / np.where(undefined, 1.0, target))
+    values = np.full((grid.size, grid.size), np.nan)
+    for i, a in enumerate(grid):
+        b = grid[i:]
+        undefined = np.zeros(b.shape, dtype=bool)
+        if kind in ("additive", "multiplicative"):
+            psi = np.zeros(b.shape)
+            if relative:
+                target = _closed_target(kind, (b - a) ** 2 / 12.0, 0.5 * (a + b),
+                                        _scalar_variance(s_dist), _scalar_mean(s_dist), jj)
+        else:
+            c, d = ends[i : i + 1], b
+            if kind == "exponential":
+                undefined = (a < 0.0) | ((a == 0.0) & (b == 0.0))
+                d = np.where(undefined, 1.0, b)
+            psi = _uniform_psi(kind, p, c, d, QUAD_NODES)
+            if relative:
+                # The moments are not kept: the next row's ψ runs without them.
+                tc = tuple(t[i] for t in terms)
+                td = tuple(t[i:] for t in terms)
+                target = _target_from_moments(
+                    w, *_uniform_moments_given_s(kind, c[:, None], d[:, None], tc, td, x),
+                    hi - lo, jj,
+                )
+        if relative:
+            undefined |= ~(target > 0.0)
+            psi = psi / j / np.where(undefined, 1.0, target)
+        values[i, i:] = np.where(undefined, np.nan, psi)
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -382,8 +443,8 @@ def _current_on_uniform_data(
 def _conditional_mean_spread(s: ScalarScenario, nodes: int) -> tuple[float, float]:
     """(v, g) with V[E[f(Y, S) | Y]] = g·v, for the phase and exponential kernels.
 
-    Phase: v = V[sin Y] and g = (sin δ/δ)².  Exponential: v = V[k(Y)] by
-    quadrature, with k the conditional mean, and g = 1.
+    Phase: v = V[sin Y], closed form, and g = (sin δ/δ)².  Exponential:
+    v = V[k(Y)] by quadrature, with k the conditional mean, and g = 1.
     """
     kind = s.kernel.kind
     p = _scenario_law(s, "analytic bias factor")[2]
@@ -394,7 +455,8 @@ def _conditional_mean_spread(s: ScalarScenario, nodes: int) -> tuple[float, floa
         ex = q * math.sin(a) + (1.0 - q) * math.sin(b)
         ex2 = q * math.sin(a) ** 2 + (1.0 - q) * math.sin(b) ** 2
         return ex2 - ex**2, gain
-    return float(_uniform_spread(kind, p, y.lo, y.hi, nodes)[0]), gain
+    spread = _sin_variance(y.lo, y.hi) if kind == "phase" else _uniform_spread(p, y.lo, y.hi, nodes)
+    return float(spread[0]), gain
 
 
 def bias_factor_current(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
@@ -402,7 +464,9 @@ def bias_factor_current(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
 
     V[f(Y, ν)] − V[E[f(Y, S) | Y]]: zero for additive and multiplicative
     kernels, (1 − sin²δ/δ²)·V[sin Y] for phase, and V[Y] − V[k(Y)] for
-    exponential with k the conditional mean (V[k(Y)] by quadrature).
+    exponential with k the conditional mean.  V[sin Y] has a closed form
+    on two-point and uniform data, so ``nodes`` only sets the quadrature
+    of V[k(Y)].
     """
     kind = s.kernel.kind
     if kind in ("additive", "multiplicative"):
@@ -462,8 +526,10 @@ def bias_factor_alternative(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> fl
     spread, gain = _conditional_mean_spread(s, nodes)
     # The factor is >= 0 for scalar outputs, but on near-point-mass data
     # supports the closed-form conditional moments cancel to slightly
-    # below zero (about -7e-9 for phase and -3e-6 for exponential at
-    # support width 1e-8), so the floor stays.
+    # below zero (down to -4.4e-9 for phase and -2.7e-6 for exponential
+    # at support width 1e-8, centres 0.05 to 8, δ or α of 0.1, 0.5 and
+    # 0.95; the phase spread's closed form is exact there), so the floor
+    # stays.
     return max(mean_var - gain * spread, 0.0)
 
 
@@ -487,11 +553,8 @@ def target_variance(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
             _scalar_variance(s.s_dist), _scalar_mean(s.s_dist), jj,
         )
     lo, hi, _ = _scenario_law(s, "target variance")
-    y = s.y_dist
-    if isinstance(y, TwoPoint):
-        x, w = gauss_legendre(lo, hi, nodes)
-        return float(_target_from_moments(w, *_moments_given_s(s, x), hi - lo, jj))
-    return float(_uniform_target(kind, lo, hi, y.lo, y.hi, jj, nodes)[0])
+    x, w = gauss_legendre(lo, hi, nodes)
+    return float(_target_from_moments(w, *_moments_given_s(s, x), hi - lo, jj))
 
 
 def _require_positive_target(t: float) -> float:

@@ -5,7 +5,7 @@ biases, the target variance, grand-mean variances, and the variability
 of the two constructions' sample variances — plus empirical checks of
 the five supporting lemmas.  An :class:`ExperimentConfig` describes one
 such seeded run, and its estimand names the one estimator that accepts
-it.  The pure-quadrature parameter maps sample nothing: :func:`run_map`
+it.  The analytic parameter maps sample nothing: :func:`run_map`
 takes only the grid's :class:`MapSpec`.
 
 Reproducibility protocol
@@ -698,21 +698,21 @@ def run_map(spec: MapSpec, *, relative: bool = False) -> MapResult:
     current-construction relative bias, over the (a, b) grid of uniform
     data laws that ``spec`` describes.
 
-    Pure quadrature, no sampling.  Row a is one array evaluation over its
-    cells b >= a, through the code the scenario functions run on a single
-    cell, so every cell equals the matching :func:`~mcombine.analytics.
-    bias_factor_current` or :func:`~mcombine.analytics.relbias_current`
-    call bit for bit.  NaN marks the cells below the diagonal and the cells
-    where that call raises: exponential supports with a < 0 or a = b = 0,
-    and relative biases over a target variance <= 0.
+    No sampling.  The relative bias's endpoint terms (cos and sin, or
+    powers, at each error node) are taken once per grid value, and the
+    phase factor's V[sin Y] is a closed form, so neither is paid per cell.
+    Row a is one array evaluation over its cells b >= a, through the code
+    the scenario functions run on a single cell, so every cell equals the
+    matching :func:`~mcombine.analytics.bias_factor_current` or
+    :func:`~mcombine.analytics.relbias_current` call bit for bit.  NaN
+    marks the cells below the diagonal and the cells where that call
+    raises: exponential supports with a < 0 or a = b = 0, and relative
+    biases over a target variance <= 0.
     """
     grid = np.linspace(spec.lo, spec.hi, spec.n)
-    s_dist = _map_error_dist(spec)
-    values = np.full((spec.n, spec.n), np.nan)
-    for i, a in enumerate(grid):
-        values[i, i:] = analytics._current_on_uniform_data(
-            spec.kernel, s_dist, spec.j, a, grid[i:], relative=relative
-        )
+    values = analytics._current_on_uniform_grid(
+        spec.kernel, _map_error_dist(spec), spec.j, grid, relative=relative
+    )
     return MapResult(a_values=grid, b_values=grid.copy(), values=values)
 
 

@@ -87,7 +87,7 @@ def _check_symmetric(m, name: str) -> NDArray[np.float64]:
     scale = np.abs(a).max(axis=(-2, -1), initial=1.0)
     if np.any(np.abs(a - at).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale):
         raise DomainError(f"{name} is not symmetric")
-    return 0.5 * (a + at)
+    return 0.5 * a + 0.5 * at
 
 
 def sym_eigendecompose(m) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

@@ -174,7 +174,7 @@ class Normal:
             raise DomainError("cov contains non-finite entries")
         if np.abs(cov - cov.T).max() > 1e-12 * max(1.0, np.abs(cov).max()):
             raise DomainError("cov must be symmetric")
-        cov = 0.5 * (cov + cov.T)
+        cov = 0.5 * cov + 0.5 * cov.T
         try:
             factor = scaled_rotation_factor(cov)
         except NumericalError as exc:

@@ -93,6 +93,41 @@ def test_psi_phase_uniform_matches_trapezoid_oracle():
     assert math.isclose(bias_factor_current(s), expected, rel_tol=1e-7)
 
 
+def _phase_spread(a, b, delta=0.8):
+    # V[sin Y] for Y ~ Unif[a, b], read off the phase factor (1 − (sin δ/δ)²)·V[sin Y]
+    s = scenario(PHASE, Uniform(lo=[a], hi=[b]), Uniform(lo=[-delta], hi=[delta]))
+    return bias_factor_current(s) / (1.0 - (math.sin(delta) / delta) ** 2)
+
+
+@pytest.mark.parametrize("centre", [math.pi / 2.0, 0.0], ids=["pi_over_2", "zero"])
+@pytest.mark.parametrize("width", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_phase_spread_on_narrow_supports_follows_its_series(centre, width):
+    # With centre m and half-width u, V[sin Y] = cos²m·u²/3 + sin²m·u⁴/45
+    # up to a relative O(u²) (the next terms are −u⁴/15 and −u⁶/315).  At
+    # pi/2 a quadrature of E[sin²Y] − E[sin Y]² cancels to noise here.
+    a, b = centre - width / 2.0, centre + width / 2.0
+    m, u = 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a
+    lead = math.cos(m) ** 2 * u**2 / 3.0 + math.sin(m) ** 2 * u**4 / 45.0
+    got = _phase_spread(a, b)
+    assert got > 0.0
+    assert abs(got - lead) <= (u**2 + 1e-14) * lead, (got, lead)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(math.pi / 2.0 - 0.25, math.pi / 2.0 + 0.25), (-0.25, 0.25), (1.0, 1.5), (0.0, 1.0),
+     (math.pi / 2.0 - 1.0, math.pi / 2.0 + 1.0), (0.99, 3.01), (2.0, 4.5), (-3.0, 5.0),
+     (0.0, 8.0), (-20.0, 20.0)],
+)
+def test_phase_spread_on_wide_supports_matches_fine_quadrature(a, b):
+    # centred second moment over 1024 nodes: no cancellation in the oracle
+    x, w = gauss_legendre(a, b, 1024)
+    f = np.sin(x)
+    mean = (w @ f) / (b - a)
+    want = (w @ (f - mean) ** 2) / (b - a)
+    assert math.isclose(_phase_spread(a, b), want, rel_tol=1e-12)
+
+
 def test_psi_exponential_matches_double_trapezoid_oracle():
     a, b, alpha = 0.5, 4.0, 0.95
     s = exponential_scenario(a, b, alpha)

@@ -183,6 +183,21 @@ def test_law_with_overflowing_moments_exits_one_without_warning(law, kind, tmp_p
     assert list(tmp_path.iterdir()) == []
 
 
+def test_normal_law_near_the_float_limit_exits_one_without_warning(tmp_path, monkeypatch, capsys):
+    # symmetrising cov = 1e308 as 0.5 * (cov + cov.T) overflowed to inf
+    monkeypatch.chdir(tmp_path)
+    law = '{"kind":"normal","mean":[0],"cov":[[1e308]]}'
+    argv = ["bias-sweep", "--model", "additive", "--y-dist", law, "--q", "3", "--trials", "100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*argv, "--out", "o.csv"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    _only_error_line(err)
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------------------
 # bias-sweep artifacts
 

@@ -673,35 +673,47 @@ def test_map_undefined_cells_are_nan():
     assert math.isnan(grid.values[1, 0])  # below the diagonal
 
 
+#: A dozen (i, k) cells of the default 0:8:161 grid: (0, 0), width-0.05
+#: cells (1.55–1.6 and 4.7–4.75 straddle π/2 and 3π/2), diagonal cells and
+#: wide ones.
+DEFAULT_GRID_CELLS = ((0, 0), (0, 1), (31, 32), (62, 63), (94, 95), (100, 101), (159, 160),
+                      (80, 80), (160, 160), (0, 160), (10, 150), (40, 120))
+
+
 @pytest.mark.parametrize("relative", [False, True], ids=["psi_map", "relbias_map"])
 @pytest.mark.parametrize("kernel", [PHASE, EXPONENTIAL], ids=["phase", "exponential"])
 def test_map_cells_are_the_direct_calls_bitwise(kernel, relative):
     # a < 0, a = 0, the diagonal, a = b = 0 and (1, 1) (zero exponential
-    # target) all sit on this grid; a map row is one array evaluation
+    # target) all sit on the small grid; a map row is one array evaluation
+    # over endpoint terms taken once per grid value
     alpha = 0.95
-    spec = MapSpec(kernel=kernel, alpha=alpha, lo=-0.5, hi=2.0, n=6, j=3)
-    grid = run_map(spec, relative=relative)
     if kernel is EXPONENTIAL:
         s_dist = Uniform(lo=[1.0 - alpha], hi=[1.0 + alpha])
     else:
         s_dist = Uniform(lo=[-alpha], hi=[alpha])
     direct = relbias_current if relative else bias_factor_current
-    raised = 0
-    for i, a in enumerate(grid.a_values):
-        for jdx, b in enumerate(grid.b_values):
-            got = grid.values[i, jdx]
-            if a > b:
-                assert math.isnan(got)
-                continue
-            sc = ScalarScenario(kernel=kernel, y_dist=Uniform(lo=[a], hi=[b]), s_dist=s_dist, j=3, q=2)
-            try:
-                want = direct(sc)
-            except DomainError:
-                raised += 1
-                assert math.isnan(got), (a, b)
-                continue
-            assert got == want, (a, b, got, want)
+
+    def check(grid, i, k, j):
+        # True when the direct call raises, and the cell is NaN
+        a, b, got = grid.a_values[i], grid.b_values[k], grid.values[i, k]
+        if a > b:
+            assert math.isnan(got)
+            return False
+        sc = ScalarScenario(kernel=kernel, y_dist=Uniform(lo=[a], hi=[b]), s_dist=s_dist, j=j, q=2)
+        try:
+            want = direct(sc)
+        except DomainError:
+            assert math.isnan(got), (a, b)
+            return True
+        assert got == want, (a, b, got, want)
+        return False
+
+    grid = run_map(MapSpec(kernel=kernel, alpha=alpha, lo=-0.5, hi=2.0, n=6, j=3), relative=relative)
+    raised = sum(check(grid, i, k, 3) for i in range(6) for k in range(6))
     assert raised == {PHASE: 0, EXPONENTIAL: 8 if relative else 7}[kernel]
+    grid = run_map(MapSpec(kernel=kernel, alpha=alpha), relative=relative)
+    raised = sum(check(grid, i, k, 2) for i, k in DEFAULT_GRID_CELLS)
+    assert raised == {PHASE: 0, EXPONENTIAL: 1}[kernel]  # (0, 0) under exponential
 
 
 @pytest.mark.parametrize(
@@ -732,7 +744,8 @@ def test_map_spec_alpha_ranges_and_kernels():
 
 def test_map_memory_stays_one_row_at_a_time():
     # A full-grid (13,041 cells x 256 nodes) float tensor is 26.7 MB; one
-    # row of the default exponential relbias map peaks at about 1.9 MB.
+    # row of the default exponential relbias map, with the two (161, 256)
+    # endpoint-term tables, peaks at about 2.6 MB.
     spec = MapSpec(kernel=EXPONENTIAL)
     tracemalloc.start()
     try:
