@@ -19,8 +19,10 @@ values, ``lo:hi:logN`` for N logarithmically spaced values, or a comma
 list like ``5,50,500``.
 
 Exit status: 0 success, 1 configuration error, 2 numerical failure.
-All output floats are printed with 17 significant digits, so artifacts
-are round-trip safe and byte-identical for identical invocations.
+CSV artifacts print floats with 17 significant digits; JSON artifacts use
+Python's shortest round-trip ``repr`` and write NaN as ``null``.  Either
+way artifacts are round-trip safe and byte-identical for identical
+invocations.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 import numpy as np
@@ -144,19 +147,54 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _json_clean(obj):
-    """NaN is not valid JSON; emit null instead."""
-    if isinstance(obj, float):
-        return None if math.isnan(obj) else obj
+def _json_floats(values, sep: str) -> str:
+    """Floats as json's own text (``float.__repr__``), NaN as null, in one join."""
+    text = sep.join(map(float.__repr__, values))
+    # no other float text holds an "n": only inf, -inf and nan do
+    if "n" in text:
+        if "inf" in text:
+            raise ValueError("Out of range float values are not JSON compliant")
+        text = text.replace("nan", "null")
+    return text
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)`` with NaN written as null.
+
+    ``indent`` is the newline and indentation that closes ``obj``.  A list
+    whose items are all floats is formatted in one pass.
+    """
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _json_clean(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(obj, (list, tuple)):
-        return [_json_clean(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float}:
+            text = _json_floats(obj, "," + inner)
+        else:
+            text = ("," + inner).join(_json_text(v, inner) for v in obj)
+        return "[" + inner + text + indent + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_floats((obj,), "")
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: str, payload) -> None:
-    _write_text(path, json.dumps(_json_clean(payload), indent=2, allow_nan=False) + "\n")
+    _write_text(path, _json_text(payload) + "\n")
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:

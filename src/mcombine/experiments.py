@@ -105,9 +105,9 @@ class MapSpec:
     the kernel: Unif[1−alpha, 1+alpha] for exponential (alpha in (0, 1]),
     Unif(−alpha, alpha) for phase (alpha > 0, finite), standard normal for
     additive and multiplicative (alpha unused; the factor is identically
-    zero).  ``j`` only affects relative-bias maps.  The grid's ends must be
-    finite, and its n × n values must fit in 1 GiB of float64.  Custom
-    kernels have no analytic map.
+    zero).  ``j`` only affects relative-bias maps.  The grid's ends and
+    span hi − lo must be finite, and its n × n values must fit in 1 GiB of
+    float64.  Custom kernels have no analytic map.
     """
 
     kernel: ScalarKernel
@@ -125,8 +125,9 @@ class MapSpec:
                 f"a {self.n}x{self.n} map grid holds {self.n * self.n} values, more than the "
                 f"limit of {pipeline._MAX_ELEMS} (1 GiB of float64)"
             )
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError(f"map grid ends must be finite, got {self.lo}:{self.hi}")
+        # an infinite or NaN end also makes the span non-finite
+        if not math.isfinite(self.hi - self.lo):
+            raise DomainError(f"map grid needs finite ends and span, got {self.lo}:{self.hi}")
         if self.hi < self.lo:
             raise DomainError("map grid interval is reversed")
         if self.j < 2:

@@ -552,6 +552,20 @@ def test_undefined_map_cells_are_masked_not_warned(command, nan_cells, tmp_path)
     assert got == nan_cells
 
 
+@pytest.mark.parametrize("command, model", [("psi-map", "phase"), ("relbias-map", "exponential")])
+def test_map_grid_with_overflowing_span_exits_one_without_warning(command, model, tmp_path, monkeypatch, capsys):
+    # both ends are finite, but hi - lo overflows to inf inside np.linspace
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--model", model, "--grid=-1e308:1e308:3", "--out", "o.csv"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    assert "span" in _only_error_line(err)
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------------------
 # pipeline
 
@@ -645,6 +659,102 @@ def test_pipeline_overflowing_mean_exits_one_without_artifact(tmp_path, capsys):
         "error: multiplicative kernel gave non-finite replicate centres at error draw 0"
     )
     assert not out.exists()
+
+
+# --------------------------------------------------------------------------
+# JSON artifacts
+
+
+def _nan_to_none(obj):
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _nan_to_none(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nan_to_none(v) for v in obj]
+    return obj
+
+
+def _json_oracle(obj) -> str:
+    return json.dumps(_nan_to_none(obj), indent=2, allow_nan=False)
+
+
+def _pipeline_payload(tmp_path, monkeypatch, k: int) -> dict:
+    rows = np.random.default_rng(k).standard_normal((5, k)) + 1.0
+    data = tmp_path / f"k{k}.csv"
+    lines = [",".join(f"y_{i + 1}" for i in range(k))] + [",".join(map(repr, r)) for r in rows.tolist()]
+    data.write_text("\n".join(lines) + "\n")
+    written = []
+    monkeypatch.setattr(cli, "_write_json", lambda path, payload: written.append(payload))
+    assert main(pipeline_args(data, tmp_path / "unused.json")) == 0
+    return written[0]
+
+
+NAN = math.nan
+
+JSON_CORPUS = {
+    "nested": {"rows": [[1.5, NAN, -2.0], [NAN, NAN], [0.1]], "deep": [[[0.5, NAN]], []]},
+    "mixed list": [1, 2.5, NAN, None, True, "x", [NAN, 3], {"k": NAN}, np.float64(0.1)],
+    "tuple": (1.0, (2, NAN)),
+    "empty list": [],
+    "empty dict": {},
+    "empties inside": {"a": [], "b": {}, "c": [[]]},
+    "edge floats": [-0.0, 5e-324, 1e308, 1e16, -1e-7],
+    "edge float scalars": {"neg_zero": -0.0, "tiny": 5e-324, "big": 1e308, "e16": 1e16},
+    "ints bools none": [0, -7, 2**70, True, False, None, {"t": True, "f": False, "n": None}],
+    "non-ascii": {"Ψ-ß": "naïve – ∞ \"quoted\"\n"},
+    "float scalar": 0.1,
+    "nan scalar": NAN,
+    "string scalar": "ü",
+}
+
+
+@pytest.mark.parametrize("obj", JSON_CORPUS.values(), ids=JSON_CORPUS.keys())
+def test_json_writer_matches_the_stdlib_encoder(obj):
+    assert cli._json_text(obj) == _json_oracle(obj)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_json_writer_matches_the_stdlib_encoder_on_pipeline_payloads(k, tmp_path, monkeypatch):
+    payload = _pipeline_payload(tmp_path, monkeypatch, k)
+    assert len(payload["input_cov"]) == k
+    assert cli._json_text(payload) == _json_oracle(payload)
+
+
+@pytest.mark.parametrize("inf", [math.inf, -math.inf])
+@pytest.mark.parametrize("shape", ["scalar", "float list", "nan row", "mixed list", "nested"])
+def test_json_writer_refuses_infinity(inf, shape):
+    obj = {"scalar": inf, "float list": [1.0, inf], "nan row": [NAN, inf], "mixed list": [1, inf],
+           "nested": {"x": [[NAN, 2.0], [inf]]}}[shape]
+    with pytest.raises(ValueError):
+        _json_oracle(obj)
+    with pytest.raises(ValueError):
+        cli._json_text(obj)
+
+
+def test_infinite_json_value_exits_one_without_artifact(tmp_path, monkeypatch, capsys):
+    values = np.array([[0.0, math.inf], [NAN, 0.0]])
+    grid = cli.experiments.MapResult(np.array([0.0, 1.0]), np.array([0.0, 1.0]), values)
+    monkeypatch.setattr(cli.experiments, "run_map", lambda spec, relative=False: grid)
+    monkeypatch.chdir(tmp_path)
+    assert main(["psi-map", "--model", "phase", "--grid", "0:1:2", "--format", "json", "--out", "m.json"]) == 1
+    assert "not JSON compliant" in _only_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_artifacts_round_trip_through_the_stdlib(data_csv, tmp_path):
+    calls = {
+        "pipeline": pipeline_args(data_csv, tmp_path / "pipeline.json"),
+        "relbias-map": ["relbias-map", "--model", "exponential", "--grid", "0:2:3", "--format", "json",
+                        "--out", str(tmp_path / "relbias-map.json")],
+        "lemmas": ["lemmas", "--trials", "200", "--format", "json", "--out", str(tmp_path / "lemmas.json")],
+        "bias-sweep": bias_sweep_args(tmp_path / "bias-sweep.json", ("--format", "json")),
+    }
+    for name, argv in calls.items():
+        assert main(argv) == 0
+        text = (tmp_path / f"{name}.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
+    assert "null" in (tmp_path / "relbias-map.json").read_text()
 
 
 def test_pipeline_s_dist_width_must_match_data(data_csv, tmp_path):
