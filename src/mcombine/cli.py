@@ -10,15 +10,22 @@ vardiff       normalized variability difference of the two constructions
 lemmas        empirical checks of the five supporting identities
 mean-var      grand-mean variance difference of the two constructions
 
-Every flag can instead be supplied through ``--config FILE`` (a JSON
-object whose keys are the flag names with dashes replaced by
-underscores); explicit command-line flags win over config-file values.
+Each flag is declared once, in ``build_parser``: its default (shown by
+``--help``), its converter and its allowed values.  Every flag can
+instead be supplied through ``--config FILE`` (a JSON object whose keys
+are the flag names with dashes replaced by underscores); each value goes
+through its flag's own converter and choices, and explicit command-line
+flags win over config-file values.  A missing ``--out`` (or ``--model``,
+or pipeline's ``--data``) exits 1 before any work.
 
-Ranges (for ``--q`` and ``--grid``) use ``lo:hi:N`` for N linearly spaced
-values, ``lo:hi:logN`` for N logarithmically spaced values, or a comma
-list like ``5,50,500``.
+Ranges for ``--q`` use ``lo:hi:N`` for N linearly spaced values,
+``lo:hi:logN`` for N logarithmically spaced values, or a comma list like
+``5,50,500``; ``--grid`` takes ``lo:hi:N`` only.
 
 Exit status: 0 success, 1 configuration error, 2 numerical failure.
+Sizes are checked before anything is allocated: a run whose arrays
+would pass 1 GiB of float64 exits 1, be it a ``--q``, a ``--grid`` or a
+lemma block of ``--block-size``·max(8, ``--n``) draws.
 CSV artifacts print floats with 17 significant digits; JSON artifacts use
 Python's shortest round-trip ``repr`` and write NaN as ``null``.  Either
 way artifacts are round-trip safe and byte-identical for identical
@@ -46,12 +53,21 @@ from .rng import RngStream
 
 __all__ = ["main", "build_parser"]
 
-DEFAULT_SEED = 0
-
 _RANGE_HELP = "range: lo:hi:N (linear), lo:hi:logN (log-spaced), or comma list"
 
 
+class _Formatter(argparse.HelpFormatter):
+    # --help shows the default of every flag that has one
+    def _get_help_string(self, action):
+        if action.default is None or action.default == argparse.SUPPRESS:
+            return action.help
+        return f"{action.help} (default %(default)s)"
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, formatter_class=_Formatter, **kwargs)
+
     # argparse exits with status 2 on bad flags; the artifact contract
     # reserves 2 for numerical failures, so remap to a config error.
     def error(self, message):
@@ -136,12 +152,6 @@ def _load_dist(value) -> models.DistSpec:
     return models.dist_from_json(value)
 
 
-def _check_choice(name: str, value, choices: Sequence[str]) -> str:
-    if value not in choices:
-        raise DomainError(f"--{name} must be one of {', '.join(choices)}; got {value!r}")
-    return value
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
@@ -204,39 +214,35 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) 
 
 
 # --------------------------------------------------------------------------
-# Config-file merging
+# Config files
 
 
-def _flag_types(parser: argparse.ArgumentParser, cmd: str) -> dict[str, Callable | None]:
-    """The ``type`` converter of each flag of subcommand ``cmd``, by dest."""
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a.type for a in subs.choices[cmd]._actions if a.dest != "help"}
+def _convert(key: str, value, action: argparse.Action):
+    """A config value through its flag's converter and choices, as if typed as the flag.
 
-
-def _convert(key: str, value, convert: Callable | None):
-    """A config value through its flag's converter, as if typed as the flag.
-
-    Booleans and other JSON types are refused where a number is meant, and
-    so is a non-integral number where an integer is meant.
+    Booleans and other JSON types are refused where a number or path is
+    meant, and so is a non-integral number where an integer is meant.
     """
-    if convert is None:
-        return value
-    fraction = convert is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool) and not fraction:
+    convert, got = action.type, json.dumps(value)
+    if convert is not None:
+        fraction = convert is int and isinstance(value, float) and not value.is_integer()
         try:
-            return convert(value)
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)) or fraction:
+                raise ValueError
+            value = convert(value)
         except (ValueError, OverflowError):
-            pass
-    raise DomainError(
-        f"config key {key!r} needs a value of type {convert.__name__}, got {json.dumps(value)}"
-    )
+            need = f"needs a value of type {convert.__name__}"
+            raise DomainError(f"config key {key!r} {need}, got {got}") from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(action.choices)
+        raise DomainError(f"config key {key!r} must be one of {choices}; got {got}")
+    return value
 
 
-def _merge_config(ns: argparse.Namespace, flag_types: dict[str, Callable | None]) -> None:
-    if getattr(ns, "config", None) is None:
-        return
+def _read_config(path: str, sub: argparse.ArgumentParser) -> argparse.Namespace:
+    """The config file as a namespace of converted values, keyed by flag dest."""
     try:
-        with open(ns.config) as fh:
+        with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read config file: {exc}") from None
@@ -244,68 +250,43 @@ def _merge_config(ns: argparse.Namespace, flag_types: dict[str, Callable | None]
         raise DomainError(f"bad config JSON: {exc}") from None
     if not isinstance(data, dict):
         raise DomainError("config file must hold a JSON object")
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    ns = argparse.Namespace()
     for key, value in data.items():
-        if key == "config" or key not in flag_types:
+        if key not in actions:
             raise DomainError(f"unknown config key {key!r} for this subcommand")
-        value = _convert(key, value, flag_types[key])
-        if getattr(ns, key) is None:
-            setattr(ns, key, value)
-
-
-def _resolve(ns: argparse.Namespace, key: str, default):
-    value = getattr(ns, key, None)
-    return default if value is None else value
-
-
-def _require_out(ns: argparse.Namespace) -> str:
-    out = getattr(ns, "out", None)
-    if out is None:
-        raise DomainError("missing --out (or 'out' in the config file)")
-    return str(out)
+        setattr(ns, key, _convert(key, value, actions[key]))
+    return ns
 
 
 # --------------------------------------------------------------------------
 # Scenario assembly shared by the MC subcommands
 
 
-def _default_dists(model: str, alpha) -> tuple[models.DistSpec, models.DistSpec]:
+def _default_dists(model: str, alpha: float | None) -> tuple[models.DistSpec, models.DistSpec]:
     if model in ("additive", "multiplicative"):
         std = Normal(mean=[0.0], cov=[[1.0]])
         return std, std
     if model == "phase":
-        half = math.pi if alpha is None else float(alpha)
+        half = math.pi if alpha is None else alpha
         return (
             TwoPoint(a=[-math.pi / 2.0], b=[math.pi / 2.0], p=0.5),
             Uniform(lo=[-half], hi=[half]),
         )
     if model == "exponential":
-        a = 0.95 if alpha is None else float(alpha)
+        a = 0.95 if alpha is None else alpha
         return Uniform(lo=[0.0], hi=[8.0]), Uniform(lo=[1.0 - a], hi=[1.0 + a])
     raise DomainError(f"unknown model {model!r}")
 
 
-def _build_scenario(ns: argparse.Namespace, j: int, q: int) -> analytics.ScalarScenario:
-    model = getattr(ns, "model", None)
-    if model is None:
-        raise DomainError("missing --model")
-    alpha = getattr(ns, "alpha", None)
-    if alpha is not None and getattr(ns, "s_dist", None) is not None:
+def _build_scenario(ns: argparse.Namespace, q: int) -> analytics.ScalarScenario:
+    if ns.alpha is not None and ns.s_dist is not None:
         raise DomainError("--alpha and --s-dist are mutually exclusive")
-    y_default, s_default = _default_dists(model, alpha)
-    y_dist = _load_dist(ns.y_dist) if getattr(ns, "y_dist", None) is not None else y_default
-    s_dist = _load_dist(ns.s_dist) if getattr(ns, "s_dist", None) is not None else s_default
+    y_default, s_default = _default_dists(ns.model, ns.alpha)
+    y_dist = y_default if ns.y_dist is None else _load_dist(ns.y_dist)
+    s_dist = s_default if ns.s_dist is None else _load_dist(ns.s_dist)
     return analytics.ScalarScenario(
-        kernel=models.kernel_from_json(model), y_dist=y_dist, s_dist=s_dist, j=j, q=q
-    )
-
-
-def _common_mc(ns: argparse.Namespace, default_trials: int):
-    return (
-        int(_resolve(ns, "trials", default_trials)),
-        int(_resolve(ns, "seed", DEFAULT_SEED)),
-        int(_resolve(ns, "workers", 1)),
-        int(_resolve(ns, "block_size", 1024)),
-        _check_choice("format", _resolve(ns, "format", "csv"), ("csv", "json")),
+        kernel=models.kernel_from_json(ns.model), y_dist=y_dist, s_dist=s_dist, j=ns.j, q=q
     )
 
 
@@ -313,56 +294,50 @@ def _common_mc(ns: argparse.Namespace, default_trials: int):
 # Subcommand runners
 
 
-#: Q-sweep subcommands: (artifact column, default trials, estimand, estimator
-#: name).  bias-sweep's estimand follows --construction.  The estimator is
-#: looked up on ``experiments`` at each call, so a wrapper installed on the
+#: Q-sweep subcommands: (artifact column, estimand, estimator name).
+#: bias-sweep's estimand follows --construction.  The estimator is looked
+#: up on ``experiments`` at each call, so a wrapper installed on the
 #: module (perfbench/spans.py) sees it.
 _SWEEPS = {
-    "bias-sweep": ("relbias", 10_000, None, "estimate_combine_bias"),
-    "vardiff": ("reldiff", 100_000, "vardiff_reldiff", "estimate_vardiff"),
-    "mean-var": ("diff", 10_000, "mean_variance", "estimate_mean_variance"),
+    "bias-sweep": ("relbias", None, "estimate_combine_bias"),
+    "vardiff": ("reldiff", "vardiff_reldiff", "estimate_vardiff"),
+    "mean-var": ("diff", "mean_variance", "estimate_mean_variance"),
 }
 
 
 def _run_sweep(ns, cmd: str) -> int:
     """One seeded estimate per Q value (salt = index), written as one artifact."""
-    column, default_trials, estimand, estimator = _SWEEPS[cmd]
+    column, estimand, estimator = _SWEEPS[cmd]
     label = f"{cmd} {ns.model}"
     if estimand is None:
-        construction = _check_choice(
-            "construction", _resolve(ns, "construction", "current"), ("current", "alternative")
-        )
-        estimand = f"combine_bias_{construction}"
-        label += f" {construction}"
-    trials, seed, workers, block_size, fmt = _common_mc(ns, default_trials)
-    j = int(_resolve(ns, "j", 4))
-    qs = _q_values(_resolve(ns, "q", "10"))
+        estimand = f"combine_bias_{ns.construction}"
+        label += f" {ns.construction}"
+    qs = _q_values(ns.q)
     # every Q value's config is checked before the first estimate runs
     cfgs = [
         ExperimentConfig(
             estimand=estimand,
-            trials=trials,
-            scenario=_build_scenario(ns, j, q),
-            master_seed=seed,
+            trials=ns.trials,
+            scenario=_build_scenario(ns, q),
+            master_seed=ns.seed,
             salt=idx,
-            block_size=block_size,
-            workers=workers,
+            block_size=ns.block_size,
+            workers=ns.workers,
         )
         for idx, q in enumerate(qs)
     ]
     results = [(cfg.scenario.q, getattr(experiments, estimator)(cfg)) for cfg in cfgs]
-    out = _require_out(ns)
-    if fmt == "json":
-        _write_json(out, [{"q": q, **res.to_json_dict()} for q, res in results])
+    if ns.format == "json":
+        _write_json(ns.out, [{"q": q, **res.to_json_dict()} for q, res in results])
     else:
         rows = [
             (_fmt(q), _fmt(res.point), _fmt(res.std_error), _fmt(res.analytic_reference))
             for q, res in results
         ]
-        _write_csv(out, ("q", column, "std_error", "analytic_reference"), rows)
+        _write_csv(ns.out, ("q", column, "std_error", "analytic_reference"), rows)
     q, last = results[-1]
     print(
-        f"{label}: {len(qs)} Q values -> {out} "
+        f"{label}: {len(qs)} Q values -> {ns.out} "
         f"({column}[Q={q}] = {last.point:.6g} +/- {last.std_error:.6g})"
     )
     return 0
@@ -373,97 +348,79 @@ _MAPS = ("psi-map", "relbias-map")
 
 
 def _run_map(ns, cmd: str) -> int:
-    model = getattr(ns, "model", None)
-    if model is None:
-        raise DomainError("missing --model")
-    lo, hi, n = _grid_triple(_resolve(ns, "grid", "0:8:161"))
-    alpha = float(_resolve(ns, "alpha", 0.95))
-    j = int(_resolve(ns, "j", 2))
-    fmt = _check_choice("format", _resolve(ns, "format", "csv"), ("csv", "json"))
-    spec = MapSpec(kernel=models.kernel_from_json(model), alpha=alpha, lo=lo, hi=hi, n=n, j=j)
+    lo, hi, n = _grid_triple(ns.grid)
+    kernel = models.kernel_from_json(ns.model)
+    spec = MapSpec(kernel=kernel, alpha=ns.alpha, lo=lo, hi=hi, n=n, j=ns.j)
     relative = cmd == "relbias-map"
     grid = experiments.run_map(spec, relative=relative)
-    out = _require_out(ns)
     column = "relbias" if relative else "psi"
-    if fmt == "json":
+    if ns.format == "json":
         payload = {
             "a_values": grid.a_values.tolist(),
             "b_values": grid.b_values.tolist(),
             column: grid.values.tolist(),
         }
-        _write_json(out, payload)
+        _write_json(ns.out, payload)
     else:
         # each grid coordinate is formatted once, not once per cell
         text = {x: _fmt(x) for x in grid.a_values.tolist() + grid.b_values.tolist()}
         rows = [(text[a], text[b], _fmt(v)) for a, b, v in grid.rows()]
-        _write_csv(out, ("a", "b", column), rows)
+        _write_csv(ns.out, ("a", "b", column), rows)
     cells = n * (n + 1) // 2
-    print(f"{cmd} {model}: {n}x{n} grid ({cells} cells) -> {out}")
+    print(f"{cmd} {ns.model}: {n}x{n} grid ({cells} cells) -> {ns.out}")
     return 0
 
 
-def _run_lemmas(ns) -> int:
-    trials, seed, workers, block_size, fmt = _common_mc(ns, 100_000)
-    raw = _resolve(ns, "id", "all")
-    if isinstance(raw, int):
-        ids = [raw]
-    elif str(raw).strip() == "all":
-        ids = [1, 2, 3, 4, 5]
-    else:
-        try:
-            ids = [int(tok) for tok in str(raw).split(",") if tok.strip()]
-        except ValueError:
-            raise DomainError(f"bad --id {raw!r}; expected 'all' or a comma list") from None
+def _lemma_ids(raw) -> list[int]:
+    if type(raw) is int:  # a config's JSON true is a bool, not lemma 1
+        return [raw]
+    if str(raw).strip() == "all":
+        return [1, 2, 3, 4, 5]
+    try:
+        ids = [int(tok) for tok in str(raw).split(",") if tok.strip()]
+    except ValueError:
+        raise DomainError(f"bad --id {raw!r}; expected 'all' or a comma list") from None
     if not ids:
         raise DomainError(f"bad --id {raw!r}; it names no lemma")
-    u2 = float(_resolve(ns, "u2", 0.0))
-    n_obs = int(_resolve(ns, "n", 2))
+    return ids
+
+
+def _run_lemmas(ns) -> int:
+    ids = _lemma_ids(ns.id)
     # every lemma's config is checked before the first check runs
     cfgs = [
         ExperimentConfig(
             estimand="lemma_check",
-            trials=trials,
-            master_seed=seed,
+            trials=ns.trials,
+            master_seed=ns.seed,
             salt=lid,
-            block_size=block_size,
-            workers=workers,
+            block_size=ns.block_size,
+            workers=ns.workers,
             lemma_id=lid,
-            lemma_u2=u2,
-            lemma_n=n_obs,
+            lemma_u2=ns.u2,
+            lemma_n=ns.n,
         )
         for lid in ids
     ]
     results = {cfg.lemma_id: experiments.verify_lemma(cfg) for cfg in cfgs}
-    out = _require_out(ns)
-    if fmt == "json":
-        _write_json(out, {str(lid): res.to_json_dict() for lid, res in results.items()})
+    if ns.format == "json":
+        _write_json(ns.out, {str(lid): res.to_json_dict() for lid, res in results.items()})
     else:
         rows = []
         for lid, res in results.items():
-            point = np.atleast_2d(np.asarray(res.point, dtype=float))
-            se = np.atleast_2d(np.asarray(res.std_error, dtype=float))
-            ref = np.atleast_2d(np.asarray(res.analytic_reference, dtype=float))
-            z = np.atleast_2d(np.asarray(res.z_score, dtype=float))
-            for r in range(point.shape[0]):
-                for c in range(point.shape[1]):
-                    rows.append(
-                        (
-                            str(lid),
-                            str(r),
-                            str(c),
-                            _fmt(point[r, c]),
-                            _fmt(se[r, c]),
-                            _fmt(ref[r, c]),
-                            _fmt(z[r, c]),
-                        )
-                    )
+            # point, SE, reference and z as matrices: a scalar is 1x1, a vector one row
+            values = (res.point, res.std_error, res.analytic_reference, res.z_score)
+            table = np.array(values, dtype=float)
+            table = table.reshape(4, *np.atleast_2d(table[0]).shape)
+            for r, c in np.ndindex(table.shape[1:]):
+                rows.append((str(lid), str(r), str(c), *map(_fmt, table[:, r, c])))
         _write_csv(
-            out,
+            ns.out,
             ("lemma", "row", "col", "point", "std_error", "analytic_reference", "z_score"),
             rows,
         )
     worst = max(res.max_abs_z() for res in results.values())
-    print(f"lemmas {','.join(map(str, ids))}: trials={trials} max|z| = {worst:.3g} -> {out}")
+    print(f"lemmas {','.join(map(str, ids))}: trials={ns.trials} max|z| = {worst:.3g} -> {ns.out}")
     return 0
 
 
@@ -499,79 +456,77 @@ def _read_data_csv(path: str) -> np.ndarray:
 
 
 def _run_pipeline(ns) -> int:
-    model = getattr(ns, "model", None)
-    if model is None:
-        raise DomainError("missing --model")
-    if getattr(ns, "data", None) is None:
-        raise DomainError("missing --data")
-    construction = _check_choice(
-        "construction", _resolve(ns, "construction", "current"), ("current", "alternative")
-    )
-    _check_choice("format", _resolve(ns, "format", "json"), ("json",))
-    seed = int(_resolve(ns, "seed", DEFAULT_SEED))
-    q = int(_resolve(ns, "q", 100))
-    rows = _read_data_csv(str(ns.data))
+    rows = _read_data_csv(ns.data)
     k = rows.shape[1]
-    pipeline._require_size(q, rows.shape[0], k)
-    nu_flag = getattr(ns, "nu", None)
-    s_dist_flag = getattr(ns, "s_dist", None)
-    if s_dist_flag is not None:
-        s_dist = _load_dist(s_dist_flag)
+    pipeline._require_size(ns.q, rows.shape[0], k)
+    if ns.s_dist is not None:
+        s_dist = _load_dist(ns.s_dist)
         if s_dist.k != k:
             raise DomainError(f"--s-dist has {s_dist.k} components but data has {k}")
         nu = s_dist.mean_vector()
-        if nu_flag is not None and np.any(np.abs(float(nu_flag) - nu) > 1e-12):
+        if ns.nu is not None and np.any(np.abs(ns.nu - nu) > 1e-12):
             raise DomainError("--nu conflicts with the mean of --s-dist")
     else:
-        nu_scalar = 0.0 if nu_flag is None else float(nu_flag)
-        nu = np.full(k, nu_scalar)
+        nu = np.full(k, 0.0 if ns.nu is None else ns.nu)
         s_dist = Normal(mean=nu, cov=np.eye(k))
     data = pipeline.DataBatch(rows)
-    kernel = models.kernel_from_json(model)
-    root = RngStream(seed)
-    s_rows = models.sample(s_dist, q, root.substream(0))
+    kernel = models.kernel_from_json(ns.model)
+    root = RngStream(ns.seed)
+    s_rows = models.sample(s_dist, ns.q, root.substream(0))
     errors = pipeline.ErrorBatch(s_rows)
     t = pipeline.transform_stage(data, errors, kernel, nu)
-    if construction == "current":
+    if ns.construction == "current":
         combined = pipeline.combine_current(t, root.substream(1))
     else:
         combined = pipeline.combine_alternative(t, root.substream(1))
-    out = _require_out(ns)
     payload = {
-        "model": model,
-        "construction": construction,
-        "seed": seed,
+        "model": ns.model,
+        "construction": ns.construction,
+        "seed": ns.seed,
         "j": int(rows.shape[0]),
         "k": k,
-        "q": q,
+        "q": ns.q,
         "nu": nu.tolist(),
         **combined.to_json_dict(),
     }
-    _write_json(out, payload)
-    print(f"pipeline {model} {construction}: J={rows.shape[0]} K={k} Q={q} -> {out}")
+    _write_json(ns.out, payload)
+    print(f"pipeline {ns.model} {ns.construction}: J={rows.shape[0]} K={k} Q={ns.q} -> {ns.out}")
     return 0
 
 
 # --------------------------------------------------------------------------
 # Parser assembly
 
-
-def _add_common(sub: argparse.ArgumentParser, *, trials_default: int) -> None:
+def _add_io(sub: argparse.ArgumentParser, formats: tuple[str, ...] = ("csv", "json")) -> None:
+    """The flags every subcommand takes: its config file and its artifact."""
     sub.add_argument("--config", help="JSON config file; explicit flags override its keys")
-    sub.add_argument("--out", help="output artifact path")
-    sub.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-    sub.add_argument("--trials", type=int, help=f"MC trials (default {trials_default})")
-    sub.add_argument("--workers", type=int, help="worker processes (default 1)")
-    sub.add_argument("--block-size", type=int, help="trials per RNG block (default 1024)")
-    sub.add_argument("--format", help="artifact format: csv or json (default csv)")
+    sub.add_argument("--out", type=str, help="output artifact path (required)")
+    sub.add_argument("--format", default=formats[0], choices=formats, help="artifact format")
+
+
+def _add_mc(sub: argparse.ArgumentParser, *, trials: int) -> None:
+    """The flags of the Monte Carlo subcommands."""
+    _add_io(sub)
+    cfg = ExperimentConfig  # its field defaults are the flags' defaults
+    sub.add_argument("--seed", type=int, default=cfg.master_seed, help="master seed")
+    sub.add_argument("--trials", type=int, default=trials, help="MC trials")
+    sub.add_argument("--workers", type=int, default=cfg.workers, help="worker processes")
+    sub.add_argument("--block-size", type=int, default=cfg.block_size, help="trials per RNG block")
+
+
+def _add_construction(sub: argparse.ArgumentParser) -> None:
+    choices = ("current", "alternative")
+    sub.add_argument(
+        "--construction", default=choices[0], choices=choices, help="replicate construction"
+    )
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--model", help="error kernel: additive, multiplicative, phase, or exponential"
+        "--model", help="error kernel: additive, multiplicative, phase, or exponential (required)"
     )
-    sub.add_argument("--j", type=int, help="data vectors per batch (default 4)")
-    sub.add_argument("--q", help=f"error draws per batch; {_RANGE_HELP}")
+    sub.add_argument("--j", type=int, default=4, help="data vectors per batch")
+    sub.add_argument("--q", default="10", help=f"error draws per batch; {_RANGE_HELP}")
     sub.add_argument("--y-dist", help="data law as JSON (default depends on --model)")
     sub.add_argument("--s-dist", help="error law as JSON (default depends on --model)")
     sub.add_argument(
@@ -590,44 +545,45 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="cmd", parser_class=_Parser)
 
     p = subs.add_parser("pipeline", help="run one transform+combine pass over a data CSV")
-    p.add_argument("--config", help="JSON config file; explicit flags override its keys")
-    p.add_argument("--data", help="input CSV with header y_1,...,y_K")
-    p.add_argument("--model", help="error kernel name")
-    p.add_argument("--nu", type=float, help="nominal error value (default 0)")
+    _add_io(p, formats=("json",))
+    p.add_argument("--data", type=str, help="input CSV with header y_1,...,y_K (required)")
+    p.add_argument("--model", help="error kernel name (required)")
+    p.add_argument("--nu", type=float, help="nominal error value (default: --s-dist mean, else 0)")
     p.add_argument("--s-dist", help="error law as JSON (default normal(nu, identity))")
-    p.add_argument("--q", type=int, help="MC error draws (default 100)")
-    p.add_argument("--construction", help="current or alternative (default current)")
-    p.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-    p.add_argument("--format", help="json (the only pipeline format)")
-    p.add_argument("--out", help="output JSON path")
+    p.add_argument("--q", type=int, default=100, help="MC error draws")
+    _add_construction(p)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed, help="master seed")
 
     b = subs.add_parser("bias-sweep", help="construction relative bias across Q values")
-    _add_common(b, trials_default=10_000)
+    _add_mc(b, trials=10_000)
     _add_scenario_flags(b)
-    b.add_argument("--construction", help="current or alternative (default current)")
+    _add_construction(b)
 
     for name in _MAPS:
         m = subs.add_parser(name, help=f"analytic {name.replace('-', ' ')} over (a,b) grid")
-        m.add_argument("--config", help="JSON config file; explicit flags override its keys")
-        m.add_argument("--model", help="error kernel name")
-        m.add_argument("--alpha", type=float, help="error half-width (default 0.95)")
-        m.add_argument("--grid", help="data-support grid lo:hi:N (default 0:8:161)")
-        m.add_argument("--j", type=int, help="batch size for relbias maps (default 2)")
-        m.add_argument("--format", help="csv or json (default csv)")
-        m.add_argument("--out", help="output path")
+        _add_io(m)
+        m.add_argument("--model", help="error kernel name (required)")
+        m.add_argument("--alpha", type=float, default=MapSpec.alpha, help="error half-width")
+        grid = f"{MapSpec.lo:g}:{MapSpec.hi:g}:{MapSpec.n}"
+        m.add_argument("--grid", default=grid, help="data-support grid lo:hi:N")
+        m.add_argument("--j", type=int, default=MapSpec.j, help="batch size for relbias maps")
 
     v = subs.add_parser("vardiff", help="variability difference of the constructions")
-    _add_common(v, trials_default=100_000)
+    _add_mc(v, trials=100_000)
     _add_scenario_flags(v)
 
     le = subs.add_parser("lemmas", help="empirical checks of the supporting identities")
-    _add_common(le, trials_default=100_000)
-    le.add_argument("--id", help="lemma id 1..5, comma list, or 'all' (default all)")
-    le.add_argument("--u2", type=float, help="mean dispersion for lemma 5 (default 0)")
-    le.add_argument("--n", type=int, help="observations per lemma-5 instance (default 2)")
+    _add_mc(le, trials=100_000)
+    le.add_argument("--id", default="all", help="lemma id 1..5, comma list, or 'all'")
+    le.add_argument(
+        "--u2", type=float, default=ExperimentConfig.lemma_u2, help="mean dispersion for lemma 5"
+    )
+    le.add_argument(
+        "--n", type=int, default=ExperimentConfig.lemma_n, help="observations per lemma-5 instance"
+    )
 
     mv = subs.add_parser("mean-var", help="grand-mean variance difference across Q values")
-    _add_common(mv, trials_default=10_000)
+    _add_mc(mv, trials=10_000)
     _add_scenario_flags(mv)
 
     return parser
@@ -642,15 +598,26 @@ _DISPATCH: dict[str, Callable[[argparse.Namespace], int]] = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        if ns.cmd is None:
+        ns = parser.parse_args(args)
+        cmd = ns.cmd
+        if cmd is None:
             parser.print_usage(sys.stderr)
             print("error: a subcommand is required", file=sys.stderr)
             return 1
-        _merge_config(ns, _flag_types(parser, ns.cmd))
-        return _DISPATCH[ns.cmd](ns)
+        if ns.config is not None:
+            # The subcommand's own parser reads the command line over the
+            # config values, so explicit flags win; the top-level parser
+            # would copy the subcommand's defaults over them.
+            (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            sub = subs.choices[cmd]
+            ns = sub.parse_args(args[args.index(cmd) + 1 :], _read_config(ns.config, sub))
+        for key in ("model", "data", "out"):
+            if getattr(ns, key, "") is None:
+                raise DomainError(f"missing --{key} (or {key!r} in the config file)")
+        return _DISPATCH[cmd](ns)
     except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -151,9 +151,11 @@ class ExperimentConfig:
     ten at 4 trials; lemmas 1–4 never did at 100).
     ``workers`` bounds the process pool; the results do not depend on it.
     A scenario's block draws (``block_size``·J and ``block_size``·Q values),
-    one trial's J·Q kernel tensor and the run's per-trial values (at most
-    eight a trial, in lemmas 2 and 3) must each fit in 1 GiB of float64;
-    a larger run is refused here, before anything is allocated.
+    one trial's J·Q kernel tensor, a lemma block's draws
+    (``block_size``·max(8, N): lemma 1's J·K values a trial, lemma 5's N)
+    and the run's per-trial values (at most eight a trial, in lemmas 2 and
+    3) must each fit in 1 GiB of float64; a larger run is refused here,
+    before anything is allocated.
     """
 
     estimand: str
@@ -188,6 +190,13 @@ class ExperimentConfig:
                 raise DomainError("lemma 5 needs N >= 2")
             if self.lemma_u2 < 0.0:
                 raise DomainError("lemma 5 needs u2 >= 0")
+            need = self.block_size * max(8, self.lemma_n)
+            if need > pipeline._MAX_ELEMS:
+                raise DomainError(
+                    f"a lemma block of {self.block_size} trials draws up to {need} values "
+                    f"(max(8, N) a trial, N = {self.lemma_n}), more than the limit of "
+                    f"{pipeline._MAX_ELEMS} (1 GiB of float64)"
+                )
             return
         if self.scenario is None:
             raise DomainError(f"{self.estimand} requires a scenario")

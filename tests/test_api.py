@@ -2,6 +2,8 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -76,6 +78,23 @@ def test_benchmark_workloads_build_and_run_against_this_api(tmp_path):
         for op in workloads.build(name, 0, tmp_path / name).ops:
             parser.parse_args(op.argv)
     _perfbench_module("spans").pool_overhead_ms(0, repeats=1)
+
+
+def _readme_commands():
+    """Every ``mcombine …`` command in the README's sh blocks, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("mcombine ")]
+
+
+def test_readme_examples_parse_against_this_cli():
+    # a renamed flag or a dropped choice fails here instead of in a reader's shell
+    commands = _readme_commands()
+    assert len(commands) >= 4
+    parser = mcombine.cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])

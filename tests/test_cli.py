@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -416,6 +417,78 @@ def test_config_integers_go_through_the_flag_converter(cmd, key, value, data_csv
         assert not (tmp_path / f"{tag}.out").exists()
 
 
+def small_runs(data_csv):
+    """Each subcommand at a small size, as config keys and values; between
+    them they use every flag name but --config, --out and --workers."""
+    return {
+        "pipeline": {"data": str(data_csv), "model": "multiplicative", "q": 12, "nu": 0.5,
+                     "construction": "alternative", "seed": 4, "format": "json"},
+        "bias-sweep": {"model": "multiplicative", "q": "3,5", "trials": 100, "seed": 3,
+                       "construction": "alternative", "format": "json"},
+        "vardiff": {"model": "phase", "q": "4", "trials": 100, "alpha": 1.5, "block_size": 64},
+        "mean-var": {"model": "multiplicative", "q": [3, 6], "trials": 100, "j": 3,
+                     "y_dist": {"kind": "normal", "mean": [1], "cov": [[2]]},
+                     "s_dist": {"kind": "uniform", "lo": [0.5], "hi": [1.5]}},
+        "psi-map": {"model": "exponential", "grid": "0:2:5", "alpha": 0.5},
+        "relbias-map": {"model": "exponential", "grid": "0:2:5", "j": 3, "format": "json"},
+        "lemmas": {"trials": 100, "id": "2,5", "n": 3, "u2": 0.5},
+    }
+
+
+def _flags(cmd, config):
+    """The command line equivalent to ``config``."""
+    def text(value):
+        if isinstance(value, list):
+            return ",".join(map(str, value))
+        return json.dumps(value) if isinstance(value, dict) else str(value)
+
+    return [cmd, *(tok for k, v in config.items() for tok in (f"--{k.replace('_', '-')}", text(v)))]
+
+
+@pytest.mark.parametrize("cmd", sorted(cli._DISPATCH))
+def test_config_file_round_trip_for_every_subcommand(cmd, data_csv, tmp_path):
+    config = small_runs(data_csv)[cmd]
+    flags_out, cfg_out = tmp_path / "flags.out", tmp_path / "config.out"
+    assert main([*_flags(cmd, config), "--out", str(flags_out)]) == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**config, "out": str(cfg_out)}))
+    assert main([cmd, "--config", str(cfg)]) == 0
+    assert flags_out.read_bytes() == cfg_out.read_bytes()
+
+
+@pytest.mark.parametrize("cmd", sorted(cli._DISPATCH))
+def test_missing_out_exits_one_before_any_work(cmd, data_csv, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+
+    for name in ("estimate_combine_bias", "estimate_vardiff", "estimate_mean_variance", "run_map",
+                 "verify_lemma"):
+        monkeypatch.setattr(cli.experiments, name, no_work)
+    monkeypatch.setattr(cli.pipeline, "transform_stage", no_work)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(_flags(cmd, small_runs(data_csv)[cmd])) == 1
+    assert "--out" in _only_error_line(capsys.readouterr().err)
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd, key, value", [("bias-sweep", "format", "xml"),
+                                            ("pipeline", "construction", "both"),
+                                            ("pipeline", "format", "csv"),
+                                            ("relbias-map", "format", ["json"])])
+def test_config_value_outside_the_flag_choices_exits_one(cmd, key, value, data_csv, tmp_path, monkeypatch,
+                                                         capsys):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**small_runs(data_csv)[cmd], key: value, "out": "o.out"}))
+    assert main([cmd, "--config", str(cfg)]) == 1
+    assert f"config key {key!r} must be one of" in _only_error_line(capsys.readouterr().err)
+    assert list(work.iterdir()) == []
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"model": "additive", "qq": "3"}))
@@ -478,11 +551,41 @@ def test_lemmas_bad_id(tmp_path):
     assert main(["lemmas", "--id", "7", "--trials", "2000", "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize("flags", [("--id", "5", "--n", "1000000000"),
+                                   ("--id", "2", "--block-size", "1000000000")], ids=["n", "block-size"])
+def test_oversized_lemma_block_exits_one_before_any_allocation(flags, tmp_path, monkeypatch, capsys):
+    # under a 4 GB address-space limit both ended in a MemoryError traceback
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("sampled before the size check")
+
+    monkeypatch.setattr(cli.experiments, "_run_blocks", no_blocks)
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        rc = main(["lemmas", *flags, "--trials", "100", "--out", "l.csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert "more than the limit of 134217728" in _only_error_line(capsys.readouterr().err)
+    assert peak < 1e6, peak
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lemmas_id_list_naming_no_lemma_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["lemmas", "--id", ",", "--out", "l.csv"]) == 1
     assert "names no lemma" in _only_error_line(capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_lemmas_config_id_true_exits_one(tmp_path, monkeypatch, capsys):
+    # {"id": true} once ran lemma 1 and wrote "True" in the lemma column
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"id": True, "trials": 100, "out": "l.csv"}))
+    assert main(["lemmas", "--config", "run.json"]) == 1
+    assert "bad --id True" in _only_error_line(capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_lemmas_check_every_id_before_the_first_runs(tmp_path, monkeypatch, capsys):
