@@ -30,8 +30,10 @@ one cell; the parameter maps call them once per grid row, where NaN
 marks the cells on which the scenario function raises :class:`DomainError`.
 The transcendental terms of the conditional moments that depend on one
 support endpoint are taken once per endpoint: two for a scenario, one
-table over the grid values for a map.  Two-point phase data keep their
-own closed-form path.
+table over the grid values for a map.  The target variance reads them
+through node sums, one difference of endpoint terms each, without
+forming the conditional moments per cell.  Two-point phase data keep
+their own closed-form path.
 """
 
 from __future__ import annotations
@@ -190,11 +192,14 @@ def _exp_mean(y: np.ndarray, alpha: float) -> np.ndarray:
     x = np.log(y)
     small = np.abs(x) < 1e-6
     x *= alpha
-    xl = np.where(small, 1.0, x)
+    # The series branch's where and masked copies run only when a node needs them.
+    series = small.any()
+    xl = np.where(small, 1.0, x) if series else x
     ratio = np.sinh(xl)
     ratio /= xl
-    xs = x[small]
-    ratio[small] = 1.0 + xs**2 / 6.0 + xs**4 / 120.0
+    if series:
+        xs = x[small]
+        ratio[small] = 1.0 + xs**2 / 6.0 + xs**4 / 120.0
     ratio *= y
     return ratio
 
@@ -363,12 +368,47 @@ def _uniform_psi(kind: str, p: float, c, d, nodes: int) -> np.ndarray:
     return (d - c) ** 2 / 12.0 - _uniform_spread(p, c, d, nodes)
 
 
-def _target_from_moments(w, m1, m2, width: float, jj: float) -> np.ndarray:
-    # (1/J)·V[f] + ((J−1)/J)·Cov[f(Y,S), f(Y',S)] from the error-node moments.
-    mean = _integrate(w, m1) / width
-    var_f = _integrate(w, m2) / width - mean**2
-    cov = _integrate(w, m1**2) / width - mean**2
+def _target_from_sums(w, m1, s2, span: float, jj: float, scale=1.0) -> np.ndarray:
+    """(1/J)·V[f] + ((J−1)/J)·Cov[f(Y,S), f(Y',S)] per cell, from m1 =
+    scale·E[f | S] at the error nodes and s2 = Σw·E[f² | S]; ``span`` is the
+    error support's width.  The covariance is the centred Σw·(m1 − mean)²,
+    which does not cancel on narrow supports as Σw·m1² − mean² does."""
+    s1 = _integrate(w, m1)
+    dev = m1 - (s1 / span)[..., None]
+    dev *= dev
+    mean = s1 / span / scale
+    var_f = s2 / span - mean**2
+    cov = _integrate(w, dev) / span / scale**2
     return var_f / jj + (jj - 1.0) / jj * cov
+
+
+def _uniform_target(kind: str, c, d, tc, td, x, w, span: float, jj: float) -> np.ndarray:
+    """Target variance per cell for Y ~ Unif[c, d] from the
+    :func:`_endpoint_terms` tc of c and td of d (one row per cell) at the
+    error nodes x with weights w.
+
+    E[f | S] is (td − tc)·g/(d − c) and E[f² | S] is h + (td' − tc')·g'/(d − c)
+    for per-node factors g, g' and a constant h, so each node sum takes one
+    difference array per endpoint term and divides by d − c once per cell.
+    A cell with c = d is the point mass at c (:func:`_uniform_moments_given_s`).
+    """
+    same = c == d
+    width = np.where(same, 1.0, d - c)
+    (t1c, t2c), (t1d, t2d) = tc, td
+    if kind == "exponential":
+        m1 = t1d - t1c
+        m1 *= 1.0 / (x + 1.0)
+        s2 = _integrate(w / (2.0 * x + 1.0), t2d - t2c) / width
+    else:
+        m1 = t1c - t1d
+        s2 = 0.5 * span - _integrate(0.25 * w, t2d - t2c) / width
+    target = _target_from_sums(w, m1, s2, span, jj, width)
+    if same.any():
+        c = np.broadcast_to(c, same.shape)[same][:, None]
+        point = tuple(t[same] for t in td)
+        m1, m2 = _uniform_moments_given_s(kind, c, c, point, point, x)
+        target[same] = _target_from_sums(w, m1, _integrate(w, m2), span, jj)
+    return target
 
 
 def _closed_target(kind: str, var_y, mu, var_s: float, nu: float, jj: float):
@@ -388,7 +428,10 @@ def _current_on_uniform_grid(
 
     The kernel, the error law and J are shared by every cell and validated
     once; the target's :func:`_endpoint_terms` are taken once per grid
-    value, and row i reads its slices [i] and [i:].  Row i is one array
+    value.  :func:`_uniform_target` takes the diagonal's point masses in
+    one call, and row i's cells k > i in one more, from the term slices
+    [i] and [i + 1:].  The phase factor, elementwise in (a, b), is one
+    evaluation over the whole grid; the rest of row i is one array
     evaluation of the code the scenario functions run on one cell.  NaN
     marks the cells below the diagonal and the undefined cells: exponential
     supports with a < 0 or a = b = 0, and relative biases over a target
@@ -404,6 +447,11 @@ def _current_on_uniform_grid(
         ends = np.where(grid < 0.0, 1.0, grid) if kind == "exponential" else grid
         if relative:
             terms = _endpoint_terms(kind, ends[:, None], x)
+            # The diagonal's point masses in one call; row i adds its cells b > a.
+            diagonal = _uniform_target(kind, ends, ends, terms, terms, x, w, hi - lo, jj)
+        if kind == "phase":
+            # The phase factor is a closed form of each cell: one evaluation for the grid.
+            phase_psi = _uniform_psi(kind, p, grid[:, None], grid, QUAD_NODES)
     elif kind not in ("additive", "multiplicative"):
         raise DomainError(f"no analytic bias factor for kernel {kind!r}")
     values = np.full((grid.size, grid.size), np.nan)
@@ -420,14 +468,12 @@ def _current_on_uniform_grid(
             if kind == "exponential":
                 undefined = (a < 0.0) | ((a == 0.0) & (b == 0.0))
                 d = np.where(undefined, 1.0, b)
-            psi = _uniform_psi(kind, p, c, d, QUAD_NODES)
+            psi = phase_psi[i, i:] if kind == "phase" else _uniform_psi(kind, p, c, d, QUAD_NODES)
             if relative:
-                # The moments are not kept: the next row's ψ runs without them.
-                tc = tuple(t[i] for t in terms)
-                td = tuple(t[i:] for t in terms)
-                target = _target_from_moments(
-                    w, *_uniform_moments_given_s(kind, c[:, None], d[:, None], tc, td, x),
-                    hi - lo, jj,
+                tc = tuple(t[i : i + 1] for t in terms)
+                td = tuple(t[i + 1 :] for t in terms)
+                target = np.concatenate(
+                    (diagonal[i : i + 1], _uniform_target(kind, c, d[1:], tc, td, x, w, hi - lo, jj))
                 )
         if relative:
             undefined |= ~(target > 0.0)
@@ -543,7 +589,10 @@ def target_variance(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
     Equal to (1/J)·V[f(Y,S)] + ((J−1)/J)·Cov[f(Y,S), f(Y',S)] where the
     two data draws share one error draw.  Closed forms for additive and
     multiplicative kernels; quadrature over the error law (with exact
-    data-conditional moments) for phase and exponential.
+    data-conditional moments) for phase and exponential.  The quadrature
+    takes three node sums: of E[f | S], of E[f² | S] and of the squared
+    deviations of E[f | S] from its mean.  On uniform data they come from
+    :func:`_uniform_target`, which the maps run on a row of cells.
     """
     kind = s.kernel.kind
     jj = float(s.j)
@@ -554,7 +603,13 @@ def target_variance(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
         )
     lo, hi, _ = _scenario_law(s, "target variance")
     x, w = gauss_legendre(lo, hi, nodes)
-    return float(_target_from_moments(w, *_moments_given_s(s, x), hi - lo, jj))
+    y = s.y_dist
+    if isinstance(y, Uniform):
+        c, d = y.lo, y.hi
+        terms = (_endpoint_terms(kind, e[:, None], x) for e in (c, d))
+        return float(_uniform_target(kind, c, d, *terms, x, w, hi - lo, jj)[0])
+    m1, m2 = _moments_given_s(s, x)
+    return float(_target_from_sums(w, m1, _integrate(w, m2), hi - lo, jj))
 
 
 def _require_positive_target(t: float) -> float:

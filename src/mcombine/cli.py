@@ -282,6 +282,8 @@ def _default_dists(model: str, alpha: float | None) -> tuple[models.DistSpec, mo
 def _build_scenario(ns: argparse.Namespace, q: int) -> analytics.ScalarScenario:
     if ns.alpha is not None and ns.s_dist is not None:
         raise DomainError("--alpha and --s-dist are mutually exclusive")
+    if ns.alpha is not None and ns.model in ("additive", "multiplicative"):
+        raise DomainError(f"--alpha shapes only the phase and exponential error laws, not {ns.model}")
     y_default, s_default = _default_dists(ns.model, ns.alpha)
     y_dist = y_default if ns.y_dist is None else _load_dist(ns.y_dist)
     s_dist = s_default if ns.s_dist is None else _load_dist(ns.s_dist)
@@ -532,7 +534,8 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--alpha",
         type=float,
-        help="error half-width for phase/exponential defaults (excludes --s-dist)",
+        help="error half-width for the phase/exponential default laws; refused for "
+        "additive/multiplicative and with --s-dist",
     )
 
 
@@ -563,7 +566,11 @@ def build_parser() -> _Parser:
         m = subs.add_parser(name, help=f"analytic {name.replace('-', ' ')} over (a,b) grid")
         _add_io(m)
         m.add_argument("--model", help="error kernel name (required)")
-        m.add_argument("--alpha", type=float, default=MapSpec.alpha, help="error half-width")
+        m.add_argument(
+            "--alpha", type=float, default=MapSpec.alpha,
+            help="error half-width; phase and exponential only (additive and multiplicative "
+            "maps ignore it)",
+        )
         grid = f"{MapSpec.lo:g}:{MapSpec.hi:g}:{MapSpec.n}"
         m.add_argument("--grid", default=grid, help="data-support grid lo:hi:N")
         m.add_argument("--j", type=int, default=MapSpec.j, help="batch size for relbias maps")
@@ -576,10 +583,12 @@ def build_parser() -> _Parser:
     _add_mc(le, trials=100_000)
     le.add_argument("--id", default="all", help="lemma id 1..5, comma list, or 'all'")
     le.add_argument(
-        "--u2", type=float, default=ExperimentConfig.lemma_u2, help="mean dispersion for lemma 5"
+        "--u2", type=float, default=ExperimentConfig.lemma_u2,
+        help="mean dispersion; reaches lemma 5 only (lemmas 1-4 ignore it)",
     )
     le.add_argument(
-        "--n", type=int, default=ExperimentConfig.lemma_n, help="observations per lemma-5 instance"
+        "--n", type=int, default=ExperimentConfig.lemma_n,
+        help="observations per instance; reaches lemma 5 only (lemmas 1-4 ignore it)",
     )
 
     mv = subs.add_parser("mean-var", help="grand-mean variance difference across Q values")

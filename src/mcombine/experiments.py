@@ -47,6 +47,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -106,8 +107,10 @@ class MapSpec:
     Unif(−alpha, alpha) for phase (alpha > 0, finite), standard normal for
     additive and multiplicative (alpha unused; the factor is identically
     zero).  ``j`` only affects relative-bias maps.  The grid's ends and
-    span hi − lo must be finite, and its n × n values must fit in 1 GiB of
-    float64.  Custom kernels have no analytic map.
+    span hi − lo must be finite, its n × n values must fit in 1 GiB of
+    float64, and a grid of n > 1 points must be strictly increasing, so
+    its cells a <= b are the index triangle i <= k.  Custom kernels have
+    no analytic map.
     """
 
     kernel: ScalarKernel
@@ -130,6 +133,11 @@ class MapSpec:
             raise DomainError(f"map grid needs finite ends and span, got {self.lo}:{self.hi}")
         if self.hi < self.lo:
             raise DomainError("map grid interval is reversed")
+        if self.n > 1 and not np.all(np.diff(np.linspace(self.lo, self.hi, self.n)) > 0.0):
+            raise DomainError(
+                f"map grid {self.lo}:{self.hi}:{self.n} repeats values; a grid of more than "
+                "one point needs strictly increasing values"
+            )
         if self.j < 2:
             raise DomainError("relative-bias maps need J > 1")
         kind = self.kernel.kind
@@ -686,12 +694,10 @@ class MapResult:
     values: NDArray[np.float64]
 
     def rows(self) -> Iterator[tuple[float, float, float]]:
-        values = self.values.tolist()
+        """The cells (a, b, value), row by row over the index triangle i <= k."""
         b_values = self.b_values.tolist()
-        for i, a in enumerate(self.a_values.tolist()):
-            for k, b in enumerate(b_values):
-                if a <= b:
-                    yield a, b, values[i][k]
+        for i, (a, row) in enumerate(zip(self.a_values.tolist(), self.values.tolist())):
+            yield from zip(repeat(a), b_values[i:], row[i:])
 
 
 def _map_error_dist(spec: MapSpec) -> DistSpec:
@@ -710,8 +716,11 @@ def run_map(spec: MapSpec, *, relative: bool = False) -> MapResult:
 
     No sampling.  The relative bias's endpoint terms (cos and sin, or
     powers, at each error node) are taken once per grid value, and the
-    phase factor's V[sin Y] is a closed form, so neither is paid per cell.
-    Row a is one array evaluation over its cells b >= a, through the code
+    target variance's node sums take one difference of two rows of them
+    per term, not the conditional moments cell by cell; the phase
+    factor's V[sin Y] is a closed form, taken for the whole grid in one
+    evaluation.  Row a is one array evaluation
+    over its cells b >= a, through the code
     the scenario functions run on a single cell, so every cell equals the
     matching :func:`~mcombine.analytics.bias_factor_current` or
     :func:`~mcombine.analytics.relbias_current` call bit for bit.  NaN

@@ -504,6 +504,52 @@ def test_node_doubling_stability_exponential_integrals():
         assert abs(v128 - v512) <= 1e-8 * max(1.0, abs(v512))
 
 
+#: V[mean_j f(Y_j, S)] at J = 2 for Y ~ Unif[c, d] (the float64 ends below),
+#: phase errors Unif(-0.95, 0.95) and exponential errors Unif[1 - 0.95,
+#: 1 + 0.95], to 40 digits: the closed-form moments of f given S integrated
+#: over S at 60-digit precision with mpmath, whose tanh-sinh and
+#: Gauss-Legendre rules agree on every digit shown.  Narrow supports next
+#: to y = 1 (exponential) and across pi/2 and 3pi/2 (phase), and wide ones.
+TARGET_REFERENCE = {
+    "phase": {
+        (0.95, 1.0): "0.08995201229253504671319723408411444890298",
+        (1.0, 1.05): "0.07926882671494492687000115888843318150515",
+        (0.05, 0.1): "0.2496795768277498625027643808758457976546",
+        (1.55, 1.6): "0.01592890948655917272663416456203160778313",
+        (4.7, 4.75): "0.01596213931321714554722413395331268962709",
+        (7.95, 8.0): "0.01935075401589615371099754553833901711329",
+        (0.0, 8.0): "0.2468072222755109426837046907411524830987",
+        (0.5, 7.5): "0.2501757400722226597214242244425897171852",
+    },
+    "exponential": {
+        (0.95, 1.0): "0.0003141736288113997183227734129378134061931",
+        (1.0, 1.05): "0.0003329755924669329918628302356284932378867",
+        (0.05, 0.1): "0.04685544625005831444725522764183732830432",
+        (1.55, 1.6): "0.1620474942744822756336324211317474192036",
+        (4.7, 4.75): "28.09499274370957016334860892034062771528",
+        (7.95, 8.0): "213.3153197497602515355025181000691782067",
+        (0.0, 8.0): "42.97648818012799427325404842832202710513",
+        (0.5, 7.5): "35.97074696811288406526633466614223770635",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kernel, support",
+    [(k, cd) for k in (PHASE, EXPONENTIAL) for cd in TARGET_REFERENCE[k.kind]],
+    ids=lambda v: v.kind if hasattr(v, "kind") else f"{v[0]}-{v[1]}",
+)
+def test_uniform_target_variance_matches_40_digit_reference(kernel, support):
+    (c, d), alpha = support, 0.95
+    if kernel is PHASE:
+        s_dist = Uniform(lo=[-alpha], hi=[alpha])
+    else:
+        s_dist = Uniform(lo=[1.0 - alpha], hi=[1.0 + alpha])
+    got = target_variance(scenario(kernel, Uniform(lo=[c], hi=[d]), s_dist, j=2, q=2))
+    want = float(TARGET_REFERENCE[kernel.kind][support])
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
 # --------------------------------------------------------------------------
 # values of one scenario, and validation
 

@@ -269,6 +269,32 @@ def test_alpha_and_s_dist_are_exclusive(tmp_path, capsys):
     assert "mutually exclusive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("model", ["additive", "multiplicative"])
+@pytest.mark.parametrize("cmd", ["bias-sweep", "mean-var", "vardiff"])
+def test_alpha_for_a_model_it_does_not_shape_exits_one(cmd, model, via, tmp_path, monkeypatch, capsys):
+    # --alpha shapes only the phase and exponential default error laws
+    monkeypatch.chdir(tmp_path)
+    argv = [cmd, "--model", model, "--q", "3", "--trials", "100", "--out", "o.csv"]
+    if via == "flag":
+        argv += ["--alpha", "7"]
+    else:
+        (tmp_path / "c.json").write_text('{"alpha": 7}')
+        argv += ["--config", "c.json"]
+    assert main(argv) == 1
+    assert "--alpha" in _only_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_help_names_the_flags_that_reach_only_some_runs():
+    subs = next(a for a in cli.build_parser()._actions if isinstance(a, cli.argparse._SubParsersAction))
+    helps = {(cmd, a.dest): a.help for cmd, sub in subs.choices.items() for a in sub._actions}
+    assert "phase and exponential only" in helps["psi-map", "alpha"]
+    assert "phase and exponential only" in helps["relbias-map", "alpha"]
+    assert "lemma 5 only" in helps["lemmas", "u2"]
+    assert "lemma 5 only" in helps["lemmas", "n"]
+
+
 # --------------------------------------------------------------------------
 # runs too small or degenerate to give a finite result
 
@@ -653,6 +679,34 @@ def test_undefined_map_cells_are_masked_not_warned(command, nan_cells, tmp_path)
     assert len(rows) == 10
     got = {(int(float(a)), int(float(b))) for a, b, v in rows if math.isnan(float(v))}
     assert got == nan_cells
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid", ["1:1:3", "1:1.0000000000000002:4"])
+def test_map_grid_with_repeated_values_exits_one_without_artifact(grid, fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["psi-map", "--model", "phase", "--grid", grid, "--format", fmt, "--out", f"m.{fmt}"]) == 1
+    assert "strictly increasing" in _only_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["psi-map", "relbias-map"])
+@pytest.mark.parametrize("model, grid", [
+    ("phase", "0:2:5"), ("exponential", "0:2:5"), ("exponential", "-0.5:2:6"), ("phase", "1:1:1"),
+    ("exponential", "1:1:1"), ("phase", None), ("exponential", None),
+])
+def test_map_csv_is_the_text_of_its_rows(command, model, grid, tmp_path):
+    # -0.5:2:6 has NaN cells (a < 0) under exponential, as has 1:1:1 in its relbias map
+    out = tmp_path / "m.csv"
+    argv = [command, "--model", model, "--out", str(out)]
+    assert main(argv if grid is None else [*argv, f"--grid={grid}"]) == 0
+    lo, hi, n = _grid_triple(grid or "0:8:161")
+    spec = cli.MapSpec(kernel=cli.models.kernel_from_json(model), lo=lo, hi=hi, n=n)
+    result = cli.experiments.run_map(spec, relative=command == "relbias-map")
+    column = "relbias" if command == "relbias-map" else "psi"
+    rows = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in result.rows())
+    assert out.read_text() == f"a,b,{column}\n" + rows
+    assert len(out.read_text().splitlines()) == 1 + n * (n + 1) // 2
 
 
 @pytest.mark.parametrize("command, model", [("psi-map", "phase"), ("relbias-map", "exponential")])

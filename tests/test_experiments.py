@@ -734,6 +734,14 @@ def test_map_spec_rejects_non_finite_grid(lo, hi):
         MapSpec(kernel=PHASE, lo=lo, hi=hi, n=3)
 
 
+@pytest.mark.parametrize("lo, hi, n", [(1.0, 1.0, 3), (1.0, 1.0 + 2.0**-52, 4), (0.0, 5e-324, 3)])
+def test_map_spec_refuses_repeated_grid_values(lo, hi, n):
+    # a repeated value would write the same cell (a, b) more than once
+    with pytest.raises(DomainError, match="strictly increasing"):
+        MapSpec(kernel=PHASE, lo=lo, hi=hi, n=n)
+    MapSpec(kernel=PHASE, lo=lo, hi=lo, n=1)
+
+
 def test_map_spec_alpha_ranges_and_kernels():
     MapSpec(kernel=EXPONENTIAL, alpha=1.0)
     MapSpec(kernel=PHASE, alpha=4.0)
