@@ -50,9 +50,9 @@ from .models import (
     TwoPoint,
     Uniform,
     moments,
+    # sample: bound only for perfbench/spans.py, which wraps it here (ROADMAP item 1)
     sample,
 )
-from .rng import RngStream
 
 __all__ = [
     "QUAD_NODES",
@@ -63,7 +63,6 @@ __all__ = [
     "conditional_variance_given_s",
     "bias_factor_current",
     "bias_factor_alternative",
-    "bias_factor_alternative_mc",
     "target_variance",
     "relbias_current",
     "relbias_alternative",
@@ -360,12 +359,12 @@ def _uniform_spread(alpha: float, c, d, nodes: int) -> np.ndarray:
     return np.where(same, 0.0, _integrate(w, fy**2) / width - mean**2)
 
 
-def _uniform_psi(kind: str, p: float, c, d, nodes: int) -> np.ndarray:
+def _uniform_psi(kind: str, p: float, c, d) -> np.ndarray:
     """Current-construction factor for Y ~ Unif[c, d]: (1 − (sin δ/δ)²)·V[sin Y]
     for phase, V[Y] − V[k(Y)] for exponential."""
     if kind == "phase":
         return (1.0 - _phase_gain(p)) * _sin_variance(c, d)
-    return (d - c) ** 2 / 12.0 - _uniform_spread(p, c, d, nodes)
+    return (d - c) ** 2 / 12.0 - _uniform_spread(p, c, d, QUAD_NODES)
 
 
 def _target_from_sums(w, m1, s2, span: float, jj: float, scale=1.0) -> np.ndarray:
@@ -451,7 +450,7 @@ def _current_on_uniform_grid(
             diagonal = _uniform_target(kind, ends, ends, terms, terms, x, w, hi - lo, jj)
         if kind == "phase":
             # The phase factor is a closed form of each cell: one evaluation for the grid.
-            phase_psi = _uniform_psi(kind, p, grid[:, None], grid, QUAD_NODES)
+            phase_psi = _uniform_psi(kind, p, grid[:, None], grid)
     elif kind not in ("additive", "multiplicative"):
         raise DomainError(f"no analytic bias factor for kernel {kind!r}")
     values = np.full((grid.size, grid.size), np.nan)
@@ -468,7 +467,7 @@ def _current_on_uniform_grid(
             if kind == "exponential":
                 undefined = (a < 0.0) | ((a == 0.0) & (b == 0.0))
                 d = np.where(undefined, 1.0, b)
-            psi = phase_psi[i, i:] if kind == "phase" else _uniform_psi(kind, p, c, d, QUAD_NODES)
+            psi = phase_psi[i, i:] if kind == "phase" else _uniform_psi(kind, p, c, d)
             if relative:
                 tc = tuple(t[i : i + 1] for t in terms)
                 td = tuple(t[i + 1 :] for t in terms)
@@ -517,39 +516,10 @@ def bias_factor_current(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
     kind = s.kernel.kind
     if kind in ("additive", "multiplicative"):
         return 0.0
-    if isinstance(s.y_dist, TwoPoint):
-        spread, gain = _conditional_mean_spread(s, nodes)
+    spread, gain = _conditional_mean_spread(s, nodes)
+    if kind == "phase":
         return (1.0 - gain) * spread
-    p = _scenario_law(s, "analytic bias factor")[2]
-    return float(_uniform_psi(kind, p, s.y_dist.lo, s.y_dist.hi, nodes)[0])
-
-
-def bias_factor_alternative_mc(
-    s: ScalarScenario, stream: RngStream, draws: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate (value, standard error) of the alternative factor.
-
-    A test oracle for :func:`bias_factor_alternative`: E[V[f|S]] is averaged
-    over error draws and V[E[f|Y]] is the sample variance over data draws,
-    both through the exact conditionals, so the only error is the outer
-    sampling error.
-    """
-    if draws < 2:
-        raise DomainError("Monte Carlo oracle needs at least two draws")
-    s_draws = sample(s.s_dist, draws, stream.substream(0))[:, 0]
-    y_draws = sample(
-        s.y_dist, draws, stream.substream(1), reject_zero=s.kernel.kind == "exponential"
-    )[:, 0]
-    v = conditional_variance_given_s(s, s_draws)
-    m = conditional_mean_given_y(s, y_draws)
-    mean_v = float(v.mean())
-    se_v = float(v.std(ddof=1)) / math.sqrt(draws)
-    mc = m - m.mean()
-    var_m = float(mc @ mc) / (draws - 1)
-    # Asymptotic SE of a sample variance: sqrt((m4 - var^2)/n).
-    m4 = float((mc**4).mean())
-    se_var_m = math.sqrt(max(m4 - var_m**2, 0.0) / draws)
-    return mean_v - var_m, math.hypot(se_v, se_var_m)
+    return _scalar_variance(s.y_dist) - spread
 
 
 def bias_factor_alternative(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:

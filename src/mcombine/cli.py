@@ -572,7 +572,8 @@ def build_parser() -> _Parser:
             "maps ignore it)",
         )
         grid = f"{MapSpec.lo:g}:{MapSpec.hi:g}:{MapSpec.n}"
-        m.add_argument("--grid", default=grid, help="data-support grid lo:hi:N")
+        m.add_argument("--grid", default=grid, help="data-support grid lo:hi:N; N points give "
+                       "N(N+1)/2 CSV rows of up to 60 bytes (0.7 MB at N = 161)")
         m.add_argument("--j", type=int, default=MapSpec.j, help="batch size for relbias maps")
 
     v = subs.add_parser("vardiff", help="variability difference of the constructions")

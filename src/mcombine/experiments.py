@@ -39,6 +39,8 @@ smooth function of trial means, so the delta method gives those values:
 the per-trial statistic itself for a mean, ``n/(n−1)·(x − x̄)(y − ȳ)ᵀ``
 for a sample (cross-)covariance, and their linear combination by the
 gradient for a ratio (an analytic denominator is treated as fixed).
+Each lemma check's point is the mean of its influence values, so a
+point and its SE come from one pass over the trials.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from numpy.typing import NDArray
 from . import analytics, models, pipeline
 from .analytics import ScalarScenario
 from .exceptions import DomainError
+# cross_covariance: bound only for perfbench/spans.py, which wraps it here (ROADMAP item 1)
 from .linalg import cross_covariance, sample_covariance
 from .models import DistSpec, Normal, ScalarKernel, Uniform, kernel_eval
 from .pipeline import DataBatch, ErrorBatch
@@ -369,10 +372,11 @@ def _lemma_plan(cfg: ExperimentConfig) -> dict[str, Any]:
         common = Normal(mean=np.zeros(k), cov=_random_covariance(gen, k))
         return {"j": 4, "w": w, "c": common, "reference": w.cov}
     if lid in (2, 3):
-        return {"k": k, "c0": 1.0, "c1": 0.5}
+        return {"k": k, "c0": 1.0, "c1": 0.5, "reference": np.zeros((k, k))}
     if lid == 4:
         y = Normal(mean=[0.3, -0.2], cov=_random_covariance(gen, k))
-        return {"y": y, "s": Normal(mean=[0.7, -1.1], cov=_random_covariance(gen, k))}
+        s = Normal(mean=[0.7, -1.1], cov=_random_covariance(gen, k))
+        return {"y": y, "s": s, "reference": np.zeros((k, k))}
     # lemma 5: the config admits only ids 1..5
     n = cfg.lemma_n
     if cfg.lemma_u2 == 0.0:
@@ -382,7 +386,9 @@ def _lemma_plan(cfg: ExperimentConfig) -> dict[str, Any]:
         base -= base.mean()
         raw = float(base @ base) / (n - 1)
         mu = base * math.sqrt(cfg.lemma_u2 / raw)
-    return {"n": n, "sigma": 1.0, "mu": mu}
+    sigma = 1.0
+    reference = analytics.var_of_sample_variance_normal(sigma**2, cfg.lemma_u2, n)
+    return {"n": n, "sigma": sigma, "mu": mu, "reference": reference}
 
 
 def _lemma_block(cfg: ExperimentConfig, block: int, plan: dict[str, Any]) -> tuple[NDArray, ...]:
@@ -484,6 +490,17 @@ def _covariance_values(x: NDArray, y: NDArray) -> NDArray:
     values = np.einsum("tk,tl->tkl", xc, yc) if x.ndim == 2 else xc * yc
     values *= x.shape[0] / (x.shape[0] - 1.0)
     return values
+
+
+#: Each lemma's per-trial influence values from its :func:`_lemma_block`
+#: arrays; their mean is the lemma's point.
+_LEMMA_VALUES: dict[int, Callable[..., NDArray]] = {
+    1: lambda covs: covs,
+    2: lambda x, a, bbt: _covariance_values(x, x) - _covariance_values(a, a) - bbt,
+    3: lambda x1, x2, a1, a2: _covariance_values(x1, x2) - _covariance_values(a1, a2),
+    4: lambda f1, f2, m: _covariance_values(f1, f2) - _covariance_values(m, m),
+    5: lambda s2: _covariance_values(s2, s2),
+}
 
 
 # --------------------------------------------------------------------------
@@ -638,47 +655,19 @@ def estimate_vardiff(cfg: ExperimentConfig) -> EstimateResult:
 def verify_lemma(cfg: ExperimentConfig) -> EstimateResult:
     """Empirical two-sided check of supporting lemma ``cfg.lemma_id``.
 
-    Builds randomized instances satisfying the lemma's hypotheses,
-    estimates both sides, and reports the difference with z-scores
-    (reference 0), except lemma 5 where the reference is the closed-form
-    variance of the sample variance.  Lemmas 2–4 take their point from
-    whole-run (cross-)covariances and their SE from the per-trial
-    influence values of the same difference.
+    Builds randomized instances satisfying the lemma's hypotheses and
+    reports the estimated difference of both sides (reference 0), except
+    lemmas 1 and 5, which estimate one side against its closed form.  The
+    point is the mean of the lemma's per-trial influence values and the SE
+    their spread over the square root of the trial count.
     """
     if cfg.estimand != "lemma_check":
         raise DomainError(f"not a lemma_check config: {cfg.estimand}")
-    lemma_id = cfg.lemma_id
     plan = _lemma_plan(cfg)
     arrays = _run_blocks(cfg, _lemma_block, plan)
-    n = arrays[0].shape[0]
-    extras = None
-    if lemma_id == 1:
-        (covs,) = arrays
-        point, se = _mean_with_se(covs)
-        reference = plan["reference"]
-    elif lemma_id == 5:
-        (s2,) = arrays
-        point, se = map(float, _mean_with_se(_covariance_values(s2, s2)))
-        reference = analytics.var_of_sample_variance_normal(
-            plan["sigma"] ** 2, cfg.lemma_u2, cfg.lemma_n
-        )
-        extras = {"mean_sample_variance": float(s2.mean())}
-    else:
-        if lemma_id == 2:
-            x, a, bbt = arrays
-            point = sample_covariance(x) - sample_covariance(a) - bbt.mean(axis=0)
-            values = _covariance_values(x, x) - _covariance_values(a, a) - bbt
-        elif lemma_id == 3:
-            x1, x2, a1, a2 = arrays
-            point = cross_covariance(x1, x2) - cross_covariance(a1, a2)
-            values = _covariance_values(x1, x2) - _covariance_values(a1, a2)
-        else:  # lemma 4: the config admits only ids 1..5
-            f1, f2, m = arrays
-            point = cross_covariance(f1, f2) - sample_covariance(m)
-            values = _covariance_values(f1, f2) - _covariance_values(m, m)
-        se = _mean_with_se(values)[1]
-        reference = np.zeros_like(point)
-    return EstimateResult(point, se, n, reference, extras)
+    point, se = _mean_with_se(_LEMMA_VALUES[cfg.lemma_id](*arrays))
+    extras = {"mean_sample_variance": float(arrays[0].mean())} if cfg.lemma_id == 5 else None
+    return EstimateResult(point, se, arrays[0].shape[0], plan["reference"], extras)
 
 
 # --------------------------------------------------------------------------
@@ -755,10 +744,13 @@ def bias_factor_current_oracle(
     y = models.sample(scenario.y_dist, trials, stream.substream(_ROLE_Y), reject_zero=reject)[:, 0]
     f_nom = kernel_eval(scenario.kernel, y, np.asarray(nu))
     m = analytics.conditional_mean_given_y(scenario, y)
-    gf = f_nom - f_nom.mean()
-    gm = m - m.mean()
+    del y
+    # centred and squared in place, with no further arrays of the draws' size
+    for v in (f_nom, m):
+        v -= v.mean()
+        v *= v
+    d = np.subtract(f_nom, m, out=f_nom)
     scale = trials / (trials - 1.0)
-    d = gf**2 - gm**2
     point = scale * float(d.mean())
     se = scale * float(d.std(ddof=1)) / math.sqrt(trials)
     return point, se

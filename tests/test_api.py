@@ -68,6 +68,34 @@ def test_benchmark_tracer_finds_every_wrapped_name():
         tracer.uninstall()
 
 
+def _unused_imports(module):
+    """The names a module's source imports (``__future__`` aside) that it
+    neither uses nor lists in its ``__all__``."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used - set(getattr(module, "__all__", ()))
+
+
+def test_every_import_is_used_exported_or_wrapped_by_the_benchmark():
+    # a name imported only so that the benchmark's tracer can wrap it is
+    # pinned here, so that each one shows up as a change to this set
+    tracer = _perfbench_module("spans").Tracer()
+    wrapped = {(owner.__name__, attr) for owner, attr, *_ in tracer._targets()}
+    only_wrapped = set()
+    for name in ["mcombine", *SUBMODULES]:
+        for attr in _unused_imports(importlib.import_module(name)):
+            assert (name, attr) in wrapped, f"{name} imports {attr} and never uses it"
+            only_wrapped.add((name, attr))
+    assert only_wrapped == {("mcombine.analytics", "sample"),
+                            ("mcombine.experiments", "cross_covariance")}
+
+
 def test_benchmark_workloads_build_and_run_against_this_api(tmp_path):
     # the benchmark imports names from mcombine, passes the CLI flags of its
     # ops and builds ExperimentConfig objects in its pool probe; a removed

@@ -928,15 +928,38 @@ def test_pipeline_missing_data_flag(tmp_path):
     [
         "",  # empty file
         "x_1,x_2\n1,2\n3,4\n",  # wrong header names
+        "y_1,y_2\n",  # header only
         "y_1,y_2\n1,2\n",  # a single measurement row
+        "y_1,y_2\n1,2\n\n",  # a single measurement row and a blank line
         "y_1,y_2\n1,2\n3\n",  # ragged row
+        "y_1,y_2\n1,2,5\n3,4,6\n",  # rows wider than the header
         "y_1,y_2\n1,2\none,4\n",  # non-numeric entry
+        "y_1,y_2\n1,2 # note\n3,4\n",  # '#' is not a comment marker
     ],
 )
-def test_pipeline_rejects_bad_data_csv(tmp_path, content):
+def test_pipeline_rejects_bad_data_csv(tmp_path, content, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(content)
-    assert main(pipeline_args(bad, tmp_path / "x.json")) == 1
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(pipeline_args(bad, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_pipeline_data_csv_skips_blank_lines_and_reads_quoted_numbers(data_csv, tmp_path):
+    # the same measurements, quoted and spread over blank lines, give the same artifact
+    lines = data_csv.read_text().splitlines()
+    quoted = ['"y_1","y_2"', "", *(",".join(f'"{v}"' for v in ln.split(",")) for ln in lines[1:3]),
+              "", "", *lines[3:], ""]
+    other = tmp_path / "quoted.csv"
+    other.write_text("\n".join(quoted))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(pipeline_args(data_csv, a)) == 0
+    assert main(pipeline_args(other, b)) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 # --------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from mcombine.experiments import (
     run_map,
     verify_lemma,
 )
+from mcombine.linalg import cross_covariance, sample_covariance
 from mcombine.models import (
     ADDITIVE,
     EXPONENTIAL,
@@ -601,6 +602,32 @@ def test_lemmas_2_to_4_difference_near_zero():
         assert res.max_abs_z() <= 3.5, f"lemma {lid}"
 
 
+@pytest.mark.parametrize("lid", [2, 3, 4])
+def test_lemmas_2_to_4_take_point_and_se_from_one_pass(monkeypatch, lid):
+    # the point is the mean of the influence values that give the SE; it
+    # matches the whole-run (cross-)covariances without a second pass
+    cfg = ExperimentConfig(estimand="lemma_check", trials=2_000, master_seed=12, lemma_id=lid)
+    arrays = experiments._run_blocks(cfg, experiments._lemma_block, experiments._lemma_plan(cfg))
+    if lid == 2:
+        x, a, bbt = arrays
+        whole_run = sample_covariance(x) - sample_covariance(a) - bbt.mean(axis=0)
+    elif lid == 3:
+        x1, x2, a1, a2 = arrays
+        whole_run = cross_covariance(x1, x2) - cross_covariance(a1, a2)
+    else:
+        f1, f2, m = arrays
+        whole_run = cross_covariance(f1, f2) - sample_covariance(m)
+
+    def second_pass(*args):
+        raise AssertionError("a whole-run covariance pass")
+
+    monkeypatch.setattr(experiments, "sample_covariance", second_pass)
+    monkeypatch.setattr(experiments, "cross_covariance", second_pass)
+    res = verify_lemma(cfg)
+    assert np.allclose(res.point, whole_run, rtol=0.0, atol=1e-12)
+    assert res.max_abs_z() <= 5.0
+
+
 def test_verify_lemma_refuses_a_config_of_another_estimand():
     cfg = ExperimentConfig(estimand="vardiff_reldiff", trials=100, scenario=mult_standard(), lemma_id=1)
     with pytest.raises(DomainError, match="not a lemma_check config"):
@@ -787,6 +814,21 @@ def test_psi_oracle_agrees_with_quadrature():
     sc = exponential_scenario(b=6.0, q=2)
     value, se = bias_factor_current_oracle(sc, 400_000, RngStream(14))
     assert abs(value - bias_factor_current(sc)) <= 3.0 * se
+
+
+def test_psi_oracle_holds_few_arrays_of_its_draws():
+    # the centred squares are formed in place: at 200,000 draws the traced
+    # peak stays under five arrays of the draws' size (it was 11.9 MB, seven
+    # and a half, when each step made a new array)
+    sc = exponential_scenario(b=6.0, q=2)
+    draws = 200_000
+    tracemalloc.start()
+    try:
+        bias_factor_current_oracle(sc, draws, RngStream(14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * draws * 8, peak
 
 
 def test_psi_oracle_phase():
