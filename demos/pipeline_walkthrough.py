@@ -22,8 +22,7 @@ from mcombine import (
     ErrorBatch,
     Normal,
     RngStream,
-    combine_alternative,
-    combine_current,
+    combine,
     kernel_from_json,
     sample,
     sample_covariance,
@@ -54,8 +53,8 @@ def main():
     transformed = transform_stage(data, errors, kernel_from_json("multiplicative"), nu=s_law.mean_vector())
     print(f"nominal values (per vector):\n{np.array2string(transformed.nominals, precision=4)}\n")
 
-    report("current", combine_current(transformed, root.substream(2)))
-    report("alternative", combine_alternative(transformed, root.substream(3)))
+    report("current", combine(transformed, root.substream(2), "current"))
+    report("alternative", combine(transformed, root.substream(3), "alternative"))
     print(
         "The constructions share the combined nominal and differ only in"
         "\nthe covariance their replicates are scaled from: covariance of"

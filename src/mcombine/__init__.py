@@ -69,9 +69,7 @@ from .pipeline import (
     DataBatch,
     ErrorBatch,
     TransformOutput,
-    combine_alternative,
-    combine_current,
-    combine_nominal,
+    combine,
     transform_stage,
 )
 from .rng import RngStream
@@ -101,9 +99,7 @@ __all__ = [
     "Uniform",
     "bias_factor_alternative",
     "bias_factor_current",
-    "combine_alternative",
-    "combine_current",
-    "combine_nominal",
+    "combine",
     "cross_covariance",
     "dist_from_json",
     "dist_to_json",

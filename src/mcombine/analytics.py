@@ -348,10 +348,10 @@ def _sin_variance(c, d) -> np.ndarray:
     return np.sin(m) ** 2 * var_cos + np.cos(m) ** 2 * sin2_u
 
 
-def _uniform_spread(alpha: float, c, d, nodes: int) -> np.ndarray:
+def _uniform_spread(alpha: float, c, d) -> np.ndarray:
     """V[k(Y)] for Y ~ Unif[c, d] and k the exponential conditional mean at
     half-width alpha, by quadrature over the support."""
-    x, w = _affine_nodes(c[..., None], d[..., None], nodes)
+    x, w = _affine_nodes(c[..., None], d[..., None], QUAD_NODES)
     fy = _exp_mean(x, alpha)
     same = c == d
     width = np.where(same, 1.0, d - c)
@@ -364,7 +364,7 @@ def _uniform_psi(kind: str, p: float, c, d) -> np.ndarray:
     for phase, V[Y] − V[k(Y)] for exponential."""
     if kind == "phase":
         return (1.0 - _phase_gain(p)) * _sin_variance(c, d)
-    return (d - c) ** 2 / 12.0 - _uniform_spread(p, c, d, QUAD_NODES)
+    return (d - c) ** 2 / 12.0 - _uniform_spread(p, c, d)
 
 
 def _target_from_sums(w, m1, s2, span: float, jj: float, scale=1.0) -> np.ndarray:
@@ -485,7 +485,7 @@ def _current_on_uniform_grid(
 # Bias factors
 
 
-def _conditional_mean_spread(s: ScalarScenario, nodes: int) -> tuple[float, float]:
+def _conditional_mean_spread(s: ScalarScenario) -> tuple[float, float]:
     """(v, g) with V[E[f(Y, S) | Y]] = g·v, for the phase and exponential kernels.
 
     Phase: v = V[sin Y], closed form, and g = (sin δ/δ)².  Exponential:
@@ -500,29 +500,29 @@ def _conditional_mean_spread(s: ScalarScenario, nodes: int) -> tuple[float, floa
         ex = q * math.sin(a) + (1.0 - q) * math.sin(b)
         ex2 = q * math.sin(a) ** 2 + (1.0 - q) * math.sin(b) ** 2
         return ex2 - ex**2, gain
-    spread = _sin_variance(y.lo, y.hi) if kind == "phase" else _uniform_spread(p, y.lo, y.hi, nodes)
+    spread = _sin_variance(y.lo, y.hi) if kind == "phase" else _uniform_spread(p, y.lo, y.hi)
     return float(spread[0]), gain
 
 
-def bias_factor_current(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
+def bias_factor_current(s: ScalarScenario) -> float:
     """Covariance-bias factor of the current construction.
 
     V[f(Y, ν)] − V[E[f(Y, S) | Y]]: zero for additive and multiplicative
     kernels, (1 − sin²δ/δ²)·V[sin Y] for phase, and V[Y] − V[k(Y)] for
     exponential with k the conditional mean.  V[sin Y] has a closed form
-    on two-point and uniform data, so ``nodes`` only sets the quadrature
-    of V[k(Y)].
+    on two-point and uniform data; V[k(Y)] is a ``QUAD_NODES``-point
+    Gauss–Legendre sum over the data support.
     """
     kind = s.kernel.kind
     if kind in ("additive", "multiplicative"):
         return 0.0
-    spread, gain = _conditional_mean_spread(s, nodes)
+    spread, gain = _conditional_mean_spread(s)
     if kind == "phase":
         return (1.0 - gain) * spread
     return _scalar_variance(s.y_dist) - spread
 
 
-def bias_factor_alternative(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
+def bias_factor_alternative(s: ScalarScenario) -> float:
     """Bias factor of the alternative construction.
 
     E[V[f(Y,S) | S]] − V[E[f(Y,S) | Y]]: zero for additive, V[S]·V[Y] for
@@ -537,9 +537,9 @@ def bias_factor_alternative(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> fl
     if kind == "multiplicative":
         return _scalar_variance(s.s_dist) * _scalar_variance(s.y_dist)
     lo, hi, _ = _scenario_law(s, "bias factor")
-    x, w = gauss_legendre(lo, hi, nodes)
+    x, w = gauss_legendre(lo, hi, QUAD_NODES)
     mean_var = float(_integrate(w, conditional_variance_given_s(s, x))) / (hi - lo)
-    spread, gain = _conditional_mean_spread(s, nodes)
+    spread, gain = _conditional_mean_spread(s)
     # The factor is >= 0 for scalar outputs, but on near-point-mass data
     # supports the closed-form conditional moments cancel to slightly
     # below zero (down to -4.4e-9 for phase and -2.7e-6 for exponential
@@ -553,7 +553,7 @@ def bias_factor_alternative(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> fl
 # Target variance and relative biases
 
 
-def target_variance(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
+def target_variance(s: ScalarScenario) -> float:
     """Variance of the shared-error batch mean, V[mean_j f(Y_j, S)].
 
     Equal to (1/J)·V[f(Y,S)] + ((J−1)/J)·Cov[f(Y,S), f(Y',S)] where the
@@ -572,7 +572,7 @@ def target_variance(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
             _scalar_variance(s.s_dist), _scalar_mean(s.s_dist), jj,
         )
     lo, hi, _ = _scenario_law(s, "target variance")
-    x, w = gauss_legendre(lo, hi, nodes)
+    x, w = gauss_legendre(lo, hi, QUAD_NODES)
     y = s.y_dist
     if isinstance(y, Uniform):
         c, d = y.lo, y.hi
@@ -589,21 +589,20 @@ def _require_positive_target(t: float) -> float:
     return t
 
 
-def relbias_current(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
+def relbias_current(s: ScalarScenario) -> float:
     """Relative covariance bias of the current construction: (factor/J)/target."""
-    t = _require_positive_target(target_variance(s, nodes=nodes))
-    return bias_factor_current(s, nodes=nodes) / s.j / t
+    t = _require_positive_target(target_variance(s))
+    return bias_factor_current(s) / s.j / t
 
 
-def relbias_alternative(s: ScalarScenario, *, nodes: int = QUAD_NODES) -> float:
+def relbias_alternative(s: ScalarScenario) -> float:
     """Relative bias of the alternative construction: (factor/(J·Q))/target.
 
     Lies in [0, 1/Q]; for the multiplicative kernel it reaches the upper
     bound exactly when both inputs have zero mean.
     """
-    t = _require_positive_target(target_variance(s, nodes=nodes))
-    phi = bias_factor_alternative(s, nodes=nodes)
-    return phi / (s.j * s.q) / t
+    t = _require_positive_target(target_variance(s))
+    return bias_factor_alternative(s) / (s.j * s.q) / t
 
 
 def mean_variance_gap(s: ScalarScenario) -> float:

@@ -374,8 +374,7 @@ def _run_map(ns, cmd: str) -> int:
 
 
 def _lemma_ids(raw) -> list[int]:
-    if type(raw) is int:  # a config's JSON true is a bool, not lemma 1
-        return [raw]
+    # a config's JSON number goes through its text; JSON true ("True") is refused
     if str(raw).strip() == "all":
         return [1, 2, 3, 4, 5]
     try:
@@ -441,7 +440,7 @@ def _read_data_csv(path: str) -> np.ndarray:
                 )
             rows = []
             for line in reader:
-                if not line:
+                if not line or (len(line) == 1 and not line[0].strip()):  # a blank line
                     continue
                 try:
                     rows.append([float(tok) for tok in line])
@@ -477,10 +476,7 @@ def _run_pipeline(ns) -> int:
     s_rows = models.sample(s_dist, ns.q, root.substream(0))
     errors = pipeline.ErrorBatch(s_rows)
     t = pipeline.transform_stage(data, errors, kernel, nu)
-    if ns.construction == "current":
-        combined = pipeline.combine_current(t, root.substream(1))
-    else:
-        combined = pipeline.combine_alternative(t, root.substream(1))
+    combined = pipeline.combine(t, root.substream(1), ns.construction)
     payload = {
         "model": ns.model,
         "construction": ns.construction,

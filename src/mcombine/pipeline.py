@@ -20,6 +20,7 @@ injected normal noise scaled by a factor of the across-``j`` covariance
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,9 +38,7 @@ __all__ = [
     "TransformOutput",
     "CombineOutput",
     "transform_stage",
-    "combine_nominal",
-    "combine_current",
-    "combine_alternative",
+    "combine",
     "combine_with_noise",
 ]
 
@@ -283,18 +282,16 @@ def transform_stage(
     return TransformOutput(nominals=nominals, centres=centres, replicate_means=replicate_means)
 
 
-def combine_nominal(t: TransformOutput) -> NDArray[np.float64]:
-    """Mean of the per-vector nominals."""
-    return t.nominals.mean(axis=-2)
-
-
 def combine_with_noise(t: TransformOutput, z, construction: str) -> CombineOutput:
     """Combine with caller-supplied synthesis noise ``z`` of shape (..., Q, K).
 
-    This is the deterministic core of both constructions; the public
-    entry points draw ``z`` from a stream and delegate here.  Useful when
-    a test or estimator wants to re-run a combine on fixed draws, and it
-    is what the Monte Carlo harness runs, one trial per leading index.
+    The nominal is the mean of the per-vector nominals.  The replicates are
+    the replicate centres plus ``z`` through the scaled rotation factor of
+    the sample covariance of the nominals ("current") or of the per-vector
+    replicate means ("alternative"), over sqrt(J).  The alternative shrinks
+    the injected-variance bias from O(1/J) to O(1/(JQ)).  This is the
+    deterministic core of :func:`combine` and what the Monte Carlo harness
+    runs, one trial per leading index.
     """
     z = np.asarray(z, dtype=float)
     jj = t.j
@@ -314,34 +311,19 @@ def combine_with_noise(t: TransformOutput, z, construction: str) -> CombineOutpu
     # several times faster than matmul, which makes one BLAS call per matrix
     replicates = t.centres + np.einsum("...qk,...lk->...ql", z, factor, optimize=False) / np.sqrt(jj)
     return CombineOutput(
-        nominal=combine_nominal(t),
+        nominal=t.nominals.mean(axis=-2),
         replicates=replicates,
         construction=construction,
         input_cov=input_cov,
     )
 
 
-def combine_current(t: TransformOutput, stream: RngStream) -> CombineOutput:
-    """Combine stage, current construction.
-
-    The synthesis factor is the scaled rotation factor of the sample
-    covariance of the nominals; the noise vectors are standard normal,
-    drawn from ``stream`` independently of everything else.
-    """
-    if t.j < 2:
-        raise DomainError("combine requires J > 1")
-    z = stream.standard_normal((t.q, t.k))
-    return combine_with_noise(t, z, "current")
+def combine(t: TransformOutput, stream: RngStream, construction: str) -> CombineOutput:
+    """Combine stage of one batch: :func:`combine_with_noise` on standard
+    normal noise (Q, K) drawn from ``stream`` independently of everything else."""
+    return combine_with_noise(t, stream.standard_normal((t.q, t.k)), construction)
 
 
-def combine_alternative(t: TransformOutput, stream: RngStream) -> CombineOutput:
-    """Combine stage, alternative construction.
-
-    Identical to :func:`combine_current` except the synthesis factor
-    comes from the sample covariance of the per-vector replicate means,
-    which shrinks the injected-variance bias from O(1/J) to O(1/(JQ)).
-    """
-    if t.j < 2:
-        raise DomainError("combine requires J > 1")
-    z = stream.standard_normal((t.q, t.k))
-    return combine_with_noise(t, z, "alternative")
+# Bound only for perfbench/spans.py, which wraps them by name (ROADMAP item 1).
+combine_current = functools.partial(combine, construction="current")
+combine_alternative = functools.partial(combine, construction="alternative")

@@ -441,6 +441,17 @@ def test_conditional_mean_given_y_phase():
     assert np.allclose(got, np.sin(ys) * math.sin(0.9) / 0.9, rtol=1e-14)
 
 
+@pytest.mark.parametrize("kernel", [ADDITIVE, MULTIPLICATIVE], ids=lambda k: k.kind)
+def test_conditional_mean_given_y_closed_forms(kernel):
+    # E[y + S] = y + E[S] and E[y·S] = y·E[S]; a scalar in gives a float out
+    s = scenario(kernel, STD_NORMAL, Normal(mean=[0.5], cov=[[2.0]]))
+    ys = np.array([-1.0, 0.0, 3.0])
+    want = ys + 0.5 if kernel is ADDITIVE else ys * 0.5
+    assert np.array_equal(conditional_mean_given_y(s, ys), want)
+    one = conditional_mean_given_y(s, 3.0)
+    assert type(one) is float and one == want[-1]
+
+
 def test_conditional_mean_given_y_exponential_vs_integration():
     s = exponential_scenario(0.5, 3.0, 0.7)
     ys = np.array([0.6, 1.0, 2.5])
@@ -454,6 +465,15 @@ def test_conditional_variance_given_s_multiplicative():
     s = scenario(MULTIPLICATIVE, y, STD_NORMAL)
     vals = conditional_variance_given_s(s, np.array([0.0, 1.0, -2.0]))
     assert np.allclose(vals, [0.0, 2.0, 8.0], rtol=1e-14)
+
+
+def test_conditional_variance_given_s_additive():
+    # V[Y + s] = V[Y] at every shift, in the shape of the shifts
+    s = scenario(ADDITIVE, Normal(mean=[1.0], cov=[[2.0]]), STD_NORMAL)
+    vals = conditional_variance_given_s(s, np.array([[0.0, 1.0], [-2.0, 5.0]]))
+    assert vals.shape == (2, 2)
+    assert np.all(vals == 2.0)
+    assert conditional_variance_given_s(s, -3.0) == 2.0
 
 
 def test_conditional_variance_given_s_phase_vs_grid():
@@ -521,18 +541,27 @@ def test_gauss_legendre_exact_for_polynomials():
     assert math.isclose(got, 2.0**6 / 6.0, rel_tol=1e-13)
 
 
-def test_node_doubling_stability_exponential_integrals():
-    # the values that feed psi and the target variance must be stable in n
-    s = exponential_scenario(0.25, 6.0, 0.95)
-    v128 = bias_factor_current(s, nodes=128)
-    v256 = bias_factor_current(s, nodes=256)
-    v512 = bias_factor_current(s, nodes=512)
-    assert abs(v256 - v512) <= 1e-8 * max(1.0, abs(v512))
-    assert abs(v128 - v512) <= 1e-8 * max(1.0, abs(v512))
-    for fn in (bias_factor_alternative, target_variance):
-        v128, v256, v512 = (fn(s, nodes=n) for n in (128, 256, 512))
-        assert abs(v256 - v512) <= 1e-8 * max(1.0, abs(v512))
-        assert abs(v128 - v512) <= 1e-8 * max(1.0, abs(v512))
+#: (Ψ, Φ) of the exponential kernel for Y ~ Unif[a, b] and S ~ Unif[1 − α,
+#: 1 + α], with α the float64 nearest 0.95 (so both error ends are exact in
+#: float64), to 40 digits: mpmath 1.3.0 at 60-digit precision.  Two
+#: routes agree on every digit shown: integrals over the error exponent of
+#: the closed-form moments of Y^s (tanh-sinh and Gauss-Legendre rules), and
+#: integrals over the data support of k(y) = E[y^S], k(y)², k(y²) and, for
+#: E_S[E[Y^S | S]²], of k(y·y') over the square.
+EXPONENTIAL_FACTOR_REFERENCE = {
+    (0.25, 6.0): ("-4.198901676488369798590929747855579916382",
+                  "6.777371060148618846240880958679254869014"),
+    (2.0, 3.0): ("-0.08663522693550550382446501064400187323153",
+                 "0.1375877921183802569465335831727661776464"),
+}
+
+
+def test_exponential_bias_factors_match_40_digit_reference():
+    # both factors run the fixed QUAD_NODES rule; this pins its accuracy
+    for (a, b), (psi, phi) in EXPONENTIAL_FACTOR_REFERENCE.items():
+        s = exponential_scenario(a, b, 0.95)
+        for got, want in ((bias_factor_current(s), float(psi)), (bias_factor_alternative(s), float(phi))):
+            assert abs(got - want) <= 1e-12 * abs(want), (a, b, got, want)
 
 
 #: V[mean_j f(Y_j, S)] at J = 2 for Y ~ Unif[c, d] (the float64 ends below),

@@ -30,8 +30,7 @@ TOP_LEVEL_API = [
     "CombineOutput", "DataBatch", "DomainError", "ErrorBatch", "EstimateResult",
     "ExperimentConfig", "MapResult", "MapSpec", "Normal", "NumericalError",
     "RngStream", "ScalarKernel", "ScalarScenario", "TransformOutput", "TwoPoint",
-    "Uniform", "bias_factor_alternative", "bias_factor_current",
-    "combine_alternative", "combine_current", "combine_nominal",
+    "Uniform", "bias_factor_alternative", "bias_factor_current", "combine",
     "cross_covariance", "dist_from_json", "dist_to_json", "estimate_combine_bias",
     "estimate_mean_variance", "estimate_target_variance_oracle", "estimate_vardiff",
     "gauss_legendre", "kernel_from_json", "kernel_to_json", "mean_variance_gap",
@@ -68,32 +67,57 @@ def test_benchmark_tracer_finds_every_wrapped_name():
         tracer.uninstall()
 
 
-def _unused_imports(module):
-    """The names a module's source imports (``__future__`` aside) that it
-    neither uses nor lists in its ``__all__``."""
+def _package_reads():
+    """(module, name) for every module-level name one package module reads
+    from another, by ``from .module import name`` or as ``module.name``."""
+    reads = set()
+    for path in Path(mcombine.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                reads |= {(f"mcombine.{node.module}", a.name) for a in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                reads.add((f"mcombine.{node.value.id}", node.attr))
+    return reads
+
+
+def _unused_module_names(module):
+    """The names a module's source imports (``__future__`` aside) or assigns
+    at module level (dunder names aside) that it neither reads nor lists in
+    its ``__all__``."""
     tree = ast.parse(Path(module.__file__).read_text())
-    imported = set()
+    bound = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported |= {a.asname or a.name for a in node.names}
+            bound |= {a.asname or a.name for a in node.names}
         elif isinstance(node, ast.Import):
-            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return imported - used - set(getattr(module, "__all__", ()))
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return bound - read - set(getattr(module, "__all__", ()))
 
 
 def test_every_import_is_used_exported_or_wrapped_by_the_benchmark():
-    # a name imported only so that the benchmark's tracer can wrap it is
-    # pinned here, so that each one shows up as a change to this set
+    # a name imported or assigned at module level only so that the
+    # benchmark's tracer can wrap it is pinned here, so that each one shows
+    # up as a change to this set
     tracer = _perfbench_module("spans").Tracer()
     wrapped = {(owner.__name__, attr) for owner, attr, *_ in tracer._targets()}
+    read_elsewhere = _package_reads()
     only_wrapped = set()
     for name in ["mcombine", *SUBMODULES]:
-        for attr in _unused_imports(importlib.import_module(name)):
-            assert (name, attr) in wrapped, f"{name} imports {attr} and never uses it"
+        for attr in _unused_module_names(importlib.import_module(name)):
+            if (name, attr) in read_elsewhere:
+                continue
+            assert (name, attr) in wrapped, f"{name} binds {attr} and nothing reads it"
             only_wrapped.add((name, attr))
     assert only_wrapped == {("mcombine.analytics", "sample"),
-                            ("mcombine.experiments", "cross_covariance")}
+                            ("mcombine.experiments", "cross_covariance"),
+                            ("mcombine.pipeline", "combine_current"),
+                            ("mcombine.pipeline", "combine_alternative")}
 
 
 def test_benchmark_workloads_build_and_run_against_this_api(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 import mcombine
 import mcombine.cli as cli
+from mcombine.analytics import ScalarScenario, mean_variance_gap, relbias_current
 from mcombine.cli import (
     _fmt,
     _grid_triple,
@@ -21,6 +22,7 @@ from mcombine.cli import (
     main,
 )
 from mcombine.exceptions import DomainError, NumericalError
+from mcombine.models import EXPONENTIAL, Uniform
 
 
 @pytest.fixture
@@ -116,7 +118,7 @@ def test_numerical_failure_maps_to_exit_two(monkeypatch, data_csv, tmp_path, cap
     def boom(*a, **kw):
         raise NumericalError("synthetic instability")
 
-    monkeypatch.setattr(cli.pipeline, "combine_current", boom)
+    monkeypatch.setattr(cli.pipeline, "combine", boom)
     rc = main(
         ["pipeline", "--data", str(data_csv), "--model", "additive", "--out", str(tmp_path / "o.json")]
     )
@@ -284,6 +286,23 @@ def test_alpha_for_a_model_it_does_not_shape_exits_one(cmd, model, via, tmp_path
     assert main(argv) == 1
     assert "--alpha" in _only_error_line(capsys.readouterr().err)
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("alpha", [None, "0.5"])
+@pytest.mark.parametrize("cmd", ["bias-sweep", "mean-var"])
+def test_exponential_default_laws_reach_the_estimator(cmd, alpha, tmp_path, monkeypatch):
+    # without --y-dist/--s-dist, exponential runs on Y ~ Unif[0, 8] and
+    # S ~ Unif[1 - alpha, 1 + alpha], alpha 0.95 by default
+    monkeypatch.chdir(tmp_path)
+    argv = [cmd, "--model", "exponential", "--q", "3,5", "--trials", "100", "--format", "json",
+            "--out", "o.json"] + ([] if alpha is None else ["--alpha", alpha])
+    assert main(argv) == 0
+    a = 0.95 if alpha is None else float(alpha)
+    reference = relbias_current if cmd == "bias-sweep" else mean_variance_gap
+    for row in json.loads((tmp_path / "o.json").read_text()):
+        sc = ScalarScenario(EXPONENTIAL, Uniform(lo=[0.0], hi=[8.0]),
+                            Uniform(lo=[1.0 - a], hi=[1.0 + a]), j=4, q=row["q"])
+        assert row["analytic_reference"] == reference(sc)
 
 
 def test_help_names_the_flags_that_reach_only_some_runs():
@@ -614,6 +633,17 @@ def test_lemmas_config_id_true_exits_one(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
+def test_lemmas_config_integer_id_runs_that_lemma(tmp_path, monkeypatch):
+    # a JSON number names one lemma, as --id 3 does
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"id": 3, "trials": 200, "out": "a.csv"}))
+    assert main(["lemmas", "--config", "run.json"]) == 0
+    assert main(["lemmas", "--id", "3", "--trials", "200", "--out", "b.csv"]) == 0
+    text = (tmp_path / "a.csv").read_text()
+    assert {line.split(",")[0] for line in text.splitlines()[1:]} == {"3"}
+    assert text == (tmp_path / "b.csv").read_text()
+
+
 def test_lemmas_check_every_id_before_the_first_runs(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli.experiments, "verify_lemma", lambda *args: calls.append(args))
@@ -931,6 +961,8 @@ def test_pipeline_missing_data_flag(tmp_path):
         "y_1,y_2\n",  # header only
         "y_1,y_2\n1,2\n",  # a single measurement row
         "y_1,y_2\n1,2\n\n",  # a single measurement row and a blank line
+        "y_1,y_2\n1,2\n   \n",  # a single measurement row and a line of spaces
+        "y_1,y_2\n1,2\n , \n",  # a row of two blank entries is not a blank line
         "y_1,y_2\n1,2\n3\n",  # ragged row
         "y_1,y_2\n1,2,5\n3,4,6\n",  # rows wider than the header
         "y_1,y_2\n1,2\none,4\n",  # non-numeric entry
@@ -950,10 +982,11 @@ def test_pipeline_rejects_bad_data_csv(tmp_path, content, capsys):
 
 
 def test_pipeline_data_csv_skips_blank_lines_and_reads_quoted_numbers(data_csv, tmp_path):
-    # the same measurements, quoted and spread over blank lines, give the same artifact
+    # the same measurements, quoted and spread over blank lines (empty, or
+    # only spaces and tabs), give the same artifact
     lines = data_csv.read_text().splitlines()
     quoted = ['"y_1","y_2"', "", *(",".join(f'"{v}"' for v in ln.split(",")) for ln in lines[1:3]),
-              "", "", *lines[3:], ""]
+              "", "   ", "\t", *lines[3:], " "]
     other = tmp_path / "quoted.csv"
     other.write_text("\n".join(quoted))
     a, b = tmp_path / "a.json", tmp_path / "b.json"

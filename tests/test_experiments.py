@@ -513,6 +513,17 @@ def test_rounding_noise_points_are_exactly_zero():
     assert (res.point, res.std_error, res.z_score) == (0.0, 0.0, 0.0)
 
 
+def test_vardiff_of_two_constant_statistics_is_zero():
+    # a constant kernel gives both constructions zero-variance replicates in
+    # every trial: V[S²] is 0 for both, and their relative difference 0/0 is
+    # reported as 0 with SE 0, not as NaN
+    constant = ScalarKernel("custom", fn=lambda y, s: 0.0 * (y + s) + 3.0)
+    sc = ScalarScenario(kernel=constant, y_dist=STD_NORMAL, s_dist=STD_NORMAL, j=4, q=3)
+    res = estimate_vardiff(ExperimentConfig(estimand="vardiff_reldiff", trials=200, scenario=sc, master_seed=2))
+    assert (res.point, res.std_error, res.trials, res.analytic_reference) == (0.0, 0.0, 200, None)
+    assert set(res.extras.values()) == {0.0}
+
+
 @pytest.mark.parametrize(
     "scenario",
     [phase_extremal(q=5), mult_standard(q=5), exponential_scenario(q=5)],
@@ -708,16 +719,20 @@ DEFAULT_GRID_CELLS = ((0, 0), (0, 1), (31, 32), (62, 63), (94, 95), (100, 101), 
 
 
 @pytest.mark.parametrize("relative", [False, True], ids=["psi_map", "relbias_map"])
-@pytest.mark.parametrize("kernel", [PHASE, EXPONENTIAL], ids=["phase", "exponential"])
+@pytest.mark.parametrize("kernel", [PHASE, EXPONENTIAL, ADDITIVE, MULTIPLICATIVE],
+                         ids=lambda kernel: kernel.kind)
 def test_map_cells_are_the_direct_calls_bitwise(kernel, relative):
     # a < 0, a = 0, the diagonal, a = b = 0 and (1, 1) (zero exponential
     # target) all sit on the small grid; a map row is one array evaluation
-    # over endpoint terms taken once per grid value
+    # over endpoint terms taken once per grid value, or of the closed-form
+    # target for additive and multiplicative, whose target is 0 on Unif[0, 0]
     alpha = 0.95
     if kernel is EXPONENTIAL:
         s_dist = Uniform(lo=[1.0 - alpha], hi=[1.0 + alpha])
-    else:
+    elif kernel is PHASE:
         s_dist = Uniform(lo=[-alpha], hi=[alpha])
+    else:
+        s_dist = Normal(mean=[0.0], cov=[[1.0]])
     direct = relbias_current if relative else bias_factor_current
 
     def check(grid, i, k, j):
@@ -737,10 +752,11 @@ def test_map_cells_are_the_direct_calls_bitwise(kernel, relative):
 
     grid = run_map(MapSpec(kernel=kernel, alpha=alpha, lo=-0.5, hi=2.0, n=6, j=3), relative=relative)
     raised = sum(check(grid, i, k, 3) for i in range(6) for k in range(6))
-    assert raised == {PHASE: 0, EXPONENTIAL: 8 if relative else 7}[kernel]
+    zero_target = int(relative and kernel is MULTIPLICATIVE)  # the cell (0, 0)
+    assert raised == {EXPONENTIAL: 8 if relative else 7}.get(kernel, zero_target)
     grid = run_map(MapSpec(kernel=kernel, alpha=alpha), relative=relative)
     raised = sum(check(grid, i, k, 2) for i, k in DEFAULT_GRID_CELLS)
-    assert raised == {PHASE: 0, EXPONENTIAL: 1}[kernel]  # (0, 0) under exponential
+    assert raised == {EXPONENTIAL: 1}.get(kernel, zero_target)  # (0, 0) under exponential
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,7 @@ from mcombine.pipeline import (
     DataBatch,
     ErrorBatch,
     TransformOutput,
-    combine_alternative,
-    combine_current,
-    combine_nominal,
+    combine,
     combine_with_noise,
     transform_stage,
 )
@@ -199,7 +197,7 @@ def test_transform_broadcasts_kernel_that_ignores_data():
     assert np.allclose(t.centres, errors.rows)
     assert np.allclose(t.replicate_means, errors.rows.mean())
     t.nominals[0, 0] = 1.0  # a real array, not a read-only broadcast view
-    out = combine_current(t, RngStream(1))
+    out = combine(t, RngStream(1), "current")
     assert np.array_equal(out.input_cov, np.zeros((1, 1)))
 
 
@@ -258,7 +256,8 @@ def test_transform_rejects_mismatched_leading_axes():
 def test_combine_nominal_is_row_mean():
     data = _batch(j=5, k=2, seed=7)
     t = transform_stage(data, _shared_errors(seed=8), ADDITIVE, np.zeros(2))
-    assert np.allclose(combine_nominal(t), t.nominals.mean(axis=0))
+    out = combine_with_noise(t, np.zeros((7, 2)), "current")
+    assert np.array_equal(out.nominal, t.nominals.mean(axis=0))
 
 
 def test_combine_with_zero_noise_returns_replicate_means():
@@ -297,7 +296,7 @@ def test_combine_alternative_uses_replicate_means():
 def test_combine_current_input_cov_is_nominal_cov():
     data = _batch(j=5, k=3, seed=15)
     t = transform_stage(data, _shared_errors(q=4, k=3, seed=16), ADDITIVE, np.zeros(3))
-    out = combine_current(t, RngStream(0))
+    out = combine(t, RngStream(0), "current")
     assert np.allclose(out.input_cov, sample_covariance(t.nominals))
     assert out.construction == "current"
 
@@ -307,21 +306,41 @@ def test_combine_alternative_needs_two_error_draws():
     errors = ErrorBatch(np.ones((1, 1)))
     t = transform_stage(data, errors, ADDITIVE, np.zeros(1))
     with pytest.raises(DomainError):
-        combine_alternative(t, RngStream(0))
+        combine(t, RngStream(0), "alternative")
 
 
 def test_combine_is_deterministic_per_stream():
     data = _batch(j=4, k=2, seed=18)
     t = transform_stage(data, _shared_errors(q=8, seed=19), ADDITIVE, np.zeros(2))
-    a = combine_current(t, RngStream(21))
-    b = combine_current(t, RngStream(21))
+    a = combine(t, RngStream(21), "current")
+    b = combine(t, RngStream(21), "current")
     assert np.array_equal(a.replicates, b.replicates)
+
+
+@pytest.mark.parametrize("construction", ["current", "alternative"])
+def test_combine_is_combine_with_noise_on_the_streams_normals(construction):
+    # combine draws Q x K standard normals from the stream and nothing else
+    data = _batch(j=5, k=3, seed=22)
+    t = transform_stage(data, _shared_errors(q=6, k=3, seed=23), MULTIPLICATIVE, np.ones(3))
+    out = combine(t, RngStream(24), construction)
+    want = combine_with_noise(t, RngStream(24).standard_normal((6, 3)), construction)
+    assert out.construction == construction
+    for field in ("nominal", "replicates", "input_cov"):
+        assert np.array_equal(getattr(out, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("construction", ["current", "alternative"])
+def test_combine_refuses_a_single_data_vector(construction):
+    # a hand-built one-vector output has no across-j covariance to scale from
+    t = TransformOutput(nominals=np.ones((1, 2)), centres=np.ones((3, 2)), replicate_means=np.ones((1, 2)))
+    with pytest.raises(DomainError, match="at least two rows"):
+        combine(t, RngStream(0), construction)
 
 
 def test_combine_json_dict_round_trips_through_lists():
     data = _batch(j=4, k=2, seed=20)
     t = transform_stage(data, _shared_errors(q=3, seed=21), ADDITIVE, np.zeros(2))
-    out = combine_current(t, RngStream(1))
+    out = combine(t, RngStream(1), "current")
     d = out.to_json_dict()
     assert np.allclose(np.asarray(d["replicates"]), out.replicates)
     assert d["construction"] == "current"
@@ -343,7 +362,7 @@ def test_additive_mean_of_sample_variances_tracks_target():
         data = DataBatch(sample(y_dist, j, sub.substream(0)))
         errors = ErrorBatch(sample(s_dist, q, sub.substream(1)))
         t = transform_stage(data, errors, ADDITIVE, np.zeros(1))
-        out = combine_current(t, sub.substream(2))
+        out = combine(t, sub.substream(2), "current")
         acc[t_idx] = out.replicates[:, 0].var(ddof=1)
     target = 1.0 / j + 0.5
     se = acc.std(ddof=1) / np.sqrt(trials)
@@ -362,7 +381,7 @@ def test_k2_grand_mean_is_unbiased():
         data = DataBatch(sample(y_dist, j, sub.substream(0)))
         errors = ErrorBatch(sample(s_dist, q, sub.substream(1)))
         t = transform_stage(data, errors, MULTIPLICATIVE, s_dist.mean_vector())
-        out = combine_alternative(t, sub.substream(2))
+        out = combine(t, sub.substream(2), "alternative")
         grand[t_idx] = out.replicates.mean(axis=0)
     expected = y_dist.mean_vector() * s_dist.mean_vector()
     se = grand.std(axis=0, ddof=1) / np.sqrt(trials)
