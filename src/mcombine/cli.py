@@ -26,10 +26,11 @@ Exit status: 0 success, 1 configuration error, 2 numerical failure.
 Sizes are checked before anything is allocated: a run whose arrays
 would pass 1 GiB of float64 exits 1, be it a ``--q``, a ``--grid`` or a
 lemma block of ``--block-size``·max(8, ``--n``) draws.
-CSV artifacts print floats with 17 significant digits; JSON artifacts use
-Python's shortest round-trip ``repr`` and write NaN as ``null``.  Either
-way artifacts are round-trip safe and byte-identical for identical
-invocations.
+CSV artifacts print floats with 17 significant digits.  JSON artifacts
+hold one top-level item per line, each in the stdlib encoder's form
+(Python's shortest round-trip ``repr``); a map cell with no value is
+``null``, and any other NaN or infinity exits 1.  Either way artifacts
+are round-trip safe and byte-identical for identical invocations.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import functools
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 import numpy as np
@@ -116,6 +116,8 @@ def _parse_range(value) -> list[float]:
             values = [float(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
             raise DomainError(f"bad range {text!r}") from None
+    if not values:
+        raise DomainError(f"range {value!r} names no value")
     if not all(map(math.isfinite, values)):
         raise DomainError(f"range values must be finite, got {value!r}")
     return values
@@ -157,54 +159,28 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _json_floats(values, sep: str) -> str:
-    """Floats as json's own text (``float.__repr__``), NaN as null, in one join."""
-    text = sep.join(map(float.__repr__, values))
-    # no other float text holds an "n": only inf, -inf and nan do
-    if "n" in text:
-        if "inf" in text:
-            raise ValueError("Out of range float values are not JSON compliant")
-        text = text.replace("nan", "null")
-    return text
-
-
-def _json_text(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False)`` with NaN written as null.
-
-    ``indent`` is the newline and indentation that closes ``obj``.  A list
-    whose items are all floats is formatted in one pass.
-    """
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) == {float}:
-            text = _json_floats(obj, "," + inner)
-        else:
-            text = ("," + inner).join(_json_text(v, inner) for v in obj)
-        return "[" + inner + text + indent + "]"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _json_floats((obj,), "")
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _write_json(path: str, payload) -> None:
-    _write_text(path, _json_text(payload) + "\n")
+    """``payload`` (a dict with string keys, or a list) as one top-level item per line.
+
+    Each item is in the stdlib encoder's default form; a matrix (a list of
+    lists) is encoded a row at a time: the same bytes as one call, built
+    from smaller strings.  NaN and infinities raise ``ValueError`` before
+    the file is opened.
+    """
+    encode = json.JSONEncoder(allow_nan=False).encode
+
+    def item(value) -> str:
+        if isinstance(value, list) and all(isinstance(row, list) for row in value):
+            return "[" + ", ".join(map(encode, value)) + "]"
+        return encode(value)
+
+    if isinstance(payload, dict):
+        items = [f"{encode(key)}: {item(value)}" for key, value in payload.items()]
+        brackets = "{}"
+    else:
+        items = list(map(item, payload))
+        brackets = "[]"
+    _write_text(path, brackets[0] + "\n  " + ",\n  ".join(items) + "\n" + brackets[1] + "\n")
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
@@ -273,10 +249,8 @@ def _default_dists(model: str, alpha: float | None) -> tuple[models.DistSpec, mo
             TwoPoint(a=[-math.pi / 2.0], b=[math.pi / 2.0], p=0.5),
             Uniform(lo=[-half], hi=[half]),
         )
-    if model == "exponential":
-        a = 0.95 if alpha is None else alpha
-        return Uniform(lo=[0.0], hi=[8.0]), Uniform(lo=[1.0 - a], hi=[1.0 + a])
-    raise DomainError(f"unknown model {model!r}")
+    a = 0.95 if alpha is None else alpha  # exponential
+    return Uniform(lo=[0.0], hi=[8.0]), Uniform(lo=[1.0 - a], hi=[1.0 + a])
 
 
 def _build_scenario(ns: argparse.Namespace, q: int) -> analytics.ScalarScenario:
@@ -352,15 +326,19 @@ _MAPS = ("psi-map", "relbias-map")
 def _run_map(ns, cmd: str) -> int:
     lo, hi, n = _grid_triple(ns.grid)
     kernel = models.kernel_from_json(ns.model)
-    spec = MapSpec(kernel=kernel, alpha=ns.alpha, lo=lo, hi=hi, n=n, j=ns.j)
     relative = cmd == "relbias-map"
+    # psi-map takes no --j
+    spec = MapSpec(kernel=kernel, alpha=ns.alpha, lo=lo, hi=hi, n=n,
+                   j=ns.j if relative else MapSpec.j)
     grid = experiments.run_map(spec, relative=relative)
     column = "relbias" if relative else "psi"
     if ns.format == "json":
+        # undefined cells are null, so no NaN reaches the writer
+        values = [[None if math.isnan(v) else v for v in row] for row in grid.values.tolist()]
         payload = {
             "a_values": grid.a_values.tolist(),
             "b_values": grid.b_values.tolist(),
-            column: grid.values.tolist(),
+            column: values,
         }
         _write_json(ns.out, payload)
     else:
@@ -519,10 +497,12 @@ def _add_construction(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_model(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--model", choices=models._KERNEL_NAMES, help="error kernel (required)")
+
+
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--model", help="error kernel: additive, multiplicative, phase, or exponential (required)"
-    )
+    _add_model(sub)
     sub.add_argument("--j", type=int, default=4, help="data vectors per batch")
     sub.add_argument("--q", default="10", help=f"error draws per batch; {_RANGE_HELP}")
     sub.add_argument("--y-dist", help="data law as JSON (default depends on --model)")
@@ -546,7 +526,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("pipeline", help="run one transform+combine pass over a data CSV")
     _add_io(p, formats=("json",))
     p.add_argument("--data", type=str, help="input CSV with header y_1,...,y_K (required)")
-    p.add_argument("--model", help="error kernel name (required)")
+    _add_model(p)
     p.add_argument("--nu", type=float, help="nominal error value (default: --s-dist mean, else 0)")
     p.add_argument("--s-dist", help="error law as JSON (default normal(nu, identity))")
     p.add_argument("--q", type=int, default=100, help="MC error draws")
@@ -561,7 +541,7 @@ def build_parser() -> _Parser:
     for name in _MAPS:
         m = subs.add_parser(name, help=f"analytic {name.replace('-', ' ')} over (a,b) grid")
         _add_io(m)
-        m.add_argument("--model", help="error kernel name (required)")
+        _add_model(m)
         m.add_argument(
             "--alpha", type=float, default=MapSpec.alpha,
             help="error half-width; phase and exponential only (additive and multiplicative "
@@ -570,7 +550,8 @@ def build_parser() -> _Parser:
         grid = f"{MapSpec.lo:g}:{MapSpec.hi:g}:{MapSpec.n}"
         m.add_argument("--grid", default=grid, help="data-support grid lo:hi:N; N points give "
                        "N(N+1)/2 CSV rows of up to 60 bytes (0.7 MB at N = 161)")
-        m.add_argument("--j", type=int, default=MapSpec.j, help="batch size for relbias maps")
+        if name == "relbias-map":  # a bias factor has no batch size
+            m.add_argument("--j", type=int, default=MapSpec.j, help="data vectors per batch")
 
     v = subs.add_parser("vardiff", help="variability difference of the constructions")
     _add_mc(v, trials=100_000)

@@ -654,3 +654,38 @@ def test_exponential_requires_nonnegative_support():
     bad = exponential_scenario(-1.0, 2.0)
     with pytest.raises(DomainError):
         bias_factor_current(bad)
+
+
+# --------------------------------------------------------------------------
+# input checks: each refusal once
+
+
+INPUT_CHECKS = {
+    "quadrature without nodes": (lambda: gauss_legendre(0.0, 1.0, 0), "at least one node"),
+    "reversed quadrature interval": (lambda: gauss_legendre(1.0, 0.0, 4), "interval is reversed"),
+    "asymmetric phase error law": (
+        lambda: bias_factor_current(scenario(PHASE, Uniform(lo=[0.0], hi=[1.0]),
+                                             Uniform(lo=[-1.0], hi=[2.0]))),
+        r"Unif\(-delta, delta\)",
+    ),
+    "exponential half-width above one": (
+        lambda: bias_factor_current(scenario(EXPONENTIAL, Uniform(lo=[1.0], hi=[2.0]),
+                                             Uniform(lo=[-0.5], hi=[2.5]))),
+        r"half-width must lie in \(0, 1\], got 1.5",
+    ),
+    "phase with normal data": (
+        lambda: bias_factor_current(scenario(PHASE, STD_NORMAL, Uniform(lo=[-1.0], hi=[1.0]))),
+        "two_point or uniform data",
+    ),
+    "negative variance argument": (lambda: var_of_sample_variance_normal(-1.0, 0.0, 3),
+                                   "must be non-negative"),
+    "negative mean dispersion": (lambda: var_of_sample_variance_normal(1.0, -1.0, 3),
+                                 "must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check_refuses(case):
+    call, fragment = INPUT_CHECKS[case]
+    with pytest.raises(DomainError, match=fragment):
+        call()

@@ -501,20 +501,49 @@ def test_config_file_round_trip_for_every_subcommand(cmd, data_csv, tmp_path):
     assert flags_out.read_bytes() == cfg_out.read_bytes()
 
 
-@pytest.mark.parametrize("cmd", sorted(cli._DISPATCH))
-def test_missing_out_exits_one_before_any_work(cmd, data_csv, tmp_path, monkeypatch, capsys):
+def _forbid_work(monkeypatch, tmp_path):
+    """Make every subcommand's first piece of work fail the test, and run in
+    an empty directory that must stay empty."""
     def no_work(*args, **kwargs):
-        raise AssertionError("ran before checking --out")
+        raise AssertionError("ran before checking the flags")
 
     for name in ("estimate_combine_bias", "estimate_vardiff", "estimate_mean_variance", "run_map",
                  "verify_lemma"):
         monkeypatch.setattr(cli.experiments, name, no_work)
     monkeypatch.setattr(cli.pipeline, "transform_stage", no_work)
+    monkeypatch.setattr(cli, "_read_data_csv", no_work)
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
+    return work
+
+
+@pytest.mark.parametrize("cmd", sorted(cli._DISPATCH))
+def test_missing_out_exits_one_before_any_work(cmd, data_csv, tmp_path, monkeypatch, capsys):
+    work = _forbid_work(monkeypatch, tmp_path)
     assert main(_flags(cmd, small_runs(data_csv)[cmd])) == 1
     assert "--out" in _only_error_line(capsys.readouterr().err)
+    assert list(work.iterdir()) == []
+
+
+def _flag_or_config(cmd, run, how, tmp_path):
+    """The argv that passes ``run`` as flags, or as a config file outside the work directory."""
+    if how == "flag":
+        return _flags(cmd, run)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(run))
+    return [cmd, "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("cmd", sorted(set(cli._DISPATCH) - {"lemmas"}))
+def test_unknown_model_exits_one_before_any_work(cmd, how, data_csv, tmp_path, monkeypatch, capsys):
+    work = _forbid_work(monkeypatch, tmp_path)
+    run = {**small_runs(data_csv)[cmd], "model": "foo", "out": "o.out"}
+    assert main(_flag_or_config(cmd, run, how, tmp_path)) == 1
+    err = _only_error_line(capsys.readouterr().err)
+    # the flag's and the config key's messages both name the value and every choice
+    assert "foo" in err and all(name in err for name in cli.models._KERNEL_NAMES), err
     assert list(work.iterdir()) == []
 
 
@@ -666,6 +695,46 @@ def test_psi_map_additive_all_zero(tmp_path):
     assert lines[0] == "a,b,psi"
     assert len(lines) == 1 + 6  # upper triangle of a 3x3 grid
     assert all(float(line.split(",")[2]) == 0.0 for line in lines[1:])
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_psi_map_takes_no_j(how, data_csv, tmp_path, monkeypatch, capsys):
+    # a bias factor has no batch size, so --j would be read by nothing
+    work = _forbid_work(monkeypatch, tmp_path)
+    run = {**small_runs(data_csv)["psi-map"], "j": 7, "out": "o.out"}
+    assert main(_flag_or_config("psi-map", run, how, tmp_path)) == 1
+    expected = "unrecognized arguments: --j 7" if how == "flag" else "unknown config key 'j'"
+    assert expected in _only_error_line(capsys.readouterr().err)
+    assert list(work.iterdir()) == []
+
+
+def test_relbias_map_j_below_two_exits_one(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert main(["relbias-map", "--model", "phase", "--grid", "0:1:3", "--j", "1", "--out", str(out)]) == 1
+    assert _only_error_line(capsys.readouterr().err) == "error: relative-bias maps need J > 1"
+    assert not out.exists()
+
+
+#: Inputs the CLI refuses itself, with a fragment of each one's message.
+BAD_INPUTS = {
+    "grid count not a number": (["psi-map", "--model", "phase", "--grid", "0:1:x"],
+                                "bad grid '0:1:x'; expected numeric lo:hi:N"),
+    "law not JSON": (["bias-sweep", "--model", "phase", "--y-dist", "{kind"],
+                     "bad distribution JSON"),
+    "unreadable data CSV": (["pipeline", "--model", "additive", "--data", "missing.csv"],
+                            "cannot read data CSV"),
+    "range naming no value": (["mean-var", "--model", "phase", "--q", ","],
+                              "range ',' names no value"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_one_without_artifact(case, tmp_path, monkeypatch, capsys):
+    argv, fragment = BAD_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "o.out"]) == 1
+    assert fragment in _only_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_relbias_map_json_uses_null_for_undefined(tmp_path):
@@ -852,18 +921,24 @@ def test_pipeline_overflowing_mean_exits_one_without_artifact(tmp_path, capsys):
 # JSON artifacts
 
 
-def _nan_to_none(obj):
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _nan_to_none(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_nan_to_none(v) for v in obj]
-    return obj
-
-
-def _json_oracle(obj) -> str:
-    return json.dumps(_nan_to_none(obj), indent=2, allow_nan=False)
+def _assert_one_item_per_line(text: str) -> None:
+    """The artifact layout: the payload's brackets on their own lines, and
+    between them one top-level item per line that parses alone."""
+    payload = json.loads(text)
+    lines = text.split("\n")
+    assert lines[-1] == "", "the artifact ends with a newline"
+    opening, *items, closing = lines[:-1]
+    brackets = "{}" if isinstance(payload, dict) else "[]"
+    assert (opening, closing) == tuple(brackets)
+    assert len(items) == len(payload)
+    for i, line in enumerate(items):
+        assert line.startswith("  ") and not line.startswith("   "), line
+        body = line[2:]
+        if i < len(items) - 1:
+            assert body.endswith(","), line
+            body = body[:-1]
+        item = json.loads(brackets[0] + body + brackets[1])
+        assert len(item) == 1, line
 
 
 def _pipeline_payload(tmp_path, monkeypatch, k: int) -> dict:
@@ -895,28 +970,45 @@ JSON_CORPUS = {
     "string scalar": "ü",
 }
 
+#: The corpus cases that hold a NaN, which no artifact may carry.
+NAN_CASES = {"nested", "mixed list", "tuple", "nan scalar"}
 
-@pytest.mark.parametrize("obj", JSON_CORPUS.values(), ids=JSON_CORPUS.keys())
-def test_json_writer_matches_the_stdlib_encoder(obj):
-    assert cli._json_text(obj) == _json_oracle(obj)
+
+@pytest.mark.parametrize("name", JSON_CORPUS, ids=JSON_CORPUS.keys())
+def test_json_writer_matches_the_stdlib_encoder(name, tmp_path):
+    obj, path = JSON_CORPUS[name], tmp_path / "x.json"
+    if name in NAN_CASES:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json(path, {"x": obj})
+        assert not path.exists()
+        return
+    cli._write_json(path, {"x": obj})
+    assert path.read_text() == '{\n  "x": ' + json.dumps(obj, allow_nan=False) + "\n}\n"
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_json_writer_matches_the_stdlib_encoder_on_pipeline_payloads(k, tmp_path, monkeypatch):
+    write_json = cli._write_json  # taken before _pipeline_payload replaces it
     payload = _pipeline_payload(tmp_path, monkeypatch, k)
     assert len(payload["input_cov"]) == k
-    assert cli._json_text(payload) == _json_oracle(payload)
+    path = tmp_path / "p.json"
+    write_json(path, payload)
+    text = path.read_text()
+    items = (f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in payload.items())
+    assert text == "{\n" + ",\n".join(items) + "\n}\n"
+    _assert_one_item_per_line(text)
+    assert json.loads(text) == payload
 
 
 @pytest.mark.parametrize("inf", [math.inf, -math.inf])
 @pytest.mark.parametrize("shape", ["scalar", "float list", "nan row", "mixed list", "nested"])
-def test_json_writer_refuses_infinity(inf, shape):
+def test_json_writer_refuses_infinity(inf, shape, tmp_path):
     obj = {"scalar": inf, "float list": [1.0, inf], "nan row": [NAN, inf], "mixed list": [1, inf],
            "nested": {"x": [[NAN, 2.0], [inf]]}}[shape]
-    with pytest.raises(ValueError):
-        _json_oracle(obj)
-    with pytest.raises(ValueError):
-        cli._json_text(obj)
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(path, {"x": obj})
+    assert not path.exists()
 
 
 def test_infinite_json_value_exits_one_without_artifact(tmp_path, monkeypatch, capsys):
@@ -929,19 +1021,38 @@ def test_infinite_json_value_exits_one_without_artifact(tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
+def test_nan_outside_a_map_exits_one_without_artifact(tmp_path, monkeypatch, capsys):
+    # only a map cell may be undefined; a NaN anywhere else is refused
+    nan_result = cli.experiments.EstimateResult(point=NAN, std_error=1.0, trials=100)
+    monkeypatch.setattr(cli.experiments, "estimate_combine_bias", lambda cfg: nan_result)
+    monkeypatch.chdir(tmp_path)
+    assert main(bias_sweep_args("b.json", ("--format", "json"))) == 1
+    assert "not JSON compliant" in _only_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_json_artifacts_round_trip_through_the_stdlib(data_csv, tmp_path):
+    def out(name):
+        return tmp_path / f"{name}.json"
+
+    json_runs = {
+        "psi-map": ["psi-map", "--model", "exponential", "--grid", "0:2:3"],
+        "relbias-map": ["relbias-map", "--model", "exponential", "--grid", "0:2:3"],
+        "lemmas": ["lemmas", "--trials", "200"],
+        "vardiff": ["vardiff", "--model", "additive", "--q", "3,4", "--trials", "200"],
+        "mean-var": ["mean-var", "--model", "multiplicative", "--q", "3", "--trials", "200"],
+    }
     calls = {
-        "pipeline": pipeline_args(data_csv, tmp_path / "pipeline.json"),
-        "relbias-map": ["relbias-map", "--model", "exponential", "--grid", "0:2:3", "--format", "json",
-                        "--out", str(tmp_path / "relbias-map.json")],
-        "lemmas": ["lemmas", "--trials", "200", "--format", "json", "--out", str(tmp_path / "lemmas.json")],
-        "bias-sweep": bias_sweep_args(tmp_path / "bias-sweep.json", ("--format", "json")),
+        "pipeline": pipeline_args(data_csv, out("pipeline")),
+        "bias-sweep": bias_sweep_args(out("bias-sweep"), ("--format", "json")),
+        **{name: [*argv, "--format", "json", "--out", str(out(name))] for name, argv in json_runs.items()},
     }
     for name, argv in calls.items():
         assert main(argv) == 0
-        text = (tmp_path / f"{name}.json").read_text()
-        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
-    assert "null" in (tmp_path / "relbias-map.json").read_text()
+        text = out(name).read_text()
+        _assert_one_item_per_line(text)
+        # undefined map cells are null; nothing else is
+        assert ("null" in text) == name.endswith("-map"), name
 
 
 def test_pipeline_s_dist_width_must_match_data(data_csv, tmp_path):

@@ -938,3 +938,47 @@ def test_regression_sweep_z_scores():
         if z > 3.0:
             bad += 1
     assert bad <= 1, f"{bad} configs exceeded |z|=3 (worst {worst:.2f})"
+
+
+# --------------------------------------------------------------------------
+# input checks: each refusal once, with no sampling
+
+
+def _cfg(estimand, **kw):
+    if estimand == "lemma_check":
+        return ExperimentConfig(estimand=estimand, trials=100, lemma_id=5, **kw)
+    return ExperimentConfig(estimand=estimand, trials=100, scenario=mult_standard(), **kw)
+
+
+INPUT_CHECKS = {
+    "map grid without points": (lambda: MapSpec(kernel=PHASE, n=0), "at least one point"),
+    "map grid reversed": (lambda: MapSpec(kernel=PHASE, lo=2.0, hi=1.0), "interval is reversed"),
+    "map batch of one": (lambda: MapSpec(kernel=PHASE, j=1), "need J > 1"),
+    "block size zero": (lambda: _cfg("combine_bias_current", block_size=0), "block_size must be"),
+    "no workers": (lambda: _cfg("combine_bias_current", workers=0), "workers must be positive"),
+    "lemma n below two": (lambda: _cfg("lemma_check", lemma_n=1), "needs N >= 2"),
+    "lemma u2 negative": (lambda: _cfg("lemma_check", lemma_u2=-0.5), "needs u2 >= 0"),
+    "bias of another estimand": (lambda: estimate_combine_bias(_cfg("mean_variance")),
+                                 "not a combine-bias estimand"),
+    "mean variance of another estimand": (lambda: estimate_mean_variance(_cfg("vardiff_reldiff")),
+                                          "not a mean_variance config"),
+    "vardiff of another estimand": (lambda: estimate_vardiff(_cfg("mean_variance")),
+                                    "not a vardiff config"),
+    "psi oracle of one draw": (lambda: bias_factor_current_oracle(mult_standard(), 1, RngStream(0)),
+                               "at least two draws"),
+    "relbias oracle of one draw a chunk": (
+        lambda: relbias_current_oracle(mult_standard(), 19, RngStream(0)), "two draws per chunk"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check_refuses(case, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled before the check")
+
+    monkeypatch.setattr(experiments, "_run_blocks", no_work)
+    monkeypatch.setattr(experiments.models, "sample", no_work)
+    call, fragment = INPUT_CHECKS[case]
+    with pytest.raises(DomainError, match=fragment):
+        call()

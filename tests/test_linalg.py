@@ -235,3 +235,23 @@ def test_lapack_failure_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NumericalError):
         sym_eigendecompose(np.eye(2))
+
+
+# --------------------------------------------------------------------------
+# input checks: each refusal once
+
+
+INPUT_CHECKS = {
+    "rows of one dimension": (lambda: sample_covariance(np.ones(3)), "ndim=1"),
+    "non-finite rows": (lambda: sample_covariance([[1.0], [np.inf]]), "rows contains non-finite"),
+    "one paired row": (lambda: cross_covariance(np.ones((1, 2)), np.ones((1, 2))),
+                       "at least two rows, got 1"),
+    "non-square matrix": (lambda: sym_eigendecompose(np.ones((2, 3))), r"got shape \(2, 3\)"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check_refuses(case):
+    call, fragment = INPUT_CHECKS[case]
+    with pytest.raises(DomainError, match=fragment):
+        call()

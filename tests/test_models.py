@@ -12,6 +12,7 @@ from mcombine.models import (
     EXPONENTIAL,
     MULTIPLICATIVE,
     PHASE,
+    CentralMoments,
     Normal,
     ScalarKernel,
     TwoPoint,
@@ -298,3 +299,53 @@ def test_dist_json_round_trip():
 def test_dist_json_rejects_unknown_family():
     with pytest.raises(DomainError):
         dist_from_json({"family": "cauchy", "loc": 0.0})
+
+
+# --------------------------------------------------------------------------
+# input checks: each refusal once
+
+
+class _NotALaw:
+    """Looks like a scalar law to code that only reads ``k``."""
+
+    k = 1
+
+
+INPUT_CHECKS = {
+    "named kernel with a callable": (lambda: ScalarKernel("phase", fn=np.add),
+                                     "named kernels do not take a callable"),
+    "matrix as a mean": (lambda: Normal(mean=[[0.0]], cov=[[1.0]]), "mean must be a vector"),
+    "non-finite bound": (lambda: Uniform(lo=[np.nan], hi=[1.0]), "lo contains non-finite"),
+    "cov of the wrong shape": (lambda: Normal(mean=[0.0, 0.0], cov=[[1.0]]),
+                               r"cov shape \(1, 1\) does not match mean length 2"),
+    "non-finite cov": (lambda: Normal(mean=[0.0], cov=[[np.inf]]), "cov contains non-finite"),
+    "uniform bounds of unequal length": (lambda: Uniform(lo=[0.0, 0.0], hi=[1.0]),
+                                         "lo and hi must have equal length"),
+    "two-point values of unequal length": (lambda: TwoPoint(a=[0.0], b=[1.0, 2.0]),
+                                           "a and b must have equal length"),
+    "no draws": (lambda: sample(Normal(mean=[0.0], cov=[[1.0]]), 0, RngStream(0)), "sample needs n >= 1, got 0"),
+    "sample of a non-law": (lambda: sample(_NotALaw(), 3, RngStream(0)), "unknown distribution spec"),
+    "moments of a non-law": (lambda: moments(_NotALaw()), "unknown distribution spec"),
+    "JSON of a non-law": (lambda: dist_to_json(_NotALaw()), "unknown distribution spec"),
+    "negative variance": (lambda: CentralMoments(0.0, -1.0, 0.0, 1.0), "variance must be non-negative"),
+    "fourth moment too small": (lambda: CentralMoments(0.0, 1.0, 0.0, 0.5),
+                                "fourth central moment below variance squared"),
+    "unknown kernel name": (lambda: kernel_from_json("foo"), "kernel must be one of"),
+    "kernel name not a string": (lambda: kernel_from_json(1), "kernel must be one of"),
+    "law missing a field": (lambda: dist_from_json({"kind": "normal", "mean": [0.0]}),
+                            "missing field 'cov'"),
+    "unknown law kind": (lambda: dist_from_json({"kind": "beta"}), "unknown distribution kind 'beta'"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check_refuses(case):
+    call, fragment = INPUT_CHECKS[case]
+    with pytest.raises(DomainError, match=fragment):
+        call()
+
+
+def test_normal_scalar_cov_is_a_one_by_one_matrix():
+    scalar, matrix = Normal(mean=[0.0], cov=2.0), Normal(mean=[0.0], cov=[[2.0]])
+    assert np.array_equal(scalar.cov, matrix.cov) and scalar.cov.shape == (1, 1)
+    assert np.array_equal(scalar._factor, matrix._factor)

@@ -414,3 +414,43 @@ def test_stacked_combine_equals_per_batch_loop(kernel, construction):
         assert np.array_equal(out.nominal[i], one.nominal)
         assert np.array_equal(out.input_cov[i], one.input_cov)
         assert np.array_equal(out.replicates[i], one.replicates)
+
+
+# --------------------------------------------------------------------------
+# input checks: each refusal once
+
+
+def _transform(j=5, q=7, k=2):
+    return transform_stage(_batch(j, k), _shared_errors(q, k), MULTIPLICATIVE, np.ones(k))
+
+
+INPUT_CHECKS = {
+    "data rows of one dimension": (lambda: DataBatch(np.ones(3)), "data rows must form"),
+    "error rows of one dimension": (lambda: ErrorBatch(np.ones(3)), "error rows must form"),
+    "no error draws": (lambda: ErrorBatch(np.ones((0, 2))), "error batch is empty"),
+    "non-finite error": (lambda: ErrorBatch([[0.0, np.nan]]), "errors contain non-finite"),
+    "error width unlike the data's": (
+        lambda: transform_stage(_batch(k=2), _shared_errors(k=3), MULTIPLICATIVE, np.ones(2)),
+        "error vectors have length 3, data has K=2",
+    ),
+    "kernel values of the wrong shape": (
+        lambda: transform_stage(_batch(), _shared_errors(), ScalarKernel("custom", fn=lambda y, s: np.zeros(3)),
+                                np.ones(2)),
+        r"custom kernel returned shape \(3,\), expected \(5, 2\)",
+    ),
+    "synthesis noise of the wrong shape": (
+        lambda: combine_with_noise(_transform(), np.zeros((7, 3)), "current"),
+        r"z must have shape \(\.\.\., Q, K\) = \(7, 2\)",
+    ),
+    "unknown construction": (
+        lambda: combine_with_noise(_transform(), np.zeros((7, 2)), "both"),
+        "unknown construction 'both'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check_refuses(case):
+    call, fragment = INPUT_CHECKS[case]
+    with pytest.raises(DomainError, match=fragment):
+        call()
