@@ -178,7 +178,7 @@ def _scenario_law(s: ScalarScenario, what: str) -> tuple[float, float, float]:
         if a < 0.0:
             raise DomainError("exponential kernel requires data support with a >= 0")
         if a == 0.0 and b == 0.0:
-            raise DomainError("exponential kernel requires positive data; Unif[0,0] is degenerate at 0")
+            raise DomainError("exponential kernel on Unif[0,0] has f = 0, so a zero target variance")
     else:
         raise DomainError(f"no {what} for kernel {kind!r}")
     return _error_law(kind, s.s_dist)
@@ -206,19 +206,23 @@ def _exp_mean(y: np.ndarray, alpha: float) -> np.ndarray:
 def exponential_conditional_mean(y, alpha: float):
     """E[y**S] for S ~ Unif[1−α, 1+α]: y·sinh(α·ln y)/(α·ln y).
 
-    Accepts scalars or arrays with y > 0 and 0 < α ≤ 1.  Near y = 1
-    (|ln y| < 1e-6) the ratio is evaluated by its even series
-    1 + x²/6 + x⁴/120 to avoid 0/0.
+    Accepts scalars or arrays with y >= 0 and 0 < α ≤ 1; at y = 0 it is
+    E[0**S] = 0.  Near y = 1 (|ln y| < 1e-6) the ratio is evaluated by its
+    even series 1 + x²/6 + x⁴/120 to avoid 0/0.
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    arr = np.asarray(y, dtype=float)
-    if not np.all(arr > 0.0):
-        raise DomainError("exponential conditional mean requires y > 0")
-    out = _exp_mean(np.atleast_1d(arr), alpha).reshape(arr.shape)
-    if np.isscalar(y):
-        return float(out)
-    return out
+    arr = np.atleast_1d(np.asarray(y, dtype=float))
+    if not np.all(arr >= 0.0):
+        raise DomainError("exponential conditional mean requires y >= 0")
+    if arr.all():
+        out = _exp_mean(arr, alpha)
+    else:  # the masked copy only when a zero is present
+        zero = arr == 0.0
+        out = _exp_mean(np.where(zero, 1.0, arr), alpha)
+        out[zero] = 0.0
+    out = out.reshape(np.shape(y))
+    return float(out) if np.isscalar(y) else out
 
 
 def _endpoint_terms(kind: str, e, x) -> tuple[np.ndarray, np.ndarray]:

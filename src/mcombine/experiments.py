@@ -126,11 +126,8 @@ class MapSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("map grid needs at least one point per axis")
-        if self.n * self.n > pipeline._MAX_ELEMS:
-            raise DomainError(
-                f"a {self.n}x{self.n} map grid holds {self.n * self.n} values, more than the "
-                f"limit of {pipeline._MAX_ELEMS} (1 GiB of float64)"
-            )
+        cells = self.n * self.n
+        pipeline._require_fits(cells, f"a {self.n}x{self.n} map grid holds {cells} values")
         # an infinite or NaN end also makes the span non-finite
         if not math.isfinite(self.hi - self.lo):
             raise DomainError(f"map grid needs finite ends and span, got {self.lo}:{self.hi}")
@@ -185,11 +182,8 @@ class ExperimentConfig:
             raise DomainError(f"unknown estimand {self.estimand!r}; expected one of {ESTIMANDS}")
         if self.trials < 100:
             raise DomainError(f"need at least 100 trials, got {self.trials}")
-        if self.trials > pipeline._MAX_ELEMS // 8:
-            raise DomainError(
-                f"{self.trials} trials keep up to {8 * self.trials} per-trial values, more than "
-                f"the limit of {pipeline._MAX_ELEMS} (1 GiB of float64)"
-            )
+        values = 8 * self.trials
+        pipeline._require_fits(values, f"{self.trials} trials keep up to {values} per-trial values")
         if self.block_size < 1:
             raise DomainError("block_size must be positive")
         if self.workers < 1:
@@ -202,12 +196,8 @@ class ExperimentConfig:
             if self.lemma_u2 < 0.0:
                 raise DomainError("lemma 5 needs u2 >= 0")
             need = self.block_size * max(8, self.lemma_n)
-            if need > pipeline._MAX_ELEMS:
-                raise DomainError(
-                    f"a lemma block of {self.block_size} trials draws up to {need} values "
-                    f"(max(8, N) a trial, N = {self.lemma_n}), more than the limit of "
-                    f"{pipeline._MAX_ELEMS} (1 GiB of float64)"
-                )
+            pipeline._require_fits(need, f"a lemma block of {self.block_size} trials draws up to "
+                                   f"{need} values (max(8, N) a trial, N = {self.lemma_n})")
             return
         if self.scenario is None:
             raise DomainError(f"{self.estimand} requires a scenario")
@@ -289,9 +279,7 @@ def _draw_y_s(cfg: ExperimentConfig, stage: int, block: int, s_cols: int | None 
     sc = cfg.scenario
     rows = _block_rows(cfg, block)
     bs = cfg.block_size
-    reject = sc.kernel.kind == "exponential"
-    y = models.sample(sc.y_dist, bs * sc.j, _stream(cfg, stage, block, _ROLE_Y),
-                      reject_zero=reject)
+    y = models.sample(sc.y_dist, bs * sc.j, _stream(cfg, stage, block, _ROLE_Y))
     q = sc.q if s_cols is None else s_cols
     s = models.sample(sc.s_dist, bs * q, _stream(cfg, stage, block, _ROLE_S))
     return y.reshape(bs, sc.j)[:rows], s.reshape(bs, q)[:rows]
@@ -739,11 +727,11 @@ def bias_factor_current_oracle(
     """
     if trials < 2:
         raise DomainError("oracle needs at least two draws")
-    reject = scenario.kernel.kind == "exponential"
     nu = float(scenario.s_dist.mean_vector()[0])
-    y = models.sample(scenario.y_dist, trials, stream.substream(_ROLE_Y), reject_zero=reject)[:, 0]
-    f_nom = kernel_eval(scenario.kernel, y, np.asarray(nu))
+    y = models.sample(scenario.y_dist, trials, stream.substream(_ROLE_Y))[:, 0]
+    # the conditional mean's temporaries are freed before f_nom exists
     m = analytics.conditional_mean_given_y(scenario, y)
+    f_nom = kernel_eval(scenario.kernel, y, np.asarray(nu))
     del y
     # centred and squared in place, with no further arrays of the draws' size
     for v in (f_nom, m):
@@ -772,7 +760,6 @@ def relbias_current_oracle(
     """
     if trials < 2 * _ORACLE_CHUNKS:
         raise DomainError("oracle needs at least two draws per chunk")
-    reject = scenario.kernel.kind == "exponential"
     jj = float(scenario.j)
     nu = float(scenario.s_dist.mean_vector()[0])
     per = trials // _ORACLE_CHUNKS
@@ -780,9 +767,7 @@ def relbias_current_oracle(
     for c in range(_ORACLE_CHUNKS):
         gy = stream.substream(c, 0)
         gs = stream.substream(c, 1)
-        y1, y2, y3 = (
-            models.sample(scenario.y_dist, per, gy, reject_zero=reject)[:, 0] for _ in range(3)
-        )
+        y1, y2, y3 = (models.sample(scenario.y_dist, per, gy)[:, 0] for _ in range(3))
         s = models.sample(scenario.s_dist, per, gs)[:, 0]
         f1 = kernel_eval(scenario.kernel, y1, s)
         f2 = kernel_eval(scenario.kernel, y2, s)

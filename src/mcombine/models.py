@@ -89,8 +89,11 @@ def kernel_eval(kernel: ScalarKernel, y, s) -> np.ndarray:
         arg = np.add(y, s, out=np.empty(np.broadcast_shapes(y.shape, s.shape)))
         return np.sin(arg, out=arg)
     if kernel.kind == "exponential":
-        if not np.all(y > 0.0):
-            raise DomainError("exponential kernel requires y > 0")
+        if not np.all(y >= 0.0):
+            raise DomainError("exponential kernel requires y >= 0")
+        # 0**s is 0 for s > 0 and 1 at s = 0; a negative power of 0 has no value
+        if not y.all() and np.any((y == 0.0) & (s < 0.0)):
+            raise DomainError("exponential kernel has no value at y = 0 with s < 0")
         return y**s
     return np.asarray(kernel.fn(y, s), dtype=float)
 
@@ -258,28 +261,13 @@ class TwoPoint:
 DistSpec = Union[Normal, Uniform, TwoPoint]
 
 
-def _require_not_zero_mass(dist: DistSpec) -> None:
-    """Raise when a component of ``dist`` is a point mass at 0.
-
-    Zero-rejection redraws of such a component could never end.
-    """
-    stuck = (np.diag(dist.covariance()) == 0.0) & (dist.mean_vector() == 0.0)
-    if np.any(stuck):
-        raise DomainError("cannot reject zero draws: a component of the law is a point mass at 0")
-
-
-def sample(dist: DistSpec, n: int, stream: RngStream, *, reject_zero: bool = False) -> NDArray[np.float64]:
+def sample(dist: DistSpec, n: int, stream: RngStream) -> NDArray[np.float64]:
     """Draw ``n`` i.i.d. rows from ``dist`` using ``stream``.
 
     Normal draws are built as mean + factor @ z with the covariance's
     scaled rotation factor (computed when the law is built), so a
     synthesized normal sample and a covariance-matched replicate synthesis
     share one code path.
-
-    ``reject_zero`` redraws rows containing an exactly-zero component —
-    used when the draws feed the exponential kernel, whose base must stay
-    positive (a measure-zero event under the distributions involved, but
-    floating-point uniforms can hit an endpoint exactly).
     """
     if n < 1:
         raise DomainError(f"sample needs n >= 1, got {n}")
@@ -300,13 +288,6 @@ def sample(dist: DistSpec, n: int, stream: RngStream, *, reject_zero: bool = Fal
         out = np.where(pick[:, None], dist.a[None, :], dist.b[None, :])
     else:
         raise DomainError(f"unknown distribution spec {type(dist).__name__}")
-    if reject_zero:
-        _require_not_zero_mass(dist)
-        bad = np.any(out == 0.0, axis=1)
-        while np.any(bad):
-            replacement = sample(dist, int(bad.sum()), stream)
-            out[bad] = replacement
-            bad = np.any(out == 0.0, axis=1)
     return out
 
 
@@ -329,25 +310,32 @@ class CentralMoments:
 
 def moments(dist: DistSpec) -> CentralMoments:
     """Closed-form central moments of a scalar distribution."""
+    if not isinstance(dist, (Normal, Uniform, TwoPoint)):
+        raise DomainError(f"unknown distribution spec {type(dist).__name__}")
     if dist.k != 1:
         raise DomainError("moments supports scalar (K=1) distributions only")
-    if isinstance(dist, Normal):
-        mu = float(dist.mean[0])
-        var = float(dist.cov[0, 0])
-        return CentralMoments(mu, var, 0.0, 3.0 * var**2)
-    if isinstance(dist, Uniform):
-        lo, hi = float(dist.lo[0]), float(dist.hi[0])
-        width = hi - lo
-        return CentralMoments(0.5 * (lo + hi), width**2 / 12.0, 0.0, width**4 / 80.0)
-    if isinstance(dist, TwoPoint):
-        a, b, p = float(dist.a[0]), float(dist.b[0]), dist.p
-        mean = p * a + (1.0 - p) * b
-        d = a - b
-        var = p * (1.0 - p) * d**2
-        third = p * (1.0 - p) * (1.0 - 2.0 * p) * d**3
-        fourth = p * (1.0 - p) * ((1.0 - p) ** 3 + p**3) * d**4
-        return CentralMoments(mean, var, third, fourth)
-    raise DomainError(f"unknown distribution spec {type(dist).__name__}")
+    try:  # Python float powers raise OverflowError where numpy gives inf
+        if isinstance(dist, Normal):
+            mu = float(dist.mean[0])
+            var = float(dist.cov[0, 0])
+            values = (mu, var, 0.0, 3.0 * var**2)
+        elif isinstance(dist, Uniform):
+            lo, hi = float(dist.lo[0]), float(dist.hi[0])
+            width = hi - lo
+            values = (0.5 * (lo + hi), width**2 / 12.0, 0.0, width**4 / 80.0)
+        else:
+            a, b, p = float(dist.a[0]), float(dist.b[0]), dist.p
+            mean = p * a + (1.0 - p) * b
+            d = a - b
+            var = p * (1.0 - p) * d**2
+            third = p * (1.0 - p) * (1.0 - 2.0 * p) * d**3
+            fourth = p * (1.0 - p) * ((1.0 - p) ** 3 + p**3) * d**4
+            values = (mean, var, third, fourth)
+    except OverflowError:
+        values = (np.inf,)
+    if not np.all(np.isfinite(values)):
+        raise DomainError("law has central moments beyond the float64 range")
+    return CentralMoments(*values)
 
 
 # --------------------------------------------------------------------------

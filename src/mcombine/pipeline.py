@@ -158,11 +158,14 @@ def _require_size(q: int, j: int, k: int = 1, block_size: int = 1) -> None:
     without a separable form builds a J·Q·K tensor.
     """
     need = max(block_size * j, block_size * q, j * q) * k
+    _require_fits(need, f"Q = {q} with J = {j}, K = {k} and block size {block_size} needs an "
+                  f"array of {need} values")
+
+
+def _require_fits(need: int, what: str) -> None:
+    """Refuse ``what``, which needs ``need`` float64 values, past ``_MAX_ELEMS``."""
     if need > _MAX_ELEMS:
-        raise DomainError(
-            f"Q = {q} with J = {j}, K = {k} and block size {block_size} needs an array of "
-            f"{need} values, more than the limit of {_MAX_ELEMS} (1 GiB of float64)"
-        )
+        raise DomainError(f"{what}, more than the limit of {_MAX_ELEMS} (1 GiB of float64)")
 
 
 def _kernel_values(kernel: ScalarKernel, y, s, shape: tuple[int, ...]):

@@ -187,9 +187,7 @@ def _alternative_factor_mc(s, stream, draws):
     the exact conditionals, so the only error is the outer sampling error.
     """
     s_draws = sample(s.s_dist, draws, stream.substream(0))[:, 0]
-    y_draws = sample(
-        s.y_dist, draws, stream.substream(1), reject_zero=s.kernel.kind == "exponential"
-    )[:, 0]
+    y_draws = sample(s.y_dist, draws, stream.substream(1))[:, 0]
     v = conditional_variance_given_s(s, s_draws)
     m = conditional_mean_given_y(s, y_draws)
     mean_v = float(v.mean())
@@ -516,6 +514,15 @@ def test_exponential_k_matches_integration_broadly():
     got = exponential_conditional_mean(ys, alpha)
     want = [_exponential_k_by_integration(float(y), alpha, 100_001) for y in ys]
     assert np.allclose(got, want, rtol=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.95, 1.0])
+def test_exponential_k_is_zero_at_zero(alpha):
+    # E[0**S] = 0: S >= 1 - alpha >= 0, and S = 0 has probability 0
+    assert exponential_conditional_mean(0.0, alpha) == 0.0
+    got = exponential_conditional_mean(np.array([2.0, 0.0, 1.0]), alpha)
+    assert got[1] == 0.0
+    assert np.array_equal(got[[0, 2]], exponential_conditional_mean(np.array([2.0, 1.0]), alpha))
 
 
 def test_exponential_k_rejects_bad_domain():

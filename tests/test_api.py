@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import re
 import shlex
@@ -43,6 +44,37 @@ TOP_LEVEL_API = [
 
 def test_top_level_api_is_the_pinned_list():
     assert mcombine.__all__ == TOP_LEVEL_API
+
+
+#: The parameters with a default (the knobs) of each function and class in
+#: ``mcombine.__all__`` that has any, pinned so that a knob added or dropped
+#: shows up as a change to this dict.
+PUBLIC_KNOBS = {
+    "EstimateResult": ["analytic_reference", "extras"],
+    "ExperimentConfig": ["trials", "scenario", "master_seed", "salt", "block_size", "workers",
+                         "lemma_id", "lemma_u2", "lemma_n"],
+    "MapSpec": ["alpha", "lo", "hi", "n", "j"],
+    "RngStream": ["path"],
+    "ScalarKernel": ["fn"],
+    "TwoPoint": ["p"],
+    "run_map": ["relative"],
+}
+
+
+def _knobs(obj):
+    try:
+        params = inspect.signature(obj).parameters.values()
+    except ValueError:  # exception classes have no Python signature
+        return []
+    return [p.name for p in params if p.default is not p.empty]
+
+
+def test_public_knobs_are_the_pinned_dict():
+    objs = {name: getattr(mcombine, name) for name in mcombine.__all__}
+    knobs = {name: _knobs(obj) for name, obj in objs.items()
+             if inspect.isfunction(obj) or inspect.isclass(obj)}
+    assert {name: k for name, k in knobs.items() if k} == PUBLIC_KNOBS
+    assert list(inspect.signature(mcombine.sample).parameters) == ["dist", "n", "stream"]
 
 
 def _perfbench_module(name):

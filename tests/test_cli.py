@@ -1171,3 +1171,43 @@ def test_bias_sweep_zero_point_mass_exits_one(tmp_path):
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_bias_sweep_exponential_samples_an_atom_at_zero(tmp_path):
+    # the atom at 0 is sampled as given, so two_point(0, 2) is not two_point(2, 2)
+    artifacts = []
+    for a in (0, 2):
+        out = tmp_path / f"a{a}.csv"
+        law = f'{{"kind":"two_point","a":[{a}],"b":[2]}}'
+        argv = ["bias-sweep", "--model", "exponential", "--y-dist", law, "--q", "3"]
+        assert main([*argv, "--trials", "200", "--out", str(out)]) == 0
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] != artifacts[1]
+
+
+def test_vardiff_exponential_on_data_stuck_at_zero_is_the_multiplicative_artifact(tmp_path):
+    # f = 0 on every draw under both kernels: reldiff 0 +/- 0
+    zero = '{"kind":"uniform","lo":[0],"hi":[0]}'
+    artifacts = []
+    for model in ("exponential", "multiplicative"):
+        out = tmp_path / f"{model}.csv"
+        argv = ["vardiff", "--model", model, "--y-dist", zero, "--q", "3", "--trials", "100"]
+        assert main([*argv, "--out", str(out)]) == 0
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1]
+
+
+def test_pipeline_exponential_takes_zero_data_under_nonnegative_errors(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("y_1\n0\n1.5\n2\n")
+    out = tmp_path / "p.json"
+    argv = ["pipeline", "--data", str(data), "--model", "exponential", "--out", str(out)]
+    assert main([*argv, "--s-dist", '{"kind":"uniform","lo":[0.05],"hi":[1.95]}']) == 0
+    assert out.exists()
+    out.unlink()
+    capsys.readouterr()
+    # normal errors around nu = 1 go negative, and 0 has no negative power
+    assert main([*argv, "--nu", "1"]) == 1
+    line = _only_error_line(capsys.readouterr().err)
+    assert line == "error: exponential kernel has no value at y = 0 with s < 0"
+    assert not out.exists()

@@ -255,12 +255,27 @@ def test_combine_bias_exponential_has_mc_reference():
     ids=["uniform", "two_point", "normal"],
 )
 def test_combine_bias_exponential_zero_point_mass_fails_fast(y_dist):
-    # the exponential kernel redraws zero data; a law stuck at 0 must not hang
+    # data stuck at 0 give f = 0 under y**s, so the target variance is 0
     sc = ScalarScenario(
         kernel=EXPONENTIAL, y_dist=y_dist, s_dist=Uniform(lo=[0.05], hi=[1.95]), j=4, q=10
     )
     with pytest.raises(DomainError):
         estimate_combine_bias(cfg_bias(sc, "current", trials=1_000))
+
+
+def test_combine_bias_exponential_samples_an_atom_at_zero_as_given():
+    # the named kernel and an opaque y**s twin see the same draws, zeros included
+    y_dist, s_dist = TwoPoint(a=[0.0], b=[2.0]), Uniform(lo=[0.05], hi=[1.95])
+    twin = ScalarKernel("custom", fn=lambda y, s: y**s)
+    named, custom = (
+        estimate_combine_bias(
+            cfg_bias(ScalarScenario(kernel=kernel, y_dist=y_dist, s_dist=s_dist, j=4, q=10),
+                     trials=2_000, seed=3)
+        )
+        for kernel in (EXPONENTIAL, twin)
+    )
+    assert named.point == custom.point and named.std_error == custom.std_error
+    assert named.extras == custom.extras
 
 
 def test_combine_bias_custom_kernel_uses_oracle_target():

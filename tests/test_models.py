@@ -25,6 +25,7 @@ from mcombine.models import (
     moments,
     sample,
 )
+from mcombine.pipeline import DataBatch, ErrorBatch, transform_stage
 from mcombine.rng import RngStream
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-50, max_value=50)
@@ -59,10 +60,13 @@ def test_exponential_kernel(y, s):
 
 
 def test_exponential_rejects_nonpositive_data():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="requires y >= 0"):
         kernel_eval(EXPONENTIAL, -1.0, 0.5)
-    with pytest.raises(DomainError):
-        kernel_eval(EXPONENTIAL, np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+    with pytest.raises(DomainError, match="no value at y = 0 with s < 0"):
+        kernel_eval(EXPONENTIAL, np.array([1.0, 0.0]), np.array([-0.5, -0.5]))
+    # y = 0 itself is in the domain: 0**s is 1 at s = 0 and 0 for s > 0
+    got = kernel_eval(EXPONENTIAL, np.zeros(3), np.array([0.0, 0.5, 2.0]))
+    assert np.array_equal(got, [1.0, 0.0, 0.0])
 
 
 def test_kernel_eval_broadcasts_like_scalar_loop():
@@ -184,11 +188,16 @@ def test_normal_sampling_moments():
     assert np.allclose(np.cov(rows, rowvar=False), cov, atol=0.03)
 
 
-def test_reject_zero_redraws_exact_zeros():
-    # degenerate two-point law where one branch is exactly zero
+def test_exact_zeros_are_sampled_as_given():
+    # a two-point law with an atom at 0: the zeros stay, and the exponential
+    # kernel is exactly 0 there
     d = TwoPoint(a=[0.0], b=[1.0], p=0.9)
-    rows = sample(d, 500, RngStream(4), reject_zero=True)
-    assert np.all(rows != 0.0)
+    rows = sample(d, 500, RngStream(4))
+    zero = rows[:, 0] == 0.0
+    assert 0.85 < zero.mean() < 0.95
+    assert np.all(rows[~zero] == 1.0)
+    f = kernel_eval(EXPONENTIAL, rows, 0.5)
+    assert np.all(f[zero] == 0.0) and np.all(f[~zero] == 1.0)
 
 
 @pytest.mark.parametrize(
@@ -200,10 +209,14 @@ def test_reject_zero_redraws_exact_zeros():
     ],
     ids=["uniform", "two_point", "normal"],
 )
-def test_reject_zero_point_mass_at_zero_fails_fast(d):
-    # redrawing a component that is always 0 could never end
-    with pytest.raises(DomainError):
-        sample(d, 10, RngStream(4), reject_zero=True)
+def test_point_mass_at_zero_samples_zeros_and_transforms_to_zero(d):
+    # the component stuck at 0 is the last; the exponential kernel maps it to 0
+    rows = sample(d, 10, RngStream(4))
+    assert np.all(rows[:, -1] == 0.0)
+    s = sample(Uniform(lo=[0.05] * d.k, hi=[1.95] * d.k), 5, RngStream(5))
+    t = transform_stage(DataBatch(rows), ErrorBatch(s), EXPONENTIAL, np.ones(d.k))
+    for out in (t.nominals, t.centres, t.replicate_means):
+        assert np.all(out[:, -1] == 0.0)
 
 
 def test_degenerate_uniform_sampling():
@@ -311,6 +324,9 @@ class _NotALaw:
     k = 1
 
 
+#: The constructors' fragment for a law whose moments overflow float64.
+_FLOAT_RANGE = "beyond the float64 range"
+
 INPUT_CHECKS = {
     "named kernel with a callable": (lambda: ScalarKernel("phase", fn=np.add),
                                      "named kernels do not take a callable"),
@@ -326,6 +342,10 @@ INPUT_CHECKS = {
     "no draws": (lambda: sample(Normal(mean=[0.0], cov=[[1.0]]), 0, RngStream(0)), "sample needs n >= 1, got 0"),
     "sample of a non-law": (lambda: sample(_NotALaw(), 3, RngStream(0)), "unknown distribution spec"),
     "moments of a non-law": (lambda: moments(_NotALaw()), "unknown distribution spec"),
+    "moments of a non-law without k": (lambda: moments("x"), "unknown distribution spec str"),
+    "moments of a wide uniform": (lambda: moments(Uniform(lo=[0.0], hi=[1e80])), _FLOAT_RANGE),
+    "moments of a wide two-point law": (lambda: moments(TwoPoint(a=[0.0], b=[1e80])), _FLOAT_RANGE),
+    "moments of a wide normal": (lambda: moments(Normal(mean=[0.0], cov=[[1e200]])), _FLOAT_RANGE),
     "JSON of a non-law": (lambda: dist_to_json(_NotALaw()), "unknown distribution spec"),
     "negative variance": (lambda: CentralMoments(0.0, -1.0, 0.0, 1.0), "variance must be non-negative"),
     "fourth moment too small": (lambda: CentralMoments(0.0, 1.0, 0.0, 0.5),
