@@ -46,6 +46,7 @@ import numpy as np
 from .exceptions import DomainError
 from .models import (
     DistSpec,
+    Normal,
     ScalarKernel,
     TwoPoint,
     Uniform,
@@ -145,22 +146,35 @@ def _scalar_mean(dist: DistSpec) -> float:
     return float(dist.mean_vector()[0])
 
 
+def _kernel_error_law(kind: str, alpha: float) -> DistSpec:
+    """The error law of a kernel at half-width alpha: Unif(−α, α) for phase,
+    α in (0, ∞), and Unif[1−α, 1+α] for exponential, α in (0, 1]; N(0, 1)
+    for additive and multiplicative, which alpha does not shape."""
+    if kind == "phase":
+        inside, bounds, centre = 0.0 < alpha < math.inf, "(0, inf)", 0.0
+    elif kind == "exponential":
+        inside, bounds, centre = 0.0 < alpha <= 1.0, "(0, 1]", 1.0
+    else:
+        return Normal(mean=[0.0], cov=[[1.0]])
+    if not inside:
+        raise DomainError(f"{kind} error half-width must lie in {bounds}, got {alpha} (alpha)")
+    return Uniform(lo=[centre - alpha], hi=[centre + alpha])
+
+
 def _error_law(kind: str, s_dist: DistSpec) -> tuple[float, float, float]:
-    """(lo, hi, p): the validated uniform error support of a phase (p = δ,
-    support (−δ, δ)) or exponential (p = α, support [1−α, 1+α]) kernel."""
+    """(lo, hi, p): the uniform error support of a phase (p = δ, support
+    (−δ, δ)) or exponential (p = α, support [1−α, 1+α]) kernel, its shape
+    checked here and p by :func:`_kernel_error_law`."""
     if not isinstance(s_dist, Uniform):
         raise DomainError(f"{kind} kernel requires a uniform error distribution")
     lo, hi = float(s_dist.lo[0]), float(s_dist.hi[0])
-    if kind == "phase":
-        if hi <= 0.0 or abs(lo + hi) > 1e-12 * hi:
-            raise DomainError("phase error distribution must be Unif(-delta, delta) with delta > 0")
-        return -hi, hi, hi
-    alpha = 0.5 * (hi - lo)
-    if abs(0.5 * (hi + lo) - 1.0) > 1e-12:
+    if kind == "phase" and abs(lo + hi) > 1e-12 * abs(hi):
+        raise DomainError("phase error distribution must be Unif(-delta, delta) with delta > 0")
+    if kind == "exponential" and abs(0.5 * (hi + lo) - 1.0) > 1e-12:
         raise DomainError("exponential error distribution must be Unif[1-alpha, 1+alpha]")
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"exponential error half-width must lie in (0, 1], got {alpha}")
-    return 1.0 - alpha, 1.0 + alpha, alpha
+    alpha = hi if kind == "phase" else 0.5 * (hi - lo)
+    law = _kernel_error_law(kind, alpha)
+    return float(law.lo[0]), float(law.hi[0]), alpha
 
 
 def _scenario_law(s: ScalarScenario, what: str) -> tuple[float, float, float]:
@@ -455,8 +469,6 @@ def _current_on_uniform_grid(
         if kind == "phase":
             # The phase factor is a closed form of each cell: one evaluation for the grid.
             phase_psi = _uniform_psi(kind, p, grid[:, None], grid)
-    elif kind not in ("additive", "multiplicative"):
-        raise DomainError(f"no analytic bias factor for kernel {kind!r}")
     values = np.full((grid.size, grid.size), np.nan)
     for i, a in enumerate(grid):
         b = grid[i:]
@@ -492,7 +504,8 @@ def _current_on_uniform_grid(
 def _conditional_mean_spread(s: ScalarScenario) -> tuple[float, float]:
     """(v, g) with V[E[f(Y, S) | Y]] = g·v, for the phase and exponential kernels.
 
-    Phase: v = V[sin Y], closed form, and g = (sin δ/δ)².  Exponential:
+    Phase: v = V[sin Y], closed form (p(1 − p)·(sin a − sin b)² on two-point
+    data, which close atoms do not cancel), and g = (sin δ/δ)².  Exponential:
     v = V[k(Y)] by quadrature, with k the conditional mean, and g = 1.
     """
     kind = s.kernel.kind
@@ -500,10 +513,8 @@ def _conditional_mean_spread(s: ScalarScenario) -> tuple[float, float]:
     gain = _phase_gain(p) if kind == "phase" else 1.0
     y = s.y_dist
     if isinstance(y, TwoPoint):
-        a, b, q = float(y.a[0]), float(y.b[0]), y.p
-        ex = q * math.sin(a) + (1.0 - q) * math.sin(b)
-        ex2 = q * math.sin(a) ** 2 + (1.0 - q) * math.sin(b) ** 2
-        return ex2 - ex**2, gain
+        q = y.p
+        return q * (1.0 - q) * (math.sin(y.a[0]) - math.sin(y.b[0])) ** 2, gain
     spread = _sin_variance(y.lo, y.hi) if kind == "phase" else _uniform_spread(p, y.lo, y.hi)
     return float(spread[0]), gain
 
@@ -515,15 +526,18 @@ def bias_factor_current(s: ScalarScenario) -> float:
     kernels, (1 − sin²δ/δ²)·V[sin Y] for phase, and V[Y] − V[k(Y)] for
     exponential with k the conditional mean.  V[sin Y] has a closed form
     on two-point and uniform data; V[k(Y)] is a ``QUAD_NODES``-point
-    Gauss–Legendre sum over the data support.
+    Gauss–Legendre sum over the data support.  Uniform data go through
+    :func:`_uniform_psi`, the core the parameter maps run on a grid row.
     """
     kind = s.kernel.kind
     if kind in ("additive", "multiplicative"):
         return 0.0
-    spread, gain = _conditional_mean_spread(s)
-    if kind == "phase":
-        return (1.0 - gain) * spread
-    return _scalar_variance(s.y_dist) - spread
+    y = s.y_dist
+    if isinstance(y, Uniform):
+        p = _scenario_law(s, "analytic bias factor")[2]
+        return float(_uniform_psi(kind, p, y.lo, y.hi)[0])
+    spread, gain = _conditional_mean_spread(s)  # two-point data, phase only
+    return (1.0 - gain) * spread
 
 
 def bias_factor_alternative(s: ScalarScenario) -> float:

@@ -240,17 +240,14 @@ def _read_config(path: str, sub: argparse.ArgumentParser) -> argparse.Namespace:
 
 
 def _default_dists(model: str, alpha: float | None) -> tuple[models.DistSpec, models.DistSpec]:
-    if model in ("additive", "multiplicative"):
-        std = Normal(mean=[0.0], cov=[[1.0]])
-        return std, std
     if model == "phase":
-        half = math.pi if alpha is None else alpha
-        return (
-            TwoPoint(a=[-math.pi / 2.0], b=[math.pi / 2.0], p=0.5),
-            Uniform(lo=[-half], hi=[half]),
-        )
-    a = 0.95 if alpha is None else alpha  # exponential
-    return Uniform(lo=[0.0], hi=[8.0]), Uniform(lo=[1.0 - a], hi=[1.0 + a])
+        y_dist, half = TwoPoint(a=[-math.pi / 2.0], b=[math.pi / 2.0], p=0.5), math.pi
+    elif model == "exponential":
+        y_dist, half = Uniform(lo=[0.0], hi=[8.0]), MapSpec.alpha
+    else:
+        y_dist, half = Normal(mean=[0.0], cov=[[1.0]]), None
+    s_dist = analytics._kernel_error_law(model, half if alpha is None else alpha)
+    return y_dist, s_dist
 
 
 def _build_scenario(ns: argparse.Namespace, q: int) -> analytics.ScalarScenario:
@@ -510,8 +507,8 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--alpha",
         type=float,
-        help="error half-width for the phase/exponential default laws; refused for "
-        "additive/multiplicative and with --s-dist",
+        help="error half-width of the phase (0, inf) or exponential (0, 1] default error "
+        "law, as in the maps; refused for additive/multiplicative and with --s-dist",
     )
 
 

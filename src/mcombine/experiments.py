@@ -63,7 +63,7 @@ from .analytics import ScalarScenario
 from .exceptions import DomainError
 # cross_covariance: bound only for perfbench/spans.py, which wraps it here (ROADMAP item 1)
 from .linalg import cross_covariance, sample_covariance
-from .models import DistSpec, Normal, ScalarKernel, Uniform, kernel_eval
+from .models import Normal, ScalarKernel, kernel_eval
 from .pipeline import DataBatch, ErrorBatch
 from .rng import RngStream
 
@@ -105,11 +105,11 @@ _ROUNDING = 1e-12
 class MapSpec:
     """Grid description for the pure-analytics parameter maps.
 
-    The data law at cell (a, b) is Unif[a, b]; the error law is fixed by
-    the kernel: Unif[1−alpha, 1+alpha] for exponential (alpha in (0, 1]),
-    Unif(−alpha, alpha) for phase (alpha > 0, finite), standard normal for
-    additive and multiplicative (alpha unused; the factor is identically
-    zero).  ``j`` only affects relative-bias maps.  The grid's ends and
+    The data law at cell (a, b) is Unif[a, b]; analytics._kernel_error_law
+    builds the error law: Unif[1−alpha, 1+alpha] for exponential (alpha in
+    (0, 1]), Unif(−alpha, alpha) for phase (alpha > 0, finite), standard
+    normal for additive and multiplicative (alpha unused; the factor is
+    identically zero).  ``j`` only affects relative-bias maps.  The grid's ends and
     span hi − lo must be finite, its n × n values must fit in 1 GiB of
     float64, and a grid of n > 1 points must be strictly increasing, so
     its cells a <= b are the index triangle i <= k.  Custom kernels have
@@ -143,10 +143,7 @@ class MapSpec:
         kind = self.kernel.kind
         if kind == "custom":
             raise DomainError("analytic maps need a named kernel, not a custom one")
-        if kind == "exponential" and not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"exponential maps need alpha in (0, 1], got {self.alpha}")
-        if kind == "phase" and not (0.0 < self.alpha < math.inf):
-            raise DomainError(f"phase maps need a finite alpha > 0, got {self.alpha}")
+        analytics._kernel_error_law(kind, self.alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -677,15 +674,6 @@ class MapResult:
             yield from zip(repeat(a), b_values[i:], row[i:])
 
 
-def _map_error_dist(spec: MapSpec) -> DistSpec:
-    kind = spec.kernel.kind
-    if kind == "exponential":
-        return Uniform(lo=[1.0 - spec.alpha], hi=[1.0 + spec.alpha])
-    if kind == "phase":
-        return Uniform(lo=[-spec.alpha], hi=[spec.alpha])
-    return Normal(mean=[0.0], cov=[[1.0]])
-
-
 def run_map(spec: MapSpec, *, relative: bool = False) -> MapResult:
     """Evaluate the analytic bias factor, or with ``relative`` the
     current-construction relative bias, over the (a, b) grid of uniform
@@ -706,9 +694,8 @@ def run_map(spec: MapSpec, *, relative: bool = False) -> MapResult:
     biases over a target variance <= 0.
     """
     grid = np.linspace(spec.lo, spec.hi, spec.n)
-    values = analytics._current_on_uniform_grid(
-        spec.kernel, _map_error_dist(spec), spec.j, grid, relative=relative
-    )
+    law = analytics._kernel_error_law(spec.kernel.kind, spec.alpha)
+    values = analytics._current_on_uniform_grid(spec.kernel, law, spec.j, grid, relative=relative)
     return MapResult(a_values=grid, b_values=grid.copy(), values=values)
 
 

@@ -309,30 +309,20 @@ class CentralMoments:
 
 
 def moments(dist: DistSpec) -> CentralMoments:
-    """Closed-form central moments of a scalar distribution."""
+    """Closed-form central moments of a scalar distribution: the law's own
+    mean and variance σ², and third and fourth moments that scale σ², so a
+    value overflows only where its moment does."""
     if not isinstance(dist, (Normal, Uniform, TwoPoint)):
         raise DomainError(f"unknown distribution spec {type(dist).__name__}")
     if dist.k != 1:
         raise DomainError("moments supports scalar (K=1) distributions only")
-    try:  # Python float powers raise OverflowError where numpy gives inf
-        if isinstance(dist, Normal):
-            mu = float(dist.mean[0])
-            var = float(dist.cov[0, 0])
-            values = (mu, var, 0.0, 3.0 * var**2)
-        elif isinstance(dist, Uniform):
-            lo, hi = float(dist.lo[0]), float(dist.hi[0])
-            width = hi - lo
-            values = (0.5 * (lo + hi), width**2 / 12.0, 0.0, width**4 / 80.0)
-        else:
-            a, b, p = float(dist.a[0]), float(dist.b[0]), dist.p
-            mean = p * a + (1.0 - p) * b
-            d = a - b
-            var = p * (1.0 - p) * d**2
-            third = p * (1.0 - p) * (1.0 - 2.0 * p) * d**3
-            fourth = p * (1.0 - p) * ((1.0 - p) ** 3 + p**3) * d**4
-            values = (mean, var, third, fourth)
-    except OverflowError:
-        values = (np.inf,)
+    mean = float(dist.mean_vector()[0])
+    var = float(dist.covariance()[0, 0])
+    if isinstance(dist, TwoPoint):
+        d, p = float(dist.a[0] - dist.b[0]), dist.p
+        values = (mean, var, var * d * (1.0 - 2.0 * p), var * d * d * (1.0 - 3.0 * p * (1.0 - p)))
+    else:
+        values = (mean, var, 0.0, (3.0 if isinstance(dist, Normal) else 1.8) * (var * var))
     if not np.all(np.isfinite(values)):
         raise DomainError("law has central moments beyond the float64 range")
     return CentralMoments(*values)

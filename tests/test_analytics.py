@@ -571,6 +571,18 @@ def test_exponential_bias_factors_match_40_digit_reference():
             assert abs(got - want) <= 1e-12 * abs(want), (a, b, got, want)
 
 
+def test_two_point_phase_factor_on_close_atoms_matches_40_digit_reference():
+    # Ψ = (1 − sin²δ/δ²)·p(1 − p)·(sin a − sin b)² at a = 0.1, b = 0.1 + 1e-7,
+    # p = 0.2 and δ = 1 (their float64 values), in mpmath 1.3.0 at 60 digits.
+    # Each sine carries up to half an ulp of 0.0998, so sin a − sin b ≈ 1e-7
+    # may be 1.4e-10 off relative, and its square 2.8e-10; E[sin²Y] − E[sin Y]²
+    # lost 1.6e-4 here to cancellation.
+    want = 4.624272495147977487692854178422136151373e-16
+    s = scenario(PHASE, TwoPoint(a=[0.1], b=[0.1 + 1e-7], p=0.2), Uniform(lo=[-1.0], hi=[1.0]))
+    got = bias_factor_current(s)
+    assert abs(got - want) <= 1e-9 * want, got
+
+
 #: V[mean_j f(Y_j, S)] at J = 2 for Y ~ Unif[c, d] (the float64 ends below),
 #: phase errors Unif(-0.95, 0.95) and exponential errors Unif[1 - 0.95,
 #: 1 + 0.95], to 40 digits: the closed-form moments of f given S integrated

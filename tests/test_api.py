@@ -61,6 +61,35 @@ PUBLIC_KNOBS = {
 }
 
 
+#: The option strings of each CLI subcommand, in declaration order, pinned
+#: so that a flag added or dropped shows up as a change to this dict.
+CLI_FLAGS = {
+    "pipeline": ["-h", "--help", "--config", "--out", "--format", "--data", "--model", "--nu",
+                 "--s-dist", "--q", "--construction", "--seed"],
+    "bias-sweep": ["-h", "--help", "--config", "--out", "--format", "--seed", "--trials",
+                   "--workers", "--block-size", "--model", "--j", "--q", "--y-dist", "--s-dist",
+                   "--alpha", "--construction"],
+    "psi-map": ["-h", "--help", "--config", "--out", "--format", "--model", "--alpha", "--grid"],
+    "relbias-map": ["-h", "--help", "--config", "--out", "--format", "--model", "--alpha",
+                    "--grid", "--j"],
+    "vardiff": ["-h", "--help", "--config", "--out", "--format", "--seed", "--trials", "--workers",
+                "--block-size", "--model", "--j", "--q", "--y-dist", "--s-dist", "--alpha"],
+    "lemmas": ["-h", "--help", "--config", "--out", "--format", "--seed", "--trials", "--workers",
+               "--block-size", "--id", "--u2", "--n"],
+    "mean-var": ["-h", "--help", "--config", "--out", "--format", "--seed", "--trials",
+                 "--workers", "--block-size", "--model", "--j", "--q", "--y-dist", "--s-dist",
+                 "--alpha"],
+}
+
+
+def test_cli_flags_are_the_pinned_dict():
+    parser = mcombine.cli.build_parser()
+    (subs,) = (a for a in parser._actions if isinstance(a, mcombine.cli.argparse._SubParsersAction))
+    flags = {cmd: [o for a in sub._actions for o in a.option_strings]
+             for cmd, sub in subs.choices.items()}
+    assert flags == CLI_FLAGS
+
+
 def _knobs(obj):
     try:
         params = inspect.signature(obj).parameters.values()

@@ -547,6 +547,41 @@ def test_unknown_model_exits_one_before_any_work(cmd, how, data_csv, tmp_path, m
     assert list(work.iterdir()) == []
 
 
+#: The --alpha rule: every subcommand that takes --alpha refuses, for phase
+#: and exponential, the half-widths outside (0, inf) and (0, 1] that the
+#: maps refuse.  A sweep once ran with the value and wrote no reference.
+ALPHA_CMDS = ("bias-sweep", "vardiff", "mean-var", "psi-map", "relbias-map")
+REFUSED_ALPHAS = {"phase": ("0", "-1", "nan", "inf", "1e400"),
+                  "exponential": ("0", "-1", "nan", "inf", "1e400", "1.5")}
+ACCEPTED_ALPHAS = {"phase": "4.0", "exponential": "1.0"}
+
+
+def _alpha_run(cmd, model, alpha):
+    size = {"grid": "0:2:5"} if cmd.endswith("-map") else {"q": "3", "trials": 100}
+    return {"model": model, **size, "alpha": alpha, "out": "o.out"}
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("cmd, model, alpha", [(c, m, a) for c in ALPHA_CMDS
+                                               for m, alphas in REFUSED_ALPHAS.items()
+                                               for a in alphas])
+def test_alpha_outside_the_kernel_range_exits_one_before_any_work(cmd, model, alpha, how, tmp_path,
+                                                                  monkeypatch, capsys):
+    work = _forbid_work(monkeypatch, tmp_path)
+    assert main(_flag_or_config(cmd, _alpha_run(cmd, model, alpha), how, tmp_path)) == 1
+    assert "(alpha)" in _only_error_line(capsys.readouterr().err)
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("cmd, model", [(c, m) for c in ALPHA_CMDS for m in ACCEPTED_ALPHAS])
+def test_alpha_at_the_edge_of_the_kernel_range_runs(cmd, model, how, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(_flag_or_config(cmd, _alpha_run(cmd, model, ACCEPTED_ALPHAS[model]), how,
+                                tmp_path)) == 0
+    assert (tmp_path / "o.out").stat().st_size > 0
+
+
 @pytest.mark.parametrize("cmd, key, value", [("bias-sweep", "format", "xml"),
                                             ("pipeline", "construction", "both"),
                                             ("pipeline", "format", "csv"),
@@ -753,14 +788,6 @@ def test_relbias_map_json_uses_null_for_undefined(tmp_path):
 
 def test_map_rejects_bad_grid(tmp_path):
     assert main(["psi-map", "--model", "phase", "--grid", "0:8", "--out", str(tmp_path / "x.csv")]) == 1
-
-
-@pytest.mark.parametrize("model, alpha", [("exponential", "1.5"), ("phase", "0")])
-def test_map_alpha_out_of_range_exits_one_without_artifact(model, alpha, tmp_path, capsys):
-    out = tmp_path / "m.csv"
-    assert main(["psi-map", "--model", model, "--alpha", alpha, "--out", str(out)]) == 1
-    assert "alpha" in _only_error_line(capsys.readouterr().err)
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, nan_cells", [

@@ -276,6 +276,60 @@ def test_moment_consistency_bound():
         assert m.fourth_central >= m.variance**2 - 1e-12
 
 
+#: (mean, variance, third, fourth central moment) of scalar laws at the
+#: float64 parameters shown, to 40 digits: the defining sums and powers in
+#: mpmath 1.3.0 at 60-digit precision.  The first law's mean is 1e80 and its
+#: fourth central moment about 1e20, although (a − b)⁴ alone overflows.
+MOMENT_REFERENCE = {
+    "two_point far atom": (lambda: TwoPoint(a=[0.0], b=[1e80], p=1e-300), (
+        "1.000000000000000000266098647083672765374e+80",
+        "1.000000000000000025591289129376105229851e-140",
+        "-1.000000000000000025857387776459778002035e-60",
+        "100000000000000002612.348642354345077429")),
+    "two_point": (lambda: TwoPoint(a=[-0.4], b=[1.3], p=0.3), (
+        "0.7900000000000000432986979603811058160787",
+        "0.6069000000000000347277762102748961542755",
+        "-0.4126920000000000626949603343973677730251",
+        "0.6489581700000001113595970991809808641358")),
+    "two_point high p": (lambda: TwoPoint(a=[2.0], b=[-1.0], p=0.85), (
+        "1.549999999999999933386618522490607574582",
+        "1.147500000000000139888101102769719656035",
+        "-2.409750000000000140887301824932337024501",
+        "6.377231250000000295863333832357898366472")),
+    "uniform": (lambda: Uniform(lo=[-1.0], hi=[3.0]), (
+        "1.0", "1.333333333333333333333333333333333333333", "0.0", "3.2")),
+    "uniform narrow": (lambda: Uniform(lo=[0.1], hi=[0.35]), (
+        "0.2249999999999999916733273153113259468228",
+        "0.005208333333333332176851016015462001256382",
+        "0.0",
+        "0.00004882812499999997831595655028991493096959")),
+    "normal": (lambda: Normal(mean=[-0.3], cov=[[0.7]]), (
+        "-0.2999999999999999888977697537484345957637",
+        "0.6999999999999999555910790149937383830547",
+        "0.0",
+        "1.469999999999999813482531862973707125287")),
+}
+
+
+@pytest.mark.parametrize("case", MOMENT_REFERENCE)
+def test_moments_match_40_digit_reference(case):
+    law, reference = MOMENT_REFERENCE[case]
+    m = moments(law())
+    got = (m.mean, m.variance, m.third_central, m.fourth_central)
+    for g, want in zip(got, map(float, reference)):
+        # a few units of 2**-53 (the worst case here is 4.6, a fourth moment)
+        assert abs(g - want) <= 8 * 2.0**-53 * abs(want), (case, got, reference)
+
+
+@pytest.mark.parametrize("law", [lambda: Uniform(lo=[0.0], hi=[1e80]),
+                                 lambda: Normal(mean=[0.0], cov=[[1e200]])],
+                         ids=["uniform", "normal"])
+def test_moments_beyond_float_range_are_refused(law):
+    # the laws are admitted, but their fourth central moments pass 1.8e308
+    with pytest.raises(DomainError, match="beyond the float64 range"):
+        moments(law())
+
+
 def test_moments_need_scalar_law():
     with pytest.raises(DomainError):
         moments(Normal(mean=[0.0, 0.0], cov=np.eye(2)))
