@@ -311,7 +311,7 @@ class CentralMoments:
 def moments(dist: DistSpec) -> CentralMoments:
     """Closed-form central moments of a scalar distribution: the law's own
     mean and variance σ², and third and fourth moments that scale σ², so a
-    value overflows only where its moment does."""
+    law is refused only where one of its moments passes the float64 range."""
     if not isinstance(dist, (Normal, Uniform, TwoPoint)):
         raise DomainError(f"unknown distribution spec {type(dist).__name__}")
     if dist.k != 1:
@@ -320,7 +320,9 @@ def moments(dist: DistSpec) -> CentralMoments:
     var = float(dist.covariance()[0, 0])
     if isinstance(dist, TwoPoint):
         d, p = float(dist.a[0] - dist.b[0]), dist.p
-        values = (mean, var, var * d * (1.0 - 2.0 * p), var * d * d * (1.0 - 3.0 * p * (1.0 - p)))
+        # d·d is finite wherever σ² = p(1 − p)·d·d is, and its factor lies in
+        # [1/4, 1], so the fourth moment overflows only where it passes float64.
+        values = (mean, var, var * d * (1.0 - 2.0 * p), var * (d * d * (1.0 - 3.0 * p * (1.0 - p))))
     else:
         values = (mean, var, 0.0, (3.0 if isinstance(dist, Normal) else 1.8) * (var * var))
     if not np.all(np.isfinite(values)):

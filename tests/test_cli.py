@@ -790,6 +790,14 @@ def test_map_rejects_bad_grid(tmp_path):
     assert main(["psi-map", "--model", "phase", "--grid", "0:8", "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize("model, alpha", [("exponential", "1.5"), ("phase", "0")])
+def test_map_alpha_out_of_range_exits_one_without_artifact(model, alpha, tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert main(["psi-map", "--model", model, "--alpha", alpha, "--out", str(out)]) == 1
+    assert "alpha" in _only_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, nan_cells", [
     ("psi-map", {(-1, -1), (-1, 0), (-1, 1), (-1, 2), (0, 0)}),
     ("relbias-map", {(-1, -1), (-1, 0), (-1, 1), (-1, 2), (0, 0), (1, 1)}),
