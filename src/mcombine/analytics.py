@@ -18,7 +18,7 @@ sizes J and Q) the quantities of interest are:
 
 Additive and multiplicative kernels have full closed forms.  The phase
 kernel (sin(y+s), S uniform on (−δ, δ), δ > 0) and the exponential kernel
-(y**s, Y uniform on [a, b] with a >= 0 and b > 0, S uniform on [1−α, 1+α]
+(y**s, Y uniform on [a, b] with a >= 0, S uniform on [1−α, 1+α]
 with 0 < α <= 1) use one-dimensional Gauss–Legendre quadrature over exact
 conditional moments, except the phase kernel's V[sin Y] on uniform data,
 which has a closed form.
@@ -38,6 +38,7 @@ their own closed-form path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,18 +96,13 @@ class ScalarScenario:
             raise DomainError(f"need Q >= 1 error draws, got {self.q}")
 
 
-_BASE_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _base_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # The reference nodes depend only on n: build them once per n.
-    cached = _BASE_NODES.get(n)
-    if cached is None:
-        x, w = np.polynomial.legendre.leggauss(n)
-        x.setflags(write=False)
-        w.setflags(write=False)
-        cached = _BASE_NODES[n] = (x, w)
-    return cached
+    # The reference nodes depend only on n: built once per n, and read-only.
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _affine_nodes(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +176,7 @@ def _error_law(kind: str, s_dist: DistSpec) -> tuple[float, float, float]:
 def _scenario_law(s: ScalarScenario, what: str) -> tuple[float, float, float]:
     """:func:`_error_law` of a phase or exponential scenario whose data law
     it also checks: two-point or uniform for phase; for exponential,
-    uniform on [a, b] with a >= 0 and b > 0."""
+    uniform on [a, b] with a >= 0."""
     kind, y = s.kernel.kind, s.y_dist
     if kind == "phase":
         if not isinstance(y, (TwoPoint, Uniform)):
@@ -188,11 +184,8 @@ def _scenario_law(s: ScalarScenario, what: str) -> tuple[float, float, float]:
     elif kind == "exponential":
         if not isinstance(y, Uniform):
             raise DomainError("exponential kernel requires uniform data and error distributions")
-        a, b = float(y.lo[0]), float(y.hi[0])
-        if a < 0.0:
+        if y.lo[0] < 0.0:
             raise DomainError("exponential kernel requires data support with a >= 0")
-        if a == 0.0 and b == 0.0:
-            raise DomainError("exponential kernel on Unif[0,0] has f = 0, so a zero target variance")
     else:
         raise DomainError(f"no {what} for kernel {kind!r}")
     return _error_law(kind, s.s_dist)
@@ -224,8 +217,7 @@ def exponential_conditional_mean(y, alpha: float):
     E[0**S] = 0.  Near y = 1 (|ln y| < 1e-6) the ratio is evaluated by its
     even series 1 + x²/6 + x⁴/120 to avoid 0/0.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    _kernel_error_law("exponential", alpha)
     arr = np.atleast_1d(np.asarray(y, dtype=float))
     if not np.all(arr >= 0.0):
         raise DomainError("exponential conditional mean requires y >= 0")
@@ -253,7 +245,7 @@ def _uniform_moments_given_s(kind: str, c, d, tc, td, x) -> tuple[np.ndarray, np
     """(E[f(Y, S) | S = x], E[f(Y, S)² | S = x]) for Y ~ Unif[c, d], closed
     form, from the :func:`_endpoint_terms` tc of c and td of d; c, d, the
     terms and x broadcast.  A cell with c = d is the point mass at c.
-    Exponential needs c >= 0 and d > 0 on every cell."""
+    Exponential needs c >= 0 on every cell."""
     same = c == d
     width = np.where(same, 1.0, d - c)
     if kind == "exponential":
@@ -368,10 +360,12 @@ def _sin_variance(c, d) -> np.ndarray:
 
 def _uniform_spread(alpha: float, c, d) -> np.ndarray:
     """V[k(Y)] for Y ~ Unif[c, d] and k the exponential conditional mean at
-    half-width alpha, by quadrature over the support."""
+    half-width alpha, by quadrature over the support.  A cell with c = d
+    is 0; its nodes move to 2, where log is finite and k needs no series."""
     x, w = _affine_nodes(c[..., None], d[..., None], QUAD_NODES)
-    fy = _exp_mean(x, alpha)
     same = c == d
+    x = np.where(same[..., None], 2.0, x)
+    fy = _exp_mean(x, alpha)
     width = np.where(same, 1.0, d - c)
     mean = _integrate(w, fy) / width
     return np.where(same, 0.0, _integrate(w, fy**2) / width - mean**2)
@@ -450,50 +444,45 @@ def _current_on_uniform_grid(
     [i] and [i + 1:].  The phase factor, elementwise in (a, b), is one
     evaluation over the whole grid; the rest of row i is one array
     evaluation of the code the scenario functions run on one cell.  NaN
-    marks the cells below the diagonal and the undefined cells: exponential
-    supports with a < 0 or a = b = 0, and relative biases over a target
-    variance <= 0.
+    marks the cells below the diagonal and the undefined cells: the rows
+    of exponential supports with a < 0, which the map skips, and relative
+    biases over a target variance <= 0.
     """
     kind = kernel.kind
     jj = float(j)
+    values = np.full((grid.size, grid.size), np.nan)
+    first = int(np.searchsorted(grid, 0.0)) if kind == "exponential" else 0
+    grid, defined = grid[first:], values[first:, first:]
     if kind in ("phase", "exponential"):
         lo, hi, p = _error_law(kind, s_dist)
         x, w = gauss_legendre(lo, hi, QUAD_NODES)
-        # Stand-in supports keep log and power finite on undefined cells:
-        # 1.0 for a < 0 here, and for every b of an undefined cell below.
-        ends = np.where(grid < 0.0, 1.0, grid) if kind == "exponential" else grid
         if relative:
-            terms = _endpoint_terms(kind, ends[:, None], x)
+            terms = _endpoint_terms(kind, grid[:, None], x)
             # The diagonal's point masses in one call; row i adds its cells b > a.
-            diagonal = _uniform_target(kind, ends, ends, terms, terms, x, w, hi - lo, jj)
+            diagonal = _uniform_target(kind, grid, grid, terms, terms, x, w, hi - lo, jj)
         if kind == "phase":
             # The phase factor is a closed form of each cell: one evaluation for the grid.
             phase_psi = _uniform_psi(kind, p, grid[:, None], grid)
-    values = np.full((grid.size, grid.size), np.nan)
     for i, a in enumerate(grid):
         b = grid[i:]
-        undefined = np.zeros(b.shape, dtype=bool)
         if kind in ("additive", "multiplicative"):
             psi = np.zeros(b.shape)
             if relative:
                 target = _closed_target(kind, (b - a) ** 2 / 12.0, 0.5 * (a + b),
                                         _scalar_variance(s_dist), _scalar_mean(s_dist), jj)
         else:
-            c, d = ends[i : i + 1], b
-            if kind == "exponential":
-                undefined = (a < 0.0) | ((a == 0.0) & (b == 0.0))
-                d = np.where(undefined, 1.0, b)
-            psi = phase_psi[i, i:] if kind == "phase" else _uniform_psi(kind, p, c, d)
+            c = grid[i : i + 1]
+            psi = phase_psi[i, i:] if kind == "phase" else _uniform_psi(kind, p, c, b)
             if relative:
                 tc = tuple(t[i : i + 1] for t in terms)
                 td = tuple(t[i + 1 :] for t in terms)
                 target = np.concatenate(
-                    (diagonal[i : i + 1], _uniform_target(kind, c, d[1:], tc, td, x, w, hi - lo, jj))
+                    (diagonal[i : i + 1], _uniform_target(kind, c, b[1:], tc, td, x, w, hi - lo, jj))
                 )
         if relative:
-            undefined |= ~(target > 0.0)
-            psi = psi / j / np.where(undefined, 1.0, target)
-        values[i, i:] = np.where(undefined, np.nan, psi)
+            undefined = ~(target > 0.0)
+            psi = np.where(undefined, np.nan, psi / j / np.where(undefined, 1.0, target))
+        defined[i, i:] = psi
     return values
 
 

@@ -190,8 +190,8 @@ class ExperimentConfig:
                 raise DomainError(f"lemma_id must be 1..5, got {self.lemma_id}")
             if self.lemma_n < 2:
                 raise DomainError("lemma 5 needs N >= 2")
-            if self.lemma_u2 < 0.0:
-                raise DomainError("lemma 5 needs u2 >= 0")
+            if not (0.0 <= self.lemma_u2 < math.inf):
+                raise DomainError(f"lemma 5 needs u2 >= 0 and finite, got {self.lemma_u2}")
             need = self.block_size * max(8, self.lemma_n)
             pipeline._require_fits(need, f"a lemma block of {self.block_size} trials draws up to "
                                    f"{need} values (max(8, N) a trial, N = {self.lemma_n})")
@@ -418,11 +418,6 @@ def _lemma_block(cfg: ExperimentConfig, block: int, plan: dict[str, Any]) -> tup
 # --------------------------------------------------------------------------
 # Block scheduling
 
-#: The pool class :func:`_run_blocks` starts: ``concurrent.futures``'s,
-#: imported by the first run that needs a pool, since importing it (and
-#: with it ``multiprocessing``) would slow every start-up.
-ProcessPoolExecutor = None
-
 
 def _map_blocks(cfg: ExperimentConfig, fn: Callable, args: tuple, blocks: range) -> list[tuple]:
     return [fn(cfg, b, *args) for b in blocks]
@@ -437,7 +432,6 @@ def _run_blocks(cfg: ExperimentConfig, fn: Callable, *args) -> tuple[NDArray, ..
     ``map`` returns the runs in block order, so the results concatenate as
     they come and do not depend on the pool size.
     """
-    global ProcessPoolExecutor
     nb = _n_blocks(cfg)
     n_workers = min(cfg.workers, nb, os.cpu_count() or 1)
     edges = [nb * w // n_workers for w in range(n_workers + 1)]
@@ -446,8 +440,9 @@ def _run_blocks(cfg: ExperimentConfig, fn: Callable, *args) -> tuple[NDArray, ..
     if n_workers <= 1:
         pieces = work(runs[0])
     else:
-        if ProcessPoolExecutor is None:
-            from concurrent.futures import ProcessPoolExecutor
+        # imported here: ``multiprocessing`` would slow every start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             pieces = [p for run in pool.map(work, runs) for p in run]
     return tuple(np.concatenate(arrays) for arrays in zip(*pieces))
@@ -690,8 +685,8 @@ def run_map(spec: MapSpec, *, relative: bool = False) -> MapResult:
     matching :func:`~mcombine.analytics.bias_factor_current` or
     :func:`~mcombine.analytics.relbias_current` call bit for bit.  NaN
     marks the cells below the diagonal and the cells where that call
-    raises: exponential supports with a < 0 or a = b = 0, and relative
-    biases over a target variance <= 0.
+    raises: exponential supports with a < 0, and relative biases over a
+    target variance <= 0.
     """
     grid = np.linspace(spec.lo, spec.hi, spec.n)
     law = analytics._kernel_error_law(spec.kernel.kind, spec.alpha)

@@ -16,6 +16,7 @@ case, report their exact central moments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Union
 
@@ -293,7 +294,8 @@ def sample(dist: DistSpec, n: int, stream: RngStream) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class CentralMoments:
-    """Exact scalar moments: mean, variance, third and fourth central moments."""
+    """Exact scalar moments: mean, variance, third and fourth central moments,
+    each finite, as is the variance squared."""
 
     mean: float
     variance: float
@@ -301,17 +303,22 @@ class CentralMoments:
     fourth_central: float
 
     def __post_init__(self):
-        if self.variance < 0.0:
+        var = float(self.variance)
+        square = var * var  # inf, not OverflowError, past the float64 range
+        if not all(map(math.isfinite, (self.mean, self.third_central, self.fourth_central, square))):
+            raise DomainError("central moments or variance squared beyond the float64 range")
+        if var < 0.0:
             raise DomainError("variance must be non-negative")
         # Cauchy-Schwarz: E[(X-m)^4] >= (E[(X-m)^2])^2, with rounding headroom.
-        if self.fourth_central < self.variance**2 - 1e-12 * max(1.0, self.variance**2):
+        if self.fourth_central < square - 1e-12 * max(1.0, square):
             raise DomainError("fourth central moment below variance squared")
 
 
 def moments(dist: DistSpec) -> CentralMoments:
     """Closed-form central moments of a scalar distribution: the law's own
-    mean and variance σ², and third and fourth moments that scale σ², so a
-    law is refused only where one of its moments passes the float64 range."""
+    mean and variance σ², and third and fourth moments that scale σ², so
+    :class:`CentralMoments` refuses a law only where one of its moments
+    passes the float64 range."""
     if not isinstance(dist, (Normal, Uniform, TwoPoint)):
         raise DomainError(f"unknown distribution spec {type(dist).__name__}")
     if dist.k != 1:
@@ -325,8 +332,6 @@ def moments(dist: DistSpec) -> CentralMoments:
         values = (mean, var, var * d * (1.0 - 2.0 * p), var * (d * d * (1.0 - 3.0 * p * (1.0 - p))))
     else:
         values = (mean, var, 0.0, (3.0 if isinstance(dist, Normal) else 1.8) * (var * var))
-    if not np.all(np.isfinite(values)):
-        raise DomainError("law has central moments beyond the float64 range")
     return CentralMoments(*values)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -673,6 +674,19 @@ def test_exponential_requires_nonnegative_support():
     bad = exponential_scenario(-1.0, 2.0)
     with pytest.raises(DomainError):
         bias_factor_current(bad)
+
+
+def test_exponential_data_stuck_at_zero_are_a_point_mass():
+    # k(0) = 0, so f(Y, S) = 0 on Unif[0, 0]: every factor and the target
+    # are 0, taken without a log of zero, and the relative bias is undefined
+    sc = exponential_scenario(0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for quantity in (bias_factor_current, bias_factor_alternative, target_variance,
+                         mean_variance_gap):
+            assert quantity(sc) == 0.0, quantity.__name__
+        with pytest.raises(DomainError, match=r"target variance is not positive \(0.0\)"):
+            relbias_current(sc)
 
 
 # --------------------------------------------------------------------------

@@ -411,6 +411,23 @@ def test_zero_target_variance_exits_one(target, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("construction", ["current", "alternative"])
+def test_exponential_sweep_on_data_at_zero_exits_one_before_any_draw(construction, tmp_path,
+                                                                     monkeypatch, capsys):
+    # k(0) = 0 makes Unif[0, 0] a law with an analytic target of 0
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the target variance")
+
+    monkeypatch.setattr(cli.experiments, "_run_blocks", no_draws)
+    monkeypatch.chdir(tmp_path)
+    argv = ["bias-sweep", "--model", "exponential", "--y-dist", '{"kind":"uniform","lo":[0],"hi":[0]}',
+            "--construction", construction, "--q", "3", "--trials", "100", "--out", "z.csv"]
+    assert main(argv) == 1
+    line = _only_error_line(capsys.readouterr().err)
+    assert line == "error: target variance is not positive (0.0); relative bias undefined"
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------------------
 # config files
 
@@ -580,6 +597,42 @@ def test_alpha_at_the_edge_of_the_kernel_range_runs(cmd, model, how, tmp_path, m
     assert main(_flag_or_config(cmd, _alpha_run(cmd, model, ACCEPTED_ALPHAS[model]), how,
                                 tmp_path)) == 0
     assert (tmp_path / "o.out").stat().st_size > 0
+
+
+#: The lemmas flags crossed with adversarial values, each passed as typed
+#: on a command line and as the JSON token of a config key (Python's json
+#: reads NaN, Infinity and 1e400 as floats).
+LEMMA_FLAGS = ("seed", "trials", "workers", "block-size", "id", "u2", "n")
+ADVERSARIAL_VALUES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "0": "0", "-1": "-1",
+                      "1e400": "1e400", "2.5": "2.5", "": '""', "true": "true"}
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("flag", LEMMA_FLAGS)
+@pytest.mark.parametrize("value", ADVERSARIAL_VALUES)
+def test_lemmas_flag_value_works_or_fails_fast(flag, value, how, tmp_path, monkeypatch, capsys):
+    # exit 0 with a finite artifact, or exit 1 or 2 with one error line and no artifact
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    key = flag.replace("-", "_")
+    if how == "flag":
+        argv = ["lemmas", "--trials", "100", f"--{flag}={value}", "--out", "l.csv"]
+    else:
+        base = {k: v for k, v in {"trials": 100, "out": "l.csv"}.items() if k != key}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(base)[:-1] + f", {json.dumps(key)}: {ADVERSARIAL_VALUES[value]}}}")
+        argv = ["lemmas", "--config", str(cfg)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    if rc == 0:
+        text = (work / "l.csv").read_text().lower()
+        assert "nan" not in text and "inf" not in text, text
+        assert err == ""
+    else:
+        assert rc in (1, 2)
+        _only_error_line(err)
+        assert list(work.iterdir()) == []
 
 
 @pytest.mark.parametrize("cmd, key, value", [("bias-sweep", "format", "xml"),
@@ -799,12 +852,12 @@ def test_map_alpha_out_of_range_exits_one_without_artifact(model, alpha, tmp_pat
 
 
 @pytest.mark.parametrize("command, nan_cells", [
-    ("psi-map", {(-1, -1), (-1, 0), (-1, 1), (-1, 2), (0, 0)}),
+    ("psi-map", {(-1, -1), (-1, 0), (-1, 1), (-1, 2)}),
     ("relbias-map", {(-1, -1), (-1, 0), (-1, 1), (-1, 2), (0, 0), (1, 1)}),
 ])
 def test_undefined_map_cells_are_masked_not_warned(command, nan_cells, tmp_path):
-    # a < 0 and Unif[0, 0] are outside the exponential domain; at (1, 1)
-    # Y = 1 makes the target variance 0
+    # a < 0 is outside the exponential domain; at (0, 0) and (1, 1) the
+    # point masses Y = 0 and Y = 1 make the target variance 0
     out = tmp_path / "m.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

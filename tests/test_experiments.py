@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import tracemalloc
@@ -364,7 +365,7 @@ def recording_pool(monkeypatch):
             sizes.payloads.append(list(payloads))
             return list(map(fn, sizes.payloads[-1]))
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -722,7 +723,10 @@ def test_map_cells_match_direct_calls():
 def test_map_undefined_cells_are_nan():
     spec = MapSpec(kernel=EXPONENTIAL, alpha=0.95, lo=0.0, hi=1.0, n=2)
     grid = run_map(spec)
-    assert math.isnan(grid.values[0, 0])  # Unif[0,0] puts data at zero
+    # Unif[0, 0] is the point mass at zero, where k(0) = 0
+    at_zero = ScalarScenario(kernel=EXPONENTIAL, y_dist=Uniform(lo=[0.0], hi=[0.0]),
+                             s_dist=Uniform(lo=[0.05], hi=[1.95]), j=2, q=2)
+    assert grid.values[0, 0] == bias_factor_current(at_zero) == 0.0
     assert math.isnan(grid.values[1, 0])  # below the diagonal
 
 
@@ -737,10 +741,11 @@ DEFAULT_GRID_CELLS = ((0, 0), (0, 1), (31, 32), (62, 63), (94, 95), (100, 101), 
 @pytest.mark.parametrize("kernel", [PHASE, EXPONENTIAL, ADDITIVE, MULTIPLICATIVE],
                          ids=lambda kernel: kernel.kind)
 def test_map_cells_are_the_direct_calls_bitwise(kernel, relative):
-    # a < 0, a = 0, the diagonal, a = b = 0 and (1, 1) (zero exponential
-    # target) all sit on the small grid; a map row is one array evaluation
-    # over endpoint terms taken once per grid value, or of the closed-form
-    # target for additive and multiplicative, whose target is 0 on Unif[0, 0]
+    # a < 0, a = 0, the diagonal, and a = b = 0 and (1, 1) (both zero
+    # exponential targets) all sit on the small grid; a map row is one
+    # array evaluation over endpoint terms taken once per grid value, or of
+    # the closed-form target for additive and multiplicative, whose target
+    # is 0 on Unif[0, 0]
     alpha = 0.95
     if kernel is EXPONENTIAL:
         s_dist = Uniform(lo=[1.0 - alpha], hi=[1.0 + alpha])
@@ -768,10 +773,12 @@ def test_map_cells_are_the_direct_calls_bitwise(kernel, relative):
     grid = run_map(MapSpec(kernel=kernel, alpha=alpha, lo=-0.5, hi=2.0, n=6, j=3), relative=relative)
     raised = sum(check(grid, i, k, 3) for i in range(6) for k in range(6))
     zero_target = int(relative and kernel is MULTIPLICATIVE)  # the cell (0, 0)
-    assert raised == {EXPONENTIAL: 8 if relative else 7}.get(kernel, zero_target)
+    # exponential: the six cells of the row a = -0.5, and in the relbias map (0, 0) and (1, 1)
+    assert raised == {EXPONENTIAL: 8 if relative else 6}.get(kernel, zero_target)
     grid = run_map(MapSpec(kernel=kernel, alpha=alpha), relative=relative)
     raised = sum(check(grid, i, k, 2) for i, k in DEFAULT_GRID_CELLS)
-    assert raised == {EXPONENTIAL: 1}.get(kernel, zero_target)  # (0, 0) under exponential
+    # (0, 0) under exponential relbias
+    assert raised == {EXPONENTIAL: int(relative)}.get(kernel, zero_target)
 
 
 @pytest.mark.parametrize(
@@ -973,6 +980,8 @@ INPUT_CHECKS = {
     "no workers": (lambda: _cfg("combine_bias_current", workers=0), "workers must be positive"),
     "lemma n below two": (lambda: _cfg("lemma_check", lemma_n=1), "needs N >= 2"),
     "lemma u2 negative": (lambda: _cfg("lemma_check", lemma_u2=-0.5), "needs u2 >= 0"),
+    "lemma u2 nan": (lambda: _cfg("lemma_check", lemma_u2=math.nan), "needs u2 >= 0"),
+    "lemma u2 inf": (lambda: _cfg("lemma_check", lemma_u2=math.inf), "needs u2 >= 0"),
     "bias of another estimand": (lambda: estimate_combine_bias(_cfg("mean_variance")),
                                  "not a combine-bias estimand"),
     "mean variance of another estimand": (lambda: estimate_mean_variance(_cfg("vardiff_reldiff")),

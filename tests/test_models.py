@@ -401,6 +401,11 @@ INPUT_CHECKS = {
     "negative variance": (lambda: CentralMoments(0.0, -1.0, 0.0, 1.0), "variance must be non-negative"),
     "fourth moment too small": (lambda: CentralMoments(0.0, 1.0, 0.0, 0.5),
                                 "fourth central moment below variance squared"),
+    "variance squared beyond float64": (lambda: CentralMoments(0.0, 1e200, 0.0, 1e300), _FLOAT_RANGE),
+    "NaN mean": (lambda: CentralMoments(np.nan, 1.0, 0.0, 3.0), _FLOAT_RANGE),
+    "NaN variance": (lambda: CentralMoments(0.0, np.nan, 0.0, 3.0), _FLOAT_RANGE),
+    "infinite third moment": (lambda: CentralMoments(0.0, 1.0, -np.inf, 3.0), _FLOAT_RANGE),
+    "infinite fourth moment": (lambda: CentralMoments(0.0, 1.0, 0.0, np.inf), _FLOAT_RANGE),
     "unknown kernel name": (lambda: kernel_from_json("foo"), "kernel must be one of"),
     "kernel name not a string": (lambda: kernel_from_json(1), "kernel must be one of"),
     "law missing a field": (lambda: dist_from_json({"kind": "normal", "mean": [0.0]}),
