@@ -13,25 +13,26 @@ Reproducibility protocol
 Trials are generated in fixed-size blocks.  Block ``b`` of an experiment
 draws from substreams with derivation path
 
-    master_seed -> (salt, stage, b, role)
+    master_seed -> (salt, 0, b, role)
 
-where ``salt`` distinguishes points of a sweep, ``stage`` separates the
-main experiment (0) from an embedded oracle (1), and ``role`` is 0 for
-data draws, 1 for error draws, 2 for synthesis noise.  Trial ``t`` lives
-at row ``t % block_size`` of block ``t // block_size``, so its draws are
-a fixed function of the trial index: results are bitwise identical for
-any worker count and any trial execution order.  Both stages run their
-blocks through one runner, which maps a block function over the blocks on
-a pool of at most ``workers`` processes (no more than there are blocks or
-CPUs).  Each worker evaluates one contiguous run of blocks and the runs
-come back in block order, so the per-trial arrays concatenate directly;
-per-trial statistics are reduced in ascending trial order.
+where ``salt`` distinguishes points of a sweep, the fixed 0 keeps the
+seeded draws of earlier releases, and ``role`` is 0 for data draws, 1 for
+error draws, 2 for synthesis noise.  Trial ``t`` lives at row
+``t % block_size`` of block ``t // block_size``, so its draws are a fixed
+function of the trial index: results are bitwise identical for any worker
+count and any trial execution order.  Every estimate is one pass of one
+runner, which maps a block function over the blocks on a pool of at most
+``workers`` processes (no more than there are blocks or CPUs).  Each
+worker evaluates one contiguous run of blocks and the runs come back in
+block order, so the per-trial arrays concatenate directly; per-trial
+statistics are reduced in ascending trial order.
 
 Each trial of a combine estimand is one run of the pipeline users run on
 data: the block's trials form the leading axis of a single
 :func:`~mcombine.pipeline.transform_stage` and
 :func:`~mcombine.pipeline.combine_with_noise` call (K = 1), and draws
-come from :func:`~mcombine.models.sample`.
+come from :func:`~mcombine.models.sample`.  A target variance with no
+closed form is the variance of the trials' first replicate centres.
 
 Every standard error is the across-trial spread of per-trial influence
 values over the square root of the trial count.  Each estimator is a
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
 from typing import Any, Callable, Iterator
@@ -93,12 +94,16 @@ ESTIMANDS = (
 )
 
 _ROLE_Y, _ROLE_S, _ROLE_Z = 0, 1, 2
-_STAGE_MAIN, _STAGE_ORACLE = 0, 1
 
 #: Relative size below which a difference of two estimates that coincide
 #: is rounding noise: it and its standard error are reported as exactly 0.0,
 #: so its z-score is 0.
 _ROUNDING = 1e-12
+
+#: Largest lemma 5 u2: its means reach |mu| <= sqrt(3·u2) < 2^28, where
+#: float64 spacing is at most 2^-25, so the unit-variance noise keeps about
+#: half its bits.  Past it the check drifts: |z| = 69 at u2 = 1e32.
+_MAX_LEMMA_U2 = 1e16
 
 
 @dataclass(frozen=True)
@@ -190,8 +195,9 @@ class ExperimentConfig:
                 raise DomainError(f"lemma_id must be 1..5, got {self.lemma_id}")
             if self.lemma_n < 2:
                 raise DomainError("lemma 5 needs N >= 2")
-            if not (0.0 <= self.lemma_u2 < math.inf):
-                raise DomainError(f"lemma 5 needs u2 >= 0 and finite, got {self.lemma_u2}")
+            if not (0.0 <= self.lemma_u2 <= _MAX_LEMMA_U2):
+                raise DomainError(f"lemma 5 needs u2 >= 0 and at most {_MAX_LEMMA_U2:g}, "
+                                  f"got {self.lemma_u2}")
             need = self.block_size * max(8, self.lemma_n)
             pipeline._require_fits(need, f"a lemma block of {self.block_size} trials draws up to "
                                    f"{need} values (max(8, N) a trial, N = {self.lemma_n})")
@@ -267,24 +273,23 @@ def _n_blocks(cfg: ExperimentConfig) -> int:
     return -(-cfg.trials // cfg.block_size)
 
 
-def _stream(cfg: ExperimentConfig, stage: int, block: int, role: int) -> RngStream:
-    return RngStream(cfg.master_seed).substream(cfg.salt, stage, block, role)
+def _stream(cfg: ExperimentConfig, block: int, role: int) -> RngStream:
+    return RngStream(cfg.master_seed).substream(cfg.salt, 0, block, role)
 
 
-def _draw_y_s(cfg: ExperimentConfig, stage: int, block: int, s_cols: int | None = None):
+def _draw_y_s(cfg: ExperimentConfig, block: int):
     """Draw one block's data and error arrays (full block, then slice)."""
     sc = cfg.scenario
     rows = _block_rows(cfg, block)
     bs = cfg.block_size
-    y = models.sample(sc.y_dist, bs * sc.j, _stream(cfg, stage, block, _ROLE_Y))
-    q = sc.q if s_cols is None else s_cols
-    s = models.sample(sc.s_dist, bs * q, _stream(cfg, stage, block, _ROLE_S))
-    return y.reshape(bs, sc.j)[:rows], s.reshape(bs, q)[:rows]
+    y = models.sample(sc.y_dist, bs * sc.j, _stream(cfg, block, _ROLE_Y))
+    s = models.sample(sc.s_dist, bs * sc.q, _stream(cfg, block, _ROLE_S))
+    return y.reshape(bs, sc.j)[:rows], s.reshape(bs, sc.q)[:rows]
 
 
 def _draw_z(cfg: ExperimentConfig, block: int) -> NDArray:
     """Draw one block's synthesis noise (full block, then slice)."""
-    gen = _stream(cfg, _STAGE_MAIN, block, _ROLE_Z).gen
+    gen = _stream(cfg, block, _ROLE_Z).gen
     return gen.standard_normal((cfg.block_size, cfg.scenario.q))[: _block_rows(cfg, block)]
 
 
@@ -296,7 +301,7 @@ def _sample_variance_in_place(m: NDArray) -> NDArray:
 
 
 def _combine_block(
-    cfg: ExperimentConfig, block: int, constructions: tuple[str, ...], mean: bool
+    cfg: ExperimentConfig, block: int, constructions: tuple[str | None, ...], mean: bool
 ) -> tuple[NDArray, ...]:
     """Per-trial statistics for one block, one array per construction.
 
@@ -304,10 +309,11 @@ def _combine_block(
     leading axis of one :func:`~mcombine.pipeline.transform_stage` call and
     one :func:`~mcombine.pipeline.combine_with_noise` call per
     construction.  The statistic is the sample variance of the synthesized
-    replicates, or their mean when ``mean`` is set.
+    replicates, or their mean when ``mean`` is set.  For None it is the
+    first replicate centre, a draw of the batch mean; it needs no noise.
     """
     sc = cfg.scenario
-    y, s = _draw_y_s(cfg, _STAGE_MAIN, block)
+    y, s = _draw_y_s(cfg, block)
     t = pipeline.transform_stage(DataBatch(y[..., None]), ErrorBatch(s[..., None]), sc.kernel,
                                  sc.s_dist.mean_vector())
     # Each block-sized array lives only while it is needed: the error draws
@@ -318,20 +324,16 @@ def _combine_block(
     # and the next block faulted it back in: about 3,000 page faults a block
     # at J = 4, Q = 300, a third of the block's time.
     del s
-    z = _draw_z(cfg, block)[..., None]
+    z = _draw_z(cfg, block)[..., None] if any(constructions) else None
     stats = []
     for construction in constructions:
+        if construction is None:
+            stats.append(t.centres[:, 0, 0].copy())
+            continue
         m = pipeline.combine_with_noise(t, z, construction).replicates[..., 0]
         stats.append(m.mean(axis=1) if mean else _sample_variance_in_place(m))
         del m
     return tuple(stats)
-
-
-def _oracle_block(cfg: ExperimentConfig, block: int, stage: int) -> tuple[NDArray]:
-    """Each trial's batch mean of f over J data draws sharing one error
-    draw, from the given stage's streams."""
-    y, s = _draw_y_s(cfg, stage, block, s_cols=1)
-    return (kernel_eval(cfg.scenario.kernel, y, s).mean(axis=1),)
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +348,7 @@ def _random_covariance(gen: np.random.Generator, k: int) -> NDArray[np.float64]:
 
 
 def _lemma_plan(cfg: ExperimentConfig) -> dict[str, Any]:
-    gen = _stream(cfg, _STAGE_MAIN, 0, _PARAM_ROLE).gen
+    gen = _stream(cfg, 0, _PARAM_ROLE).gen
     lid = cfg.lemma_id
     k = 2
     if lid == 1:
@@ -381,7 +383,7 @@ def _lemma_block(cfg: ExperimentConfig, block: int, plan: dict[str, Any]) -> tup
     bs = cfg.block_size
     lid = cfg.lemma_id
     # A stream opens on its first draw, so each lemma opens only the roles it uses.
-    st = [_stream(cfg, _STAGE_MAIN, block, role) for role in range(4)]
+    st = [_stream(cfg, block, role) for role in range(4)]
     if lid == 1:
         j = plan["j"]
         w = models.sample(plan["w"], bs * j, st[0]).reshape(bs, j, -1)[:rows]
@@ -501,9 +503,9 @@ def estimate_combine_bias(cfg: ExperimentConfig) -> EstimateResult:
     Runs ``trials`` independent pipelines, averages the per-trial sample
     variance of the synthesized replicates, and normalizes against the
     target variance — analytic when the scenario supports it, otherwise
-    an embedded Monte Carlo oracle on the oracle stage's streams, run on
-    the same ``workers`` pool.  A target variance that is not positive
-    raises :class:`DomainError`.
+    the variance across trials of each trial's first replicate centre,
+    from the same pass.  A target variance that is not positive raises
+    :class:`DomainError`.
     """
     construction = cfg.estimand.removeprefix("combine_bias_")
     if construction not in ("current", "alternative"):
@@ -511,23 +513,22 @@ def estimate_combine_bias(cfg: ExperimentConfig) -> EstimateResult:
     target = _analytic(analytics.target_variance, cfg.scenario)
     if target is not None:
         analytics._require_positive_target(target)
-    (s2,) = _run_blocks(cfg, _combine_block, (construction,), False)
-    n = s2.size
-    mean_s2, se_s2 = map(float, _mean_with_se(s2))
-    if target is None:  # no analytic target: the embedded oracle estimates it
-        (fbar,) = _run_blocks(cfg, _oracle_block, _STAGE_ORACLE)
-        target, target_se = map(float, _mean_with_se(_covariance_values(fbar, fbar)))
+        (s2,) = _run_blocks(cfg, _combine_block, (construction,), False)
+        mean_s2, se = map(float, _mean_with_se(s2))
+        se /= target
+    else:  # no analytic target: the trials' own replicate centres estimate it
+        s2, fbar = _run_blocks(cfg, _combine_block, (construction, None), False)
+        g = _covariance_values(fbar, fbar)
+        mean_s2, target = float(s2.mean()), float(g.mean())
         analytics._require_positive_target(target)
-        se = math.hypot(se_s2 / target, mean_s2 * target_se / target**2)
-    else:
-        se = se_s2 / target
+        se = float(_mean_with_se(s2 / target - mean_s2 * g / target**2)[1])
     relbias = (
         analytics.relbias_current if construction == "current" else analytics.relbias_alternative
     )
     return EstimateResult(
         point=mean_s2 / target - 1.0,
         std_error=se,
-        trials=n,
+        trials=s2.size,
         analytic_reference=_analytic(relbias, cfg.scenario),
         extras={"mean_sample_variance": mean_s2, "target_variance": target},
     )
@@ -538,11 +539,12 @@ def estimate_target_variance_oracle(cfg: ExperimentConfig) -> EstimateResult:
 
     Independent of both constructions: each trial draws a fresh data
     batch and a single shared error, and the variance is taken across
-    trials of the batch-mean transform value.
+    trials of the batch mean, the replicate centre of a Q = 1 transform.
     """
     if cfg.scenario is None:
         raise DomainError("target_variance_oracle requires a scenario")
-    (fbar,) = _run_blocks(cfg, _oracle_block, _STAGE_MAIN)
+    one = replace(cfg, estimand="target_variance_oracle", scenario=replace(cfg.scenario, q=1))
+    (fbar,) = _run_blocks(one, _combine_block, (None,), False)
     point, se = map(float, _mean_with_se(_covariance_values(fbar, fbar)))
     return EstimateResult(
         point=point,

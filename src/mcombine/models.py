@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .exceptions import DomainError, NumericalError
-from .linalg import scaled_rotation_factor
+from .linalg import _check_symmetric, scaled_rotation_factor
 from .rng import RngStream
 
 __all__ = [
@@ -174,11 +174,7 @@ class Normal:
             cov = np.array([[float(cov)]])
         if cov.shape != (mean.size, mean.size):
             raise DomainError(f"cov shape {cov.shape} does not match mean length {mean.size}")
-        if not np.all(np.isfinite(cov)):
-            raise DomainError("cov contains non-finite entries")
-        if np.abs(cov - cov.T).max() > 1e-12 * max(1.0, np.abs(cov).max()):
-            raise DomainError("cov must be symmetric")
-        cov = 0.5 * cov + 0.5 * cov.T
+        cov = _check_symmetric(cov, "cov")
         try:
             factor = scaled_rotation_factor(cov)
         except NumericalError as exc:

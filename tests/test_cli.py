@@ -599,40 +599,62 @@ def test_alpha_at_the_edge_of_the_kernel_range_runs(cmd, model, how, tmp_path, m
     assert (tmp_path / "o.out").stat().st_size > 0
 
 
-#: The lemmas flags crossed with adversarial values, each passed as typed
+#: Subcommand flags crossed with adversarial values, each passed as typed
 #: on a command line and as the JSON token of a config key (Python's json
-#: reads NaN, Infinity and 1e400 as floats).
-LEMMA_FLAGS = ("seed", "trials", "workers", "block-size", "id", "u2", "n")
+#: reads NaN, Infinity and 1e400 as floats).  Each subcommand's base run
+#: sets the flags the run needs; the flag under test replaces its own.
+FLAG_TABLE = {
+    "lemmas": ({"trials": 100}, ("seed", "trials", "workers", "block-size", "id", "u2", "n")),
+    "psi-map": ({"model": "exponential", "grid": "0:2:5"}, ("model", "alpha", "grid", "format")),
+    "relbias-map": ({"model": "exponential", "grid": "0:2:5"},
+                    ("model", "alpha", "grid", "j", "format")),
+    "pipeline": ({"data": None, "model": "multiplicative", "q": 12},
+                 ("data", "model", "nu", "s-dist", "q", "construction", "seed", "format")),
+}
 ADVERSARIAL_VALUES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "0": "0", "-1": "-1",
                       "1e400": "1e400", "2.5": "2.5", "": '""', "true": "true"}
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])
-@pytest.mark.parametrize("flag", LEMMA_FLAGS)
+@pytest.mark.parametrize("cmd, flag", [(c, f) for c, (_, flags) in FLAG_TABLE.items() for f in flags])
 @pytest.mark.parametrize("value", ADVERSARIAL_VALUES)
-def test_lemmas_flag_value_works_or_fails_fast(flag, value, how, tmp_path, monkeypatch, capsys):
+def test_flag_value_works_or_fails_fast(cmd, flag, value, how, data_csv, tmp_path, monkeypatch,
+                                        capsys):
     # exit 0 with a finite artifact, or exit 1 or 2 with one error line and no artifact
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
     key = flag.replace("-", "_")
+    base, _ = FLAG_TABLE[cmd]
+    base = {k: str(data_csv) if k == "data" else v for k, v in base.items() if k != key}
     if how == "flag":
-        argv = ["lemmas", "--trials", "100", f"--{flag}={value}", "--out", "l.csv"]
+        argv = [*_flags(cmd, base), f"--{flag}={value}", "--out", "o.out"]
     else:
-        base = {k: v for k, v in {"trials": 100, "out": "l.csv"}.items() if k != key}
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(base)[:-1] + f", {json.dumps(key)}: {ADVERSARIAL_VALUES[value]}}}")
-        argv = ["lemmas", "--config", str(cfg)]
+        text = json.dumps({**base, "out": "o.out"})
+        cfg.write_text(text[:-1] + f", {json.dumps(key)}: {ADVERSARIAL_VALUES[value]}}}")
+        argv = [cmd, "--config", str(cfg)]
     rc = main(argv)
     err = capsys.readouterr().err
     if rc == 0:
-        text = (work / "l.csv").read_text().lower()
+        text = (work / "o.out").read_text().lower()
         assert "nan" not in text and "inf" not in text, text
         assert err == ""
     else:
         assert rc in (1, 2)
         _only_error_line(err)
         assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("u2", [1e32, 1e150, 1e308])
+def test_u2_that_drowns_the_noise_exits_one_before_any_work(u2, how, tmp_path, monkeypatch, capsys):
+    # |z| reached 69 at 1e32; 1e150 wrote SE 0 and z inf, 1e308 overflowed
+    work = _forbid_work(monkeypatch, tmp_path)
+    run = {"id": "5", "trials": 100, "u2": u2, "out": "l.csv"}
+    assert main(_flag_or_config("lemmas", run, how, tmp_path)) == 1
+    assert "needs u2 >= 0 and at most 1e+16" in _only_error_line(capsys.readouterr().err)
+    assert list(work.iterdir()) == []
 
 
 @pytest.mark.parametrize("cmd, key, value", [("bias-sweep", "format", "xml"),

@@ -42,6 +42,7 @@ from mcombine.models import (
     ScalarKernel,
     TwoPoint,
     Uniform,
+    kernel_eval,
 )
 from mcombine.pipeline import DataBatch, ErrorBatch, combine_with_noise, transform_stage
 from mcombine.rng import RngStream
@@ -410,13 +411,63 @@ def test_embedded_oracle_runs_on_the_pool(recording_pool, monkeypatch):
     sc = ScalarScenario(kernel=twin, y_dist=STD_NORMAL, s_dist=STD_NORMAL, j=4, q=10)
     cfg = cfg_bias(sc, "current", trials=1_000, seed=8, block_size=256, workers=2)
     pooled = estimate_combine_bias(cfg)
-    assert recording_pool == [2, 2]  # the main stage, then the oracle stage
+    assert recording_pool == [2]  # one pass estimates the statistic and the target
     serial = estimate_combine_bias(replace(cfg, workers=1))
     assert json.dumps(pooled.to_json_dict()) == json.dumps(serial.to_json_dict())
-    # the oracle's target is the variance of the oracle stage's batch means
-    draws = [_draw_y_s(cfg, experiments._STAGE_ORACLE, b, s_cols=1) for b in range(4)]
-    fbar = np.concatenate([(y + s).mean(axis=1) for y, s in draws])
+    # the target is the variance of the trials' first replicate centres
+    draws = [_draw_y_s(cfg, b) for b in range(4)]
+    fbar = np.concatenate([(y + s[:, :1]).mean(axis=1) for y, s in draws])
     assert pooled.extras["target_variance"] == pytest.approx(fbar.var(ddof=1), rel=1e-12)
+
+
+#: Custom twins of two named kernels: the same values, but no analytic
+#: target, so the bias estimate takes its target from the trials.
+TARGET_FROM_TRIALS = {
+    "mult": replace(mult_standard(j=4, q=10), kernel=ScalarKernel("custom", fn=lambda y, s: y * s)),
+    "phase": replace(phase_extremal(j=4, q=10),
+                     kernel=ScalarKernel("custom", fn=lambda y, s: np.sin(y + s))),
+}
+
+
+@pytest.mark.parametrize("scenario", TARGET_FROM_TRIALS.values(), ids=TARGET_FROM_TRIALS)
+def test_bias_standard_errors_with_a_target_from_the_trials_are_calibrated(scenario):
+    # 200 independent runs: the mean SE of the ratio, whose numerator and
+    # denominator come from the same trials, matches the spread of the points
+    runs = [estimate_combine_bias(cfg_bias(scenario, trials=2_000, seed=20261020, salt=salt))
+            for salt in range(200)]
+    assert {r.analytic_reference for r in runs} == {None}
+    points = np.array([r.point for r in runs])
+    ses = np.array([r.std_error for r in runs])
+    assert 0.8 <= points.std(ddof=1) / ses.mean() <= 1.2
+
+
+@pytest.mark.parametrize("scenario", [mult_standard(q=30), phase_extremal(q=30),
+                                      exponential_scenario(q=30)], ids=["mult", "phase", "exponential"])
+def test_target_oracle_draws_one_error_per_trial(scenario, monkeypatch):
+    # whatever the scenario's Q, a trial draws J data values and one error,
+    # from the error stream of its block, and averages f over its batch
+    drawn = []
+    sample = experiments.models.sample
+
+    def recording_sample(spec, n, stream):
+        drawn.append((spec, n))
+        return sample(spec, n, stream)
+
+    monkeypatch.setattr(experiments.models, "sample", recording_sample)
+    cfg = ExperimentConfig(estimand="target_variance_oracle", trials=700, scenario=scenario,
+                           master_seed=9, block_size=300)
+    res = estimate_target_variance_oracle(cfg)
+    j = scenario.j
+    assert drawn == [(scenario.y_dist, 300 * j), (scenario.s_dist, 300)] * 3
+    fbar, root = [], RngStream(9)
+    for b in range(3):
+        y = sample(scenario.y_dist, 300 * j, root.substream(0, 0, b, 0)).reshape(300, j)
+        s = sample(scenario.s_dist, 300, root.substream(0, 0, b, 1)).reshape(300, 1)
+        fbar.append(kernel_eval(scenario.kernel, y, s).mean(axis=1)[: 700 - 300 * b])
+    fbar = np.concatenate(fbar)
+    assert res.trials == 700
+    assert res.point == pytest.approx(fbar.var(ddof=1), rel=1e-12)
+    assert res.extras["mean"] == pytest.approx(fbar.mean(), rel=1e-12, abs=1e-12)
 
 
 HARNESS_CONSTRUCTIONS = {
@@ -444,7 +495,7 @@ def test_harness_statistic_is_the_pipeline_combine(scenario, estimand, tensor_el
     nu = scenario.s_dist.mean_vector()
     for trial in (0, 1, 299, 300, 650, 699):
         block, row = divmod(trial, cfg.block_size)
-        y, s = _draw_y_s(cfg, 0, block)
+        y, s = _draw_y_s(cfg, block)
         z = _draw_z(cfg, block)
         t = transform_stage(DataBatch(y[row][:, None]), ErrorBatch(s[row][:, None]), scenario.kernel, nu)
         assert len(per_trial) == len(HARNESS_CONSTRUCTIONS[estimand])

@@ -386,6 +386,8 @@ INPUT_CHECKS = {
     "cov of the wrong shape": (lambda: Normal(mean=[0.0, 0.0], cov=[[1.0]]),
                                r"cov shape \(1, 1\) does not match mean length 2"),
     "non-finite cov": (lambda: Normal(mean=[0.0], cov=[[np.inf]]), "cov contains non-finite"),
+    "asymmetric cov": (lambda: Normal(mean=[0.0, 0.0], cov=[[1.0, 0.5], [0.2, 1.0]]),
+                       "cov is not symmetric"),
     "uniform bounds of unequal length": (lambda: Uniform(lo=[0.0, 0.0], hi=[1.0]),
                                          "lo and hi must have equal length"),
     "two-point values of unequal length": (lambda: TwoPoint(a=[0.0], b=[1.0, 2.0]),
