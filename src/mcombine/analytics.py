@@ -79,7 +79,10 @@ QUAD_NODES = 256
 
 @dataclass(frozen=True, eq=False)
 class ScalarScenario:
-    """One scalar propagation scenario: kernel, input laws, and batch sizes."""
+    """One scalar propagation scenario: kernel, input laws, and batch sizes.
+
+    Both laws are scalar, with the central moments of :func:`models.moments`
+    inside the float64 range."""
 
     kernel: ScalarKernel
     y_dist: DistSpec
@@ -94,6 +97,12 @@ class ScalarScenario:
             raise DomainError(f"need J > 1 data vectors, got {self.j}")
         if self.q < 1:
             raise DomainError(f"need Q >= 1 error draws, got {self.q}")
+        # a law whose moments pass the float64 range is refused before any draw
+        for name, law in (("y_dist", self.y_dist), ("s_dist", self.s_dist)):
+            try:
+                moments(law)
+            except DomainError as exc:
+                raise DomainError(f"{name} {type(law).__name__} law: {exc}") from None
 
 
 @functools.cache

@@ -117,8 +117,8 @@ class MapSpec:
     identically zero).  ``j`` only affects relative-bias maps.  The grid's ends and
     span hi − lo must be finite, its n × n values must fit in 1 GiB of
     float64, and a grid of n > 1 points must be strictly increasing, so
-    its cells a <= b are the index triangle i <= k.  Custom kernels have
-    no analytic map.
+    its cells a <= b are the index triangle i <= k, with spacings whose
+    squares do not underflow.  Custom kernels have no analytic map.
     """
 
     kernel: ScalarKernel
@@ -138,11 +138,16 @@ class MapSpec:
             raise DomainError(f"map grid needs finite ends and span, got {self.lo}:{self.hi}")
         if self.hi < self.lo:
             raise DomainError("map grid interval is reversed")
-        if self.n > 1 and not np.all(np.diff(np.linspace(self.lo, self.hi, self.n)) > 0.0):
-            raise DomainError(
-                f"map grid {self.lo}:{self.hi}:{self.n} repeats values; a grid of more than "
-                "one point needs strictly increasing values"
-            )
+        if self.n > 1:
+            gap = float(np.diff(np.linspace(self.lo, self.hi, self.n)).min())
+            # a cell's target variance divides by its width squared
+            tiny = np.finfo(float).tiny
+            if gap * gap < tiny:
+                raise DomainError(
+                    f"map grid {self.lo}:{self.hi}:{self.n} has spacing {gap:g}; a grid of more "
+                    f"than one point needs strictly increasing values at least "
+                    f"{math.sqrt(tiny):.3g} apart, or a cell's width squared underflows float64"
+                )
         if self.j < 2:
             raise DomainError("relative-bias maps need J > 1")
         kind = self.kernel.kind

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -108,6 +109,61 @@ def test_unknown_subcommand_exits_one():
     assert main(["frobnicate"]) == 1
 
 
+# --------------------------------------------------------------------------
+# the parser main shares across calls
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_every_parser_reads_one_registry_table():
+    parser = cli.build_parser()
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    containers = [c for p in (parser, *subs.choices.values()) for c in (p, *p._action_groups)]
+    assert all(c._registries is cli._REGISTRIES for c in containers)
+
+
+def test_a_second_main_call_builds_no_parser(tmp_path, monkeypatch, capsys):
+    # whatever ran before, this first call leaves the shared parser built
+    assert main(["frobnicate"]) == 1
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    out = tmp_path / "m.csv"
+    assert main(["psi-map", "--model", "phase", "--grid", "0:2:3", "--out", str(out)]) == 0
+    assert calls == []
+    cli.build_parser()
+    assert len(calls) > 50  # the counter sees a parser being built
+
+
+def test_a_config_run_leaves_nothing_for_the_next_run(tmp_path):
+    # the config's seed and q must not become the defaults of a later flags-only run
+    argv = ["bias-sweep", "--model", "multiplicative", "--trials", "100", "--out"]
+    assert main([*argv, str(tmp_path / "first.csv")]) == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": "multiplicative", "trials": 100, "seed": 5, "q": "3,4",
+                               "out": str(tmp_path / "config.csv")}))
+    assert main(["bias-sweep", "--config", str(cfg)]) == 0
+    assert main([*argv, str(tmp_path / "second.csv")]) == 0
+    first, second = (tmp_path / "first.csv").read_bytes(), (tmp_path / "second.csv").read_bytes()
+    assert second == first != (tmp_path / "config.csv").read_bytes()
+
+
+def test_a_refused_run_leaves_nothing_for_the_next_run(tmp_path, capsys):
+    argv = ["bias-sweep", "--model", "phase", "--q", "3", "--trials", "100", "--format"]
+    assert main([*argv, "json", "--out", str(tmp_path / "alone.json")]) == 0
+    assert main([*argv, "xml", "--seed", "9", "--out", str(tmp_path / "refused.json")]) == 1
+    assert main([*argv, "json", "--out", str(tmp_path / "after.json")]) == 0
+    assert not (tmp_path / "refused.json").exists()
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+
+
 def test_missing_out_exits_one(capsys):
     rc = main(["bias-sweep", "--model", "additive", "--trials", "200", "--q", "3"])
     assert rc == 1
@@ -186,19 +242,25 @@ def test_law_with_overflowing_moments_exits_one_without_warning(law, kind, tmp_p
     assert list(tmp_path.iterdir()) == []
 
 
-def test_normal_law_near_the_float_limit_exits_one_without_warning(tmp_path, monkeypatch, capsys):
-    # symmetrising cov = 1e308 as 0.5 * (cov + cov.T) overflowed to inf
-    monkeypatch.chdir(tmp_path)
-    law = '{"kind":"normal","mean":[0],"cov":[[1e308]]}'
-    argv = ["bias-sweep", "--model", "additive", "--y-dist", law, "--q", "3", "--trials", "100"]
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("key", ["y_dist", "s_dist"])
+@pytest.mark.parametrize("cmd", ["bias-sweep", "vardiff", "mean-var"])
+def test_law_whose_moments_overflow_exits_one_before_any_work(cmd, key, how, tmp_path, monkeypatch,
+                                                              capsys):
+    # the variance is finite but its square is not: a sweep once sampled the
+    # whole run and failed in the combine (and symmetrising this cov as
+    # 0.5 * (cov + cov.T) once overflowed to inf)
+    work = _forbid_work(monkeypatch, tmp_path)
+    law = {"kind": "normal", "mean": [0], "cov": [[1e308]]}
+    run = {"model": "additive", "q": "3", "trials": 100, key: law, "out": "o.csv"}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = main([*argv, "--out", "o.csv"])
+        rc = main(_flag_or_config(cmd, run, how, tmp_path))
     assert rc == 1
     err = capsys.readouterr().err
-    assert "Traceback" not in err and "Warning" not in err
-    _only_error_line(err)
-    assert list(tmp_path.iterdir()) == []
+    assert _only_error_line(err) == (f"error: {key} Normal law: central moments or variance "
+                                     "squared beyond the float64 range")
+    assert list(work.iterdir()) == []
 
 
 # --------------------------------------------------------------------------
@@ -604,15 +666,28 @@ def test_alpha_at_the_edge_of_the_kernel_range_runs(cmd, model, how, tmp_path, m
 #: reads NaN, Infinity and 1e400 as floats).  Each subcommand's base run
 #: sets the flags the run needs; the flag under test replaces its own.
 FLAG_TABLE = {
-    "lemmas": ({"trials": 100}, ("seed", "trials", "workers", "block-size", "id", "u2", "n")),
+    "lemmas": ({"trials": 100},
+               ("seed", "trials", "workers", "block-size", "id", "u2", "n", "format")),
     "psi-map": ({"model": "exponential", "grid": "0:2:5"}, ("model", "alpha", "grid", "format")),
     "relbias-map": ({"model": "exponential", "grid": "0:2:5"},
                     ("model", "alpha", "grid", "j", "format")),
     "pipeline": ({"data": None, "model": "multiplicative", "q": 12},
                  ("data", "model", "nu", "s-dist", "q", "construction", "seed", "format")),
+    **{cmd: ({"model": "phase", "q": "3", "trials": 100},
+             ("format", "seed", "trials", "workers", "block-size", "model", "j", "q", "y-dist",
+              "s-dist", "alpha", *(("construction",) if cmd == "bias-sweep" else ())))
+       for cmd in ("bias-sweep", "vardiff", "mean-var")},
 }
 ADVERSARIAL_VALUES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "0": "0", "-1": "-1",
                       "1e400": "1e400", "2.5": "2.5", "": '""', "true": "true"}
+
+
+def test_flag_table_covers_every_flag_of_every_subcommand():
+    # all but --config and --out, the two that name files
+    (subs,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {cmd: {o[2:] for a in sub._actions for o in a.option_strings if o.startswith("--")}
+             - {"help", "config", "out"} for cmd, sub in subs.choices.items()}
+    assert flags == {cmd: set(table_flags) for cmd, (_, table_flags) in FLAG_TABLE.items()}
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])
@@ -930,6 +1005,40 @@ def test_map_grid_with_overflowing_span_exits_one_without_warning(command, model
     assert "Traceback" not in err and "Warning" not in err
     assert "span" in _only_error_line(err)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("grid", ["0:1e-300:2", "0:1e-162:2"])
+@pytest.mark.parametrize("model", ["phase", "exponential"])
+@pytest.mark.parametrize("command", ["psi-map", "relbias-map"])
+def test_map_grid_whose_spacing_squared_underflows_exits_one_before_any_work(command, model, grid,
+                                                                             how, tmp_path,
+                                                                             monkeypatch, capsys):
+    # the relative-bias map once wrote nan at the defined cell (0, hi) with a
+    # RuntimeWarning, where the target variance divides by the width squared
+    work = _forbid_work(monkeypatch, tmp_path)
+    run = {"model": model, "grid": grid, "out": "m.csv"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(_flag_or_config(command, run, how, tmp_path))
+    assert rc == 1
+    lo, hi, n = _grid_triple(grid)
+    err = _only_error_line(capsys.readouterr().err)
+    assert f"map grid {lo}:{hi}:{n} has spacing" in err and "underflows float64" in err, err
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("model", ["phase", "exponential"])
+@pytest.mark.parametrize("command", ["psi-map", "relbias-map"])
+def test_map_grid_with_the_smallest_spacing_runs(command, model, tmp_path):
+    out = tmp_path / "m.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--model", model, "--grid", "0:1e-150:2", "--out", str(out)]) == 0
+    # the defined cell (0, 1e-150); exponential's point mass at 0 has no relative bias
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(float(a), float(b)) for a, b, _ in rows] == [(0, 0), (0, 1e-150), (1e-150, 1e-150)]
+    assert math.isfinite(float(rows[1][2]))
 
 
 # --------------------------------------------------------------------------
