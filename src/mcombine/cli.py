@@ -44,7 +44,8 @@ import functools
 import json
 import math
 import sys
-from typing import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -166,9 +167,10 @@ def _load_dist(value) -> models.DistSpec:
     return models.dist_from_json(value)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` in turn: an iterator's chunks are made as they are written."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _write_json(path: str, payload) -> None:
@@ -176,29 +178,37 @@ def _write_json(path: str, payload) -> None:
 
     Each item is in the stdlib encoder's default form; a matrix (a list of
     lists) is encoded a row at a time: the same bytes as one call, built
-    from smaller strings.  NaN and infinities raise ``ValueError`` before
-    the file is opened.
+    from smaller strings.  A matrix given as an iterator of rows is encoded
+    as it is written, so only one row's text is held at a time.  NaN and
+    infinities raise ``ValueError``; in any item but such an iterator,
+    before the file is opened.
     """
     encode = json.JSONEncoder(allow_nan=False).encode
 
-    def item(value) -> str:
-        if isinstance(value, list) and all(isinstance(row, list) for row in value):
-            return "[" + ", ".join(map(encode, value)) + "]"
-        return encode(value)
+    def item(value) -> Iterable[str]:
+        if isinstance(value, Iterator) or (
+            isinstance(value, list) and all(isinstance(row, list) for row in value)
+        ):
+            rows = (sep + encode(row) for sep, row in zip(chain([""], repeat(", ")), value))
+            chunks = chain(["["], rows, ["]"])
+            return chunks if isinstance(value, Iterator) else ["".join(chunks)]
+        return [encode(value)]
 
     if isinstance(payload, dict):
-        items = [f"{encode(key)}: {item(value)}" for key, value in payload.items()]
+        items = [chain([f"{encode(key)}: "], item(value)) for key, value in payload.items()]
         brackets = "{}"
     else:
         items = list(map(item, payload))
         brackets = "[]"
-    _write_text(path, brackets[0] + "\n  " + ",\n  ".join(items) + "\n" + brackets[1] + "\n")
+    seps = chain([brackets[0] + "\n  "], repeat(",\n  "))
+    body = chain.from_iterable(chain([sep], chunks) for sep, chunks in zip(seps, items))
+    _write_text(path, chain(body, ["\n" + brackets[1] + "\n"]))
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(r) for r in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, ["\n".join(lines) + "\n"])
 
 
 # --------------------------------------------------------------------------
@@ -341,20 +351,33 @@ def _run_map(ns, cmd: str) -> int:
                    j=ns.j if relative else MapSpec.j)
     grid = experiments.run_map(spec, relative=relative)
     column = "relbias" if relative else "psi"
+    # both writers hold one grid row's text at a time, never the whole map's
     if ns.format == "json":
+        if np.isinf(grid.values).any():  # refused before the file is opened
+            raise ValueError("Out of range float values are not JSON compliant")
         # undefined cells are null, so no NaN reaches the writer
-        values = [[None if math.isnan(v) else v for v in row] for row in grid.values.tolist()]
+        rows = ([None if math.isnan(v) else v for v in row.tolist()] for row in grid.values)
         payload = {
             "a_values": grid.a_values.tolist(),
             "b_values": grid.b_values.tolist(),
-            column: values,
+            column: rows,
         }
         _write_json(ns.out, payload)
     else:
-        # each grid coordinate is formatted once, not once per cell
-        text = {x: _fmt(x) for x in grid.a_values.tolist() + grid.b_values.tolist()}
-        rows = [(text[a], text[b], _fmt(v)) for a, b, v in grid.rows()]
-        _write_csv(ns.out, ("a", "b", column), rows)
+        # each grid coordinate is formatted once, and each row a = a_i of
+        # cells (a, b_k, value), k >= i, by one %-format ('%.17g' is _fmt)
+        a_text = list(map(_fmt, grid.a_values.tolist()))
+        b_text = list(map(_fmt, grid.b_values.tolist()))
+
+        def lines() -> Iterator[str]:
+            yield f"a,b,{column}\n"
+            for i, a in enumerate(a_text):
+                flat = [None] * (2 * (n - i))
+                flat[::2] = b_text[i:]
+                flat[1::2] = grid.values[i, i:].tolist()
+                yield (a + ",%s,%.17g\n") * (n - i) % tuple(flat)
+
+        _write_text(ns.out, lines())
     cells = n * (n + 1) // 2
     print(f"{cmd} {ns.model}: {n}x{n} grid ({cells} cells) -> {ns.out}")
     return 0

@@ -974,23 +974,67 @@ def test_map_grid_with_repeated_values_exits_one_without_artifact(grid, fmt, tmp
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["psi-map", "relbias-map"])
-@pytest.mark.parametrize("model, grid", [
+#: (model, grid) of the map text tests; -0.5:2:6 has NaN cells (a < 0)
+#: under exponential, as has 1:1:1 in its relbias map.
+MAP_TEXT_CASES = [
     ("phase", "0:2:5"), ("exponential", "0:2:5"), ("exponential", "-0.5:2:6"), ("phase", "1:1:1"),
     ("exponential", "1:1:1"), ("phase", None), ("exponential", None),
-])
-def test_map_csv_is_the_text_of_its_rows(command, model, grid, tmp_path):
-    # -0.5:2:6 has NaN cells (a < 0) under exponential, as has 1:1:1 in its relbias map
-    out = tmp_path / "m.csv"
-    argv = [command, "--model", model, "--out", str(out)]
+]
+
+
+def _map_run(command, model, grid, out, fmt):
+    """Run a map through ``main``; return its column name and the map it wrote."""
+    argv = [command, "--model", model, "--format", fmt, "--out", str(out)]
     assert main(argv if grid is None else [*argv, f"--grid={grid}"]) == 0
     lo, hi, n = _grid_triple(grid or "0:8:161")
     spec = cli.MapSpec(kernel=cli.models.kernel_from_json(model), lo=lo, hi=hi, n=n)
     result = cli.experiments.run_map(spec, relative=command == "relbias-map")
-    column = "relbias" if command == "relbias-map" else "psi"
+    return ("relbias" if command == "relbias-map" else "psi"), result
+
+
+@pytest.mark.parametrize("command", ["psi-map", "relbias-map"])
+@pytest.mark.parametrize("model, grid", MAP_TEXT_CASES)
+def test_map_csv_is_the_text_of_its_rows(command, model, grid, tmp_path):
+    out = tmp_path / "m.csv"
+    column, result = _map_run(command, model, grid, out, "csv")
     rows = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in result.rows())
     assert out.read_text() == f"a,b,{column}\n" + rows
+    n = len(result.a_values)
     assert len(out.read_text().splitlines()) == 1 + n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("command", ["psi-map", "relbias-map"])
+@pytest.mark.parametrize("model, grid", MAP_TEXT_CASES)
+def test_map_json_is_the_text_of_its_rows(command, model, grid, tmp_path):
+    out = tmp_path / "m.json"
+    column, result = _map_run(command, model, grid, out, "json")
+    values = [[None if math.isnan(v) else v for v in row] for row in result.values.tolist()]
+    items = {"a_values": result.a_values.tolist(), "b_values": result.b_values.tolist(), column: values}
+    lines = (f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in items.items())
+    assert out.read_text() == "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+@pytest.fixture(scope="module")
+def phase_map_800():
+    return cli.experiments.run_map(cli.MapSpec(kernel=cli.models.PHASE, n=800))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_map_writer_holds_one_row_of_text(fmt, phase_map_800, tmp_path, monkeypatch):
+    # the whole map's text would be 18.9 MB (CSV) or 8.8 MB (JSON)
+    monkeypatch.setattr(cli.experiments, "run_map", lambda spec, relative=False: phase_map_800)
+    out = tmp_path / f"m.{fmt}"
+    argv = ["psi-map", "--model", "phase", "--grid", "0:8:800", "--format", fmt, "--out", str(out)]
+    cli._parser()  # built by the first main call, so not counted here
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert out.stat().st_size > 8e6
+    assert peak < 2e6, f"writer peak {peak / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("command, model", [("psi-map", "phase"), ("relbias-map", "exponential")])
