@@ -22,8 +22,8 @@ from mcombine.models import EXPONENTIAL
 GRID = MapSpec(kernel=EXPONENTIAL, alpha=0.95, lo=0.0, hi=8.0, n=81, j=2)
 
 
-def describe(name: str, grid) -> None:
-    vals = np.asarray([v for _, _, v in grid.rows()])
+def describe(name: str, result) -> None:
+    vals = result.values[np.triu_indices(result.grid.size)]
     finite = vals[np.isfinite(vals)]
     print(f"{name}:")
     print(f"  valid cells        {finite.size}")
@@ -43,8 +43,8 @@ def maybe_plot(psi, rel) -> None:
         print("matplotlib not installed; skipping the contour figure")
         return
     fig, axes = plt.subplots(1, 2, figsize=(11, 4.5), constrained_layout=True)
-    for ax, grid, title in ((axes[0], psi, "bias factor"), (axes[1], rel, "relative bias, J=2")):
-        im = ax.pcolormesh(grid.b_values, grid.a_values, grid.values, shading="nearest")
+    for ax, result, title in ((axes[0], psi, "bias factor"), (axes[1], rel, "relative bias, J=2")):
+        im = ax.pcolormesh(result.grid, result.grid, result.values, shading="nearest")
         ax.set_xlabel("b (upper support)")
         ax.set_ylabel("a (lower support)")
         ax.set_title(title)

@@ -349,32 +349,28 @@ def _run_map(ns, cmd: str) -> int:
     # psi-map takes no --j
     spec = MapSpec(kernel=kernel, alpha=ns.alpha, lo=lo, hi=hi, n=n,
                    j=ns.j if relative else MapSpec.j)
-    grid = experiments.run_map(spec, relative=relative)
+    result = experiments.run_map(spec, relative=relative)
     column = "relbias" if relative else "psi"
     # both writers hold one grid row's text at a time, never the whole map's
     if ns.format == "json":
-        if np.isinf(grid.values).any():  # refused before the file is opened
+        if np.isinf(result.values).any():  # refused before the file is opened
             raise ValueError("Out of range float values are not JSON compliant")
         # undefined cells are null, so no NaN reaches the writer
-        rows = ([None if math.isnan(v) else v for v in row.tolist()] for row in grid.values)
-        payload = {
-            "a_values": grid.a_values.tolist(),
-            "b_values": grid.b_values.tolist(),
-            column: rows,
-        }
+        rows = ([None if math.isnan(v) else v for v in row.tolist()] for row in result.values)
+        coords = result.grid.tolist()
+        payload = {"a_values": coords, "b_values": coords, column: rows}
         _write_json(ns.out, payload)
     else:
         # each grid coordinate is formatted once, and each row a = a_i of
         # cells (a, b_k, value), k >= i, by one %-format ('%.17g' is _fmt)
-        a_text = list(map(_fmt, grid.a_values.tolist()))
-        b_text = list(map(_fmt, grid.b_values.tolist()))
+        coord_text = list(map(_fmt, result.grid.tolist()))
 
         def lines() -> Iterator[str]:
             yield f"a,b,{column}\n"
-            for i, a in enumerate(a_text):
+            for i, a in enumerate(coord_text):
                 flat = [None] * (2 * (n - i))
-                flat[::2] = b_text[i:]
-                flat[1::2] = grid.values[i, i:].tolist()
+                flat[::2] = coord_text[i:]
+                flat[1::2] = result.values[i, i:].tolist()
                 yield (a + ",%s,%.17g\n") * (n - i) % tuple(flat)
 
         _write_text(ns.out, lines())

@@ -50,8 +50,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import repeat
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -663,17 +662,11 @@ def verify_lemma(cfg: ExperimentConfig) -> EstimateResult:
 
 @dataclass(frozen=True, eq=False)
 class MapResult:
-    """Grid of analytic values over data-support cells (a, b), a <= b."""
+    """Analytic values over data-support cells (a, b), a <= b: cell
+    ``values[i, k]`` has a = ``grid[i]`` and b = ``grid[k]``."""
 
-    a_values: NDArray[np.float64]
-    b_values: NDArray[np.float64]
+    grid: NDArray[np.float64]
     values: NDArray[np.float64]
-
-    def rows(self) -> Iterator[tuple[float, float, float]]:
-        """The cells (a, b, value), row by row over the index triangle i <= k."""
-        b_values = self.b_values.tolist()
-        for i, (a, row) in enumerate(zip(self.a_values.tolist(), self.values.tolist())):
-            yield from zip(repeat(a), b_values[i:], row[i:])
 
 
 def run_map(spec: MapSpec, *, relative: bool = False) -> MapResult:
@@ -698,7 +691,7 @@ def run_map(spec: MapSpec, *, relative: bool = False) -> MapResult:
     grid = np.linspace(spec.lo, spec.hi, spec.n)
     law = analytics._kernel_error_law(spec.kernel.kind, spec.alpha)
     values = analytics._current_on_uniform_grid(spec.kernel, law, spec.j, grid, relative=relative)
-    return MapResult(a_values=grid, b_values=grid.copy(), values=values)
+    return MapResult(grid=grid, values=values)
 
 
 # --------------------------------------------------------------------------
@@ -727,9 +720,8 @@ def bias_factor_current_oracle(
         v -= v.mean()
         v *= v
     d = np.subtract(f_nom, m, out=f_nom)
-    scale = trials / (trials - 1.0)
-    point = scale * float(d.mean())
-    se = scale * float(d.std(ddof=1)) / math.sqrt(trials)
+    d *= trials / (trials - 1.0)
+    point, se = map(float, _mean_with_se(d))
     return point, se
 
 

@@ -200,7 +200,7 @@ def test_criterion_05_exponential_bias_maps():
     # of the region but positive somewhere; the worst relative bias at
     # J=2 is about -20%; ten random cells agree with 1e7-draw MC oracles.
     psi_grid = run_map(MapSpec(kernel=EXPONENTIAL))
-    vals = np.array([v for _, _, v in psi_grid.rows()])
+    vals = psi_grid.values[np.triu_indices(psi_grid.grid.size)]
     finite = vals[np.isfinite(vals)]
     assert (finite < 0.0).mean() >= 0.95
     assert (finite > 0.0).any()
@@ -218,8 +218,8 @@ def test_criterion_05_exponential_bias_maps():
     ]
     cells = [valid[k] for k in rng.choice(len(valid), size=10, replace=False)]
     for n, (i, jdx) in enumerate(cells):
-        a = float(rel_grid.a_values[i])
-        b = float(rel_grid.b_values[jdx])
+        a = float(rel_grid.grid[i])
+        b = float(rel_grid.grid[jdx])
         sc = ScalarScenario(
             kernel=EXPONENTIAL,
             y_dist=Uniform(lo=[a], hi=[b]),

@@ -997,9 +997,11 @@ def _map_run(command, model, grid, out, fmt):
 def test_map_csv_is_the_text_of_its_rows(command, model, grid, tmp_path):
     out = tmp_path / "m.csv"
     column, result = _map_run(command, model, grid, out, "csv")
-    rows = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in result.rows())
+    n = result.grid.size
+    i, k = np.triu_indices(n)
+    cells = zip(result.grid[i], result.grid[k], result.values[i, k])
+    rows = "".join(",".join(format(x, ".17g") for x in cell) + "\n" for cell in cells)
     assert out.read_text() == f"a,b,{column}\n" + rows
-    n = len(result.a_values)
     assert len(out.read_text().splitlines()) == 1 + n * (n + 1) // 2
 
 
@@ -1009,7 +1011,8 @@ def test_map_json_is_the_text_of_its_rows(command, model, grid, tmp_path):
     out = tmp_path / "m.json"
     column, result = _map_run(command, model, grid, out, "json")
     values = [[None if math.isnan(v) else v for v in row] for row in result.values.tolist()]
-    items = {"a_values": result.a_values.tolist(), "b_values": result.b_values.tolist(), column: values}
+    coords = result.grid.tolist()
+    items = {"a_values": coords, "b_values": coords, column: values}
     lines = (f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in items.items())
     assert out.read_text() == "{\n" + ",\n".join(lines) + "\n}\n"
 
@@ -1276,7 +1279,7 @@ def test_json_writer_refuses_infinity(inf, shape, tmp_path):
 
 def test_infinite_json_value_exits_one_without_artifact(tmp_path, monkeypatch, capsys):
     values = np.array([[0.0, math.inf], [NAN, 0.0]])
-    grid = cli.experiments.MapResult(np.array([0.0, 1.0]), np.array([0.0, 1.0]), values)
+    grid = cli.experiments.MapResult(np.array([0.0, 1.0]), values)
     monkeypatch.setattr(cli.experiments, "run_map", lambda spec, relative=False: grid)
     monkeypatch.chdir(tmp_path)
     assert main(["psi-map", "--model", "phase", "--grid", "0:1:2", "--format", "json", "--out", "m.json"]) == 1
@@ -1367,6 +1370,18 @@ def test_pipeline_data_csv_skips_blank_lines_and_reads_quoted_numbers(data_csv, 
     assert main(pipeline_args(data_csv, a)) == 0
     assert main(pipeline_args(other, b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_data_csv_numbers_are_float_of_their_text_bit_for_bit(tmp_path):
+    # signed zero, subnormals, the largest double, padding, and a bare sign or point
+    tokens = ["-0", "1e-310", "4.9406564584124654e-324", "1.7976931348623157e308", " 2.5 ", "+.5", "3."]
+    rows = [tokens, tokens[::-1]]
+    path = tmp_path / "edge.csv"
+    header = ",".join(f"y_{i + 1}" for i in range(len(tokens)))
+    path.write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
+    got = cli._read_data_csv(str(path))
+    want = np.array([[float(tok) for tok in row] for row in rows])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -728,9 +728,8 @@ def test_lemma5_formula_for_dispersed_means():
 
 def test_additive_map_is_identically_zero():
     spec = MapSpec(kernel=ADDITIVE, lo=0.0, hi=4.0, n=9)
-    grid = run_map(spec)
-    tri = [v for _, _, v in grid.rows()]
-    assert np.allclose(tri, 0.0)
+    result = run_map(spec)
+    assert np.allclose(result.values[np.triu_indices(spec.n)], 0.0)
 
 
 def test_map_single_cell_equals_direct_call():
@@ -751,8 +750,8 @@ def test_map_single_cell_equals_direct_call():
 def test_map_cells_match_direct_calls():
     spec = MapSpec(kernel=EXPONENTIAL, alpha=0.95, lo=0.0, hi=8.0, n=5, j=2)
     grid = run_map(spec, relative=True)
-    for i, a in enumerate(grid.a_values):
-        for jdx, b in enumerate(grid.b_values):
+    for i, a in enumerate(grid.grid):
+        for jdx, b in enumerate(grid.grid):
             if a > b:
                 assert math.isnan(grid.values[i, jdx])
                 continue
@@ -808,7 +807,7 @@ def test_map_cells_are_the_direct_calls_bitwise(kernel, relative):
 
     def check(grid, i, k, j):
         # True when the direct call raises, and the cell is NaN
-        a, b, got = grid.a_values[i], grid.b_values[k], grid.values[i, k]
+        a, b, got = grid.grid[i], grid.grid[k], grid.values[i, k]
         if a > b:
             assert math.isnan(got)
             return False
