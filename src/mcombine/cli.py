@@ -176,23 +176,27 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
 def _write_json(path: str, payload) -> None:
     """``payload`` (a dict with string keys, or a list) as one top-level item per line.
 
-    Each item is in the stdlib encoder's default form; a matrix (a list of
-    lists) is encoded a row at a time: the same bytes as one call, built
-    from smaller strings.  A matrix given as an iterator of rows is encoded
-    as it is written, so only one row's text is held at a time.  NaN and
-    infinities raise ``ValueError``; in any item but such an iterator,
-    before the file is opened.
+    Each item is in the stdlib encoder's default form.  A float array is
+    written a row at a time as the ``repr`` of the row's list, which for
+    finite floats is the encoder's text: ``", "`` separators and float
+    ``repr``.  A matrix given as an iterator of rows is encoded a row at a
+    time as it is written.  Either way only one row's text is held at a
+    time.  NaN and infinities raise ``ValueError``; in any item but such an
+    iterator, before the file is opened.
     """
     encode = json.JSONEncoder(allow_nan=False).encode
 
     def item(value) -> Iterable[str]:
-        if isinstance(value, Iterator) or (
-            isinstance(value, list) and all(isinstance(row, list) for row in value)
-        ):
-            rows = (sep + encode(row) for sep, row in zip(chain([""], repeat(", ")), value))
-            chunks = chain(["["], rows, ["]"])
-            return chunks if isinstance(value, Iterator) else ["".join(chunks)]
-        return [encode(value)]
+        if isinstance(value, np.ndarray):
+            if not np.isfinite(value).all():
+                raise ValueError("Out of range float values are not JSON compliant")
+            rows = (repr(row.tolist()) for row in value)
+        elif isinstance(value, Iterator):
+            rows = map(encode, value)
+        else:
+            return [encode(value)]
+        seps = chain([""], repeat(", "))
+        return chain(["["], (sep + row for sep, row in zip(seps, rows)), ["]"])
 
     if isinstance(payload, dict):
         items = [chain([f"{encode(key)}: "], item(value)) for key, value in payload.items()]
@@ -449,7 +453,7 @@ def _read_data_csv(path: str) -> np.ndarray:
                 if not line or (len(line) == 1 and not line[0].strip()):  # a blank line
                     continue
                 try:
-                    rows.append([float(tok) for tok in line])
+                    rows.append(list(map(float, line)))
                 except ValueError:
                     raise DomainError(f"non-numeric data row: {line}") from None
     except OSError as exc:
@@ -491,7 +495,10 @@ def _run_pipeline(ns) -> int:
         "k": k,
         "q": ns.q,
         "nu": nu.tolist(),
-        **combined.to_json_dict(),
+        "nominal": combined.nominal.tolist(),
+        "replicates": combined.replicates,
+        "construction": combined.construction,
+        "input_cov": combined.input_cov,
     }
     _write_json(ns.out, payload)
     print(f"pipeline {ns.model} {ns.construction}: J={rows.shape[0]} K={k} Q={ns.q} -> {ns.out}")

@@ -282,19 +282,18 @@ def _stream(cfg: ExperimentConfig, block: int, role: int) -> RngStream:
 
 
 def _draw_y_s(cfg: ExperimentConfig, block: int):
-    """Draw one block's data and error arrays (full block, then slice)."""
+    """Draw one block's data and error arrays, one row per trial of the block."""
     sc = cfg.scenario
     rows = _block_rows(cfg, block)
-    bs = cfg.block_size
-    y = models.sample(sc.y_dist, bs * sc.j, _stream(cfg, block, _ROLE_Y))
-    s = models.sample(sc.s_dist, bs * sc.q, _stream(cfg, block, _ROLE_S))
-    return y.reshape(bs, sc.j)[:rows], s.reshape(bs, sc.q)[:rows]
+    y = models.sample(sc.y_dist, rows * sc.j, _stream(cfg, block, _ROLE_Y))
+    s = models.sample(sc.s_dist, rows * sc.q, _stream(cfg, block, _ROLE_S))
+    return y.reshape(rows, sc.j), s.reshape(rows, sc.q)
 
 
 def _draw_z(cfg: ExperimentConfig, block: int) -> NDArray:
-    """Draw one block's synthesis noise (full block, then slice)."""
+    """Draw one block's synthesis noise, one row per trial of the block."""
     gen = _stream(cfg, block, _ROLE_Z).gen
-    return gen.standard_normal((cfg.block_size, cfg.scenario.q))[: _block_rows(cfg, block)]
+    return gen.standard_normal((_block_rows(cfg, block), cfg.scenario.q))
 
 
 def _sample_variance_in_place(m: NDArray) -> NDArray:
@@ -384,40 +383,39 @@ def _lemma_plan(cfg: ExperimentConfig) -> dict[str, Any]:
 
 def _lemma_block(cfg: ExperimentConfig, block: int, plan: dict[str, Any]) -> tuple[NDArray, ...]:
     rows = _block_rows(cfg, block)
-    bs = cfg.block_size
     lid = cfg.lemma_id
     # A stream opens on its first draw, so each lemma opens only the roles it uses.
     st = [_stream(cfg, block, role) for role in range(4)]
     if lid == 1:
         j = plan["j"]
-        w = models.sample(plan["w"], bs * j, st[0]).reshape(bs, j, -1)[:rows]
-        c = models.sample(plan["c"], bs, st[1])[:rows, None, :]
+        w = models.sample(plan["w"], rows * j, st[0]).reshape(rows, j, -1)
+        c = models.sample(plan["c"], rows, st[1])[:, None, :]
         return (sample_covariance(w + c),)
     k = plan.get("k", 0)
     if lid == 2:
-        w = st[0].gen.standard_normal((bs, k))[:rows]
+        w = st[0].gen.standard_normal((rows, k))
         a = w + 0.5 * w**2
         bmat = plan["c0"] * np.eye(k)[None, :, :] + plan["c1"] * w[:, :, None] * w[:, None, :]
-        z = st[1].gen.standard_normal((bs, k))[:rows]
+        z = st[1].gen.standard_normal((rows, k))
         x = a + np.einsum("bkl,bl->bk", bmat, z)
         bbt = np.einsum("bkl,bml->bkm", bmat, bmat)
         return (x, a, bbt)
     if lid == 3:
-        w = st[0].gen.standard_normal((bs, k))[:rows]
-        a1 = w + st[1].gen.standard_normal((bs, k))[:rows]
-        a2 = 0.5 * w + st[2].gen.standard_normal((bs, k))[:rows]
+        w = st[0].gen.standard_normal((rows, k))
+        a1 = w + st[1].gen.standard_normal((rows, k))
+        a2 = 0.5 * w + st[2].gen.standard_normal((rows, k))
         bmat = plan["c0"] * np.eye(k)[None, :, :] + plan["c1"] * w[:, :, None] * w[:, None, :]
-        z12 = st[3].gen.standard_normal((bs, 2, k))[:rows]
+        z12 = st[3].gen.standard_normal((rows, 2, k))
         x1 = a1 + np.einsum("bkl,bl->bk", bmat, z12[:, 0, :])
         x2 = a2 + np.einsum("bkl,bl->bk", bmat, z12[:, 1, :])
         return (x1, x2, a1, a2)
     if lid == 4:
-        y = models.sample(plan["y"], bs, st[0])[:rows]
-        s1 = models.sample(plan["s"], bs, st[1])[:rows]
-        s2 = models.sample(plan["s"], bs, st[2])[:rows]
+        y = models.sample(plan["y"], rows, st[0])
+        s1 = models.sample(plan["s"], rows, st[1])
+        s2 = models.sample(plan["s"], rows, st[2])
         return (y * s1, y * s2, y * plan["s"].mean)
     # lemma 5
-    x = plan["mu"] + plan["sigma"] * st[0].gen.standard_normal((bs, plan["n"]))[:rows]
+    x = plan["mu"] + plan["sigma"] * st[0].gen.standard_normal((rows, plan["n"]))
     return (x.var(axis=1, ddof=1),)
 
 

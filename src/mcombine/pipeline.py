@@ -141,14 +141,6 @@ class CombineOutput:
     construction: str
     input_cov: NDArray[np.float64]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nominal": self.nominal.tolist(),
-            "replicates": self.replicates.tolist(),
-            "construction": self.construction,
-            "input_cov": self.input_cov.tolist(),
-        }
-
 
 def _require_size(q: int, j: int, k: int = 1, block_size: int = 1) -> None:
     """Refuse a run whose draws or kernel tensor would exceed ``_MAX_ELEMS``.

@@ -1096,6 +1096,28 @@ def pipeline_args(data, out, extra=()):
     return ["pipeline", "--data", str(data), "--model", "multiplicative", "--q", "12", "--out", str(out), *extra]
 
 
+def test_pipeline_writer_holds_one_row_of_text(tmp_path, monkeypatch):
+    # at Q = 2000 and K = 64 the replicate matrix's text is 2.4 MB, and its Python floats 3.1 MB
+    rows = np.random.default_rng(3).standard_normal((3, 64)) + 1.0
+    data, out = tmp_path / "wide.csv", tmp_path / "run.json"
+    lines = [",".join(f"y_{i + 1}" for i in range(64))] + [",".join(map(repr, r)) for r in rows.tolist()]
+    data.write_text("\n".join(lines) + "\n")
+    write_json, peaks = cli._write_json, []
+
+    def traced(path, payload):  # the writer's own peak, apart from the run's
+        tracemalloc.start()
+        try:
+            write_json(path, payload)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_write_json", traced)
+    assert main(pipeline_args(data, out, ("--q", "2000"))) == 0
+    assert len(json.loads(out.read_text())["replicates"]) == 2000
+    assert peaks[0] < 0.5e6, f"writer peak {peaks[0] / 1e6:.2f} MB"
+
+
 def test_pipeline_json_payload(data_csv, tmp_path, capsys):
     out = tmp_path / "run.json"
     assert main(pipeline_args(data_csv, out)) == 0
@@ -1234,10 +1256,11 @@ JSON_CORPUS = {
     "float scalar": 0.1,
     "nan scalar": NAN,
     "string scalar": "ü",
+    "nan array": np.array([[0.5, 1.0], [NAN, 2.0]]),
 }
 
 #: The corpus cases that hold a NaN, which no artifact may carry.
-NAN_CASES = {"nested", "mixed list", "tuple", "nan scalar"}
+NAN_CASES = {"nested", "mixed list", "tuple", "nan scalar", "nan array"}
 
 
 @pytest.mark.parametrize("name", JSON_CORPUS, ids=JSON_CORPUS.keys())
@@ -1260,17 +1283,23 @@ def test_json_writer_matches_the_stdlib_encoder_on_pipeline_payloads(k, tmp_path
     path = tmp_path / "p.json"
     write_json(path, payload)
     text = path.read_text()
-    items = (f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in payload.items())
+    # the matrices reach the writer as float arrays, which the stdlib encodes as lists
+    listed = {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in payload.items()}
+    assert isinstance(payload["replicates"], np.ndarray)
+    items = (f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in listed.items())
     assert text == "{\n" + ",\n".join(items) + "\n}\n"
     _assert_one_item_per_line(text)
-    assert json.loads(text) == payload
+    assert json.loads(text) == listed
 
 
 @pytest.mark.parametrize("inf", [math.inf, -math.inf])
-@pytest.mark.parametrize("shape", ["scalar", "float list", "nan row", "mixed list", "nested"])
+@pytest.mark.parametrize("shape", ["scalar", "float list", "nan row", "mixed list", "nested",
+                                   "float array", "nan and inf array"])
 def test_json_writer_refuses_infinity(inf, shape, tmp_path):
     obj = {"scalar": inf, "float list": [1.0, inf], "nan row": [NAN, inf], "mixed list": [1, inf],
-           "nested": {"x": [[NAN, 2.0], [inf]]}}[shape]
+           "nested": {"x": [[NAN, 2.0], [inf]]},
+           "float array": np.array([[1.0, 2.0], [3.0, inf]]),
+           "nan and inf array": np.array([[1.0, NAN], [inf, 0.0]])}[shape]
     path = tmp_path / "x.json"
     with pytest.raises(ValueError, match="not JSON compliant"):
         cli._write_json(path, {"x": obj})
@@ -1373,8 +1402,10 @@ def test_pipeline_data_csv_skips_blank_lines_and_reads_quoted_numbers(data_csv, 
 
 
 def test_data_csv_numbers_are_float_of_their_text_bit_for_bit(tmp_path):
-    # signed zero, subnormals, the largest double, padding, and a bare sign or point
-    tokens = ["-0", "1e-310", "4.9406564584124654e-324", "1.7976931348623157e308", " 2.5 ", "+.5", "3."]
+    # signed zero, subnormals, the largest double, padding, a bare sign or point, and
+    # the float() syntax np.loadtxt refuses: digit-group underscores and fullwidth digits
+    tokens = ["-0", "1e-310", "4.9406564584124654e-324", "1.7976931348623157e308", " 2.5 ", "+.5", "3.",
+              "1_000", "\uff11\uff12.\uff15"]
     rows = [tokens, tokens[::-1]]
     path = tmp_path / "edge.csv"
     header = ",".join(f"y_{i + 1}" for i in range(len(tokens)))

@@ -445,7 +445,9 @@ def test_bias_standard_errors_with_a_target_from_the_trials_are_calibrated(scena
                                       exponential_scenario(q=30)], ids=["mult", "phase", "exponential"])
 def test_target_oracle_draws_one_error_per_trial(scenario, monkeypatch):
     # whatever the scenario's Q, a trial draws J data values and one error,
-    # from the error stream of its block, and averages f over its batch
+    # from the error stream of its block, and averages f over its batch; the
+    # partial last block draws only its own 100 trials' values, the first
+    # values of the streams a full block would draw
     drawn = []
     sample = experiments.models.sample
 
@@ -458,7 +460,8 @@ def test_target_oracle_draws_one_error_per_trial(scenario, monkeypatch):
                            master_seed=9, block_size=300)
     res = estimate_target_variance_oracle(cfg)
     j = scenario.j
-    assert drawn == [(scenario.y_dist, 300 * j), (scenario.s_dist, 300)] * 3
+    assert drawn == [(law, rows * n) for rows in (300, 300, 100)
+                     for law, n in ((scenario.y_dist, j), (scenario.s_dist, 1))]
     fbar, root = [], RngStream(9)
     for b in range(3):
         y = sample(scenario.y_dist, 300 * j, root.substream(0, 0, b, 0)).reshape(300, j)

@@ -337,15 +337,6 @@ def test_combine_refuses_a_single_data_vector(construction):
         combine(t, RngStream(0), construction)
 
 
-def test_combine_json_dict_round_trips_through_lists():
-    data = _batch(j=4, k=2, seed=20)
-    t = transform_stage(data, _shared_errors(q=3, seed=21), ADDITIVE, np.zeros(2))
-    out = combine(t, RngStream(1), "current")
-    d = out.to_json_dict()
-    assert np.allclose(np.asarray(d["replicates"]), out.replicates)
-    assert d["construction"] == "current"
-
-
 # --------------------------------------------------------------------------
 # statistical sanity: additive pipelines are unbiased for the target spread
 
